@@ -11,6 +11,7 @@ import sys
 
 from .errors import ConfigError, KinfluenceError, NumericalError
 from .experiments import (
+    CONFIG_KEYS,
     load_config,
     measure_cold,
     run_infinite_experiment,
@@ -58,32 +59,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args) -> dict:
-    over = {}
-    if getattr(args, "seed", None) is not None:
-        over["seeds"] = str(args.seed)
-    if getattr(args, "out", None) is not None and not getattr(args, "cold", False):
-        over["out"] = args.out
-    if getattr(args, "space", None) is not None:
-        over["unlearn.space"] = args.space
-    if getattr(args, "percent", None) is not None:
-        over["unlearn.percents"] = args.percent
-    if getattr(args, "shards", None) is not None:
-        over["unlearn.shards"] = str(args.shards)
-    if getattr(args, "lambdas", None) is not None:
-        over["sweep.lambdas"] = args.lambdas
-    return over
+    """Config values the command-line flags set, keyed as in config files."""
+    given = {key.name: getattr(args, key.flag[2:], None) for key in CONFIG_KEYS if key.flag}
+    return {name: str(val) for name, val in given.items() if val is not None}
 
 
 def _cmd_unlearn(args) -> int:
+    json_path = args.out
+    if args.cold:
+        # --out names the JSON result; the config's own out stays, where the
+        # protocol run stored the kernel this child reads
+        args.out = None
     cfg = load_config(args.config, _overrides(args))
     if args.cold:
-        if args.out is None:
+        if json_path is None:
             raise ConfigError("--cold needs --out <file.json>")
         if len(cfg.percents) != 1 or cfg.space == "both":
             raise ConfigError("--cold measures exactly one (percent, space) pair")
         seed = cfg.seeds[0]
         cold = measure_cold(cfg, seed, cfg.percents[0], cfg.space)
-        with open(args.out, "w") as f:
+        with open(json_path, "w") as f:
             json.dump({"cold_runtime_s": cold, "seed": seed,
                        "percent": cfg.percents[0], "space": cfg.space}, f)
         return 0

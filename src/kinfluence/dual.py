@@ -26,10 +26,9 @@ from .losses import loss_grad_batch, loss_hess_batch
 from .models import LinearizedModel, model_outputs, vjp
 from .report import InfluenceReport, PerTestChange
 from .solvers import CgOptions, cg_solve
-from .training import CENTER_ORIGIN, RiskConfig, risk_grad
+from .training import CENTER_ORIGIN, RiskConfig, stationarity_gap
 
 DENSE_SOLVE_MAX = 512
-STATIONARITY_TOL = 1e-6
 
 
 class DualCoefficients:
@@ -53,29 +52,31 @@ class DualCoefficients:
         return self.delta_alpha[self.n_forget * self.d_out:]
 
 
-def alpha_star(lin: LinearizedModel, theta_hat: np.ndarray, ds, cfg: RiskConfig,
-               tol: float = STATIONARITY_TOL) -> np.ndarray:
+def _require_stationary(lin: LinearizedModel, theta_hat: np.ndarray, ds, cfg: RiskConfig) -> None:
+    # the representer identity theta_hat - theta_ref = J' alpha fails away
+    # from the optimum, so coefficient space hard-errors there
+    gap = stationarity_gap(lin, theta_hat, ds, cfg)
+    if gap is not None:
+        raise NotAtOptimum(gap)
+
+
+def alpha_star(lin: LinearizedModel, theta_hat: np.ndarray, ds, cfg: RiskConfig) -> np.ndarray:
     """-(1/lambda) grad of the risk w.r.t. vectorized outputs at the optimum.
 
-    Hard-errors when theta_hat is not stationary: the representer identity
-    theta_hat - theta_ref = J' alpha fails away from the optimum.
+    Hard-errors when theta_hat is not stationary.
     """
     if cfg.center == CENTER_ORIGIN and np.any(lin.theta_ref != 0.0):
         raise ValueError("origin-centered risk requires linearization around 0")
-    gnorm = float(np.linalg.norm(risk_grad(lin, theta_hat, ds, cfg)))
-    if gnorm > tol:
-        raise NotAtOptimum(f"||grad|| = {gnorm:.3e} exceeds {tol}")
-    f = model_outputs(lin, theta_hat, ds.features)
-    g = loss_grad_batch(cfg.loss, f, ds.targets).ravel()
-    # single fused denominator so -alpha's forget block reproduces the known
-    # value grad/(N lam) bitwise
-    return -g / (cfg.lam * ds.n)
+    _require_stationary(lin, theta_hat, ds, cfg)
+    return alpha_star_from_outputs(model_outputs(lin, theta_hat, ds.features), ds, cfg)
 
 
 def alpha_star_from_outputs(f_vec: np.ndarray, ds, cfg: RiskConfig) -> np.ndarray:
     """Same map given vectorized outputs directly (function-space callers)."""
     f = np.asarray(f_vec, dtype=np.float64).reshape(ds.n, ds.d_out)
     g = loss_grad_batch(cfg.loss, f, ds.targets).ravel()
+    # single fused denominator so -alpha's forget block reproduces the known
+    # value grad/(N lam) bitwise
     return -g / (cfg.lam * ds.n)
 
 
@@ -143,8 +144,8 @@ class DualUnlearner:
     ``dense_threshold``, otherwise by CG whose operator evaluates
     (|Dr|/|D|) (K_rr (B_r (K_rr v)) + lambda K_rr v); with
     ``materialize_hrr`` the same operator is applied through a precomputed
-    dense H_rr (one gemv per iteration). ``shards`` routes K_rr matvecs
-    through the deterministic sharded kernel.
+    dense H_rr (one gemv per iteration). ``shards`` routes the operator's
+    matvecs through the deterministic sharded kernel.
     """
 
     def __init__(self, kernel: KernelMatrix, f_vec: np.ndarray, split: SplitDataset,
@@ -199,6 +200,7 @@ class DualUnlearner:
                     self.h_rr + self._jitter * np.eye(self.size))
         self._shard_spans = (even_shards(self.size, self.shards)
                              if self.shards > 1 else None)
+        self._shard_seconds = np.zeros(self.shards)
         self._prepared = True
 
     def _h_rf_times(self, x_f: np.ndarray) -> np.ndarray:
@@ -210,25 +212,22 @@ class DualUnlearner:
         scale = split.n_retain / split.n
         return scale * (self.k_rr @ _apply_blockdiag_vec(self.b_r, t) + cfg.lam * t)
 
-    def _krr_matvec(self, v: np.ndarray) -> np.ndarray:
-        if self._shard_spans is not None:
-            y, seconds = sharded_matvec(self.k_rr, v, self._shard_spans)
-            self.diagnostics.setdefault("shard_seconds", []).append(seconds)
-            return y
-        return self.k_rr @ v
+    def _matvec(self, mat: np.ndarray, v: np.ndarray) -> np.ndarray:
+        if self._shard_spans is None:
+            return mat @ v
+        y, seconds = sharded_matvec(mat, v, self._shard_spans)
+        self._shard_seconds += seconds
+        return y
 
     def _operator(self):
         scale = self.split.n_retain / self.split.n
         lam = self.cfg.lam
         if self.h_rr is not None and not self.use_dense:
-            h = self.h_rr
-            if self._shard_spans is not None:
-                return lambda v: sharded_matvec(h, v, self._shard_spans)[0]
-            return lambda v: h @ v
+            return lambda v: self._matvec(self.h_rr, v)
 
         def apply_h(v: np.ndarray) -> np.ndarray:
-            t = self._krr_matvec(v)
-            return scale * (self._krr_matvec(_apply_blockdiag_vec(self.b_r, t)) + lam * t)
+            t = self._matvec(self.k_rr, v)
+            return scale * (self._matvec(self.k_rr, _apply_blockdiag_vec(self.b_r, t)) + lam * t)
 
         return apply_h
 
@@ -248,14 +247,11 @@ class DualUnlearner:
             self.diagnostics.update({"solver": "cg", "iters": res.iters,
                                      "residual": res.residual,
                                      "converged": res.converged, "jitter": 0.0})
+            if self._shard_spans is not None:
+                # per-shard matvec seconds, summed over every solve since prepare()
+                self.diagnostics["shard_seconds"] = self._shard_seconds.tolist()
         delta = np.concatenate([self.delta_f, x_r])
         return DualCoefficients(self.alpha, delta, d, split.n_forget)
-
-    def run(self) -> tuple[DualCoefficients, float]:
-        t0 = time.perf_counter()
-        self.prepare()
-        coeffs = self.solve()
-        return coeffs, time.perf_counter() - t0
 
 
 def solve_reduced(kernel: KernelMatrix, f_vec: np.ndarray, split: SplitDataset,
@@ -296,38 +292,47 @@ def predict_changes_dual(k_test: KernelMatrix, kernel: KernelMatrix,
     return df, raw, raw + reg_term
 
 
-def unlearn_dual(lin: LinearizedModel, theta_hat: np.ndarray, split: SplitDataset,
-                 cfg: RiskConfig, opts: CgOptions = CgOptions(),
-                 kernel: KernelMatrix | None = None, test_ds=None,
-                 dense_threshold: int = DENSE_SOLVE_MAX, shards: int = 1) -> InfluenceReport:
-    """End-to-end coefficient-space unlearning for a linearized model."""
-    t0 = time.perf_counter()
+def dual_report(solver: DualUnlearner, coeffs: DualCoefficients, lin: LinearizedModel,
+                theta_hat: np.ndarray, theta_u: np.ndarray, test_ds=None) -> InfluenceReport:
+    """The report of one reduced solve whose map to parameters is ``theta_u``:
+    solver health, a representer-identity note, and the test-point changes
+    when ``test_ds`` is given."""
+    split = solver.split
     notes = []
-    if kernel is None:
-        kernel = empirical_ntk(lin.spec, lin.theta_ref, split.full.features)
-    gnorm = float(np.linalg.norm(risk_grad(lin, theta_hat, split.full, cfg)))
-    if gnorm > STATIONARITY_TOL:
-        raise NotAtOptimum(f"||grad|| = {gnorm:.3e} exceeds {STATIONARITY_TOL}")
-    f_vec = model_outputs(lin, theta_hat, split.full.features).ravel()
-    solver = DualUnlearner(kernel, f_vec, split, cfg, opts, dense_threshold, shards)
-    coeffs = solver.solve()
-    alpha = coeffs.alpha_star
-    resid = representer_residual(lin, theta_hat, split.full, alpha)
+    resid = representer_residual(lin, theta_hat, split.full, coeffs.alpha_star)
     if resid > 1e-6:
         notes.append(f"representer identity residual {resid:.3e} (rank-deficiency diagnostic)")
-    theta_u = map_to_params(lin, theta_hat, coeffs.delta_alpha, split.full.features)
     report = InfluenceReport(
         delta_theta=theta_u - theta_hat,
         residual=solver.diagnostics.get("residual", 0.0),
         iters=solver.diagnostics.get("iters", 0),
-        wall_cold=time.perf_counter() - t0,
         converged=solver.diagnostics.get("converged", True),
         notes=notes,
     )
     if test_ds is not None:
         k_t = empirical_ntk(lin.spec, lin.theta_ref, test_ds.features, split.full.features)
         f_t = model_outputs(lin, theta_hat, test_ds.features).ravel()
-        df, raw, reg = predict_changes_dual(k_t, kernel, coeffs, f_t, test_ds.targets, cfg)
-        for i in range(test_ds.n):
-            report.per_test.append(PerTestChange(df[i], float(raw[i]), float(reg[i])))
+        df, raw, reg = predict_changes_dual(k_t, solver.kernel, coeffs, f_t, test_ds.targets,
+                                            solver.cfg)
+        report.per_test = [PerTestChange(df[i], float(raw[i]), float(reg[i]))
+                           for i in range(test_ds.n)]
+    return report
+
+
+def unlearn_dual(lin: LinearizedModel, theta_hat: np.ndarray, split: SplitDataset,
+                 cfg: RiskConfig, opts: CgOptions = CgOptions(),
+                 kernel: KernelMatrix | None = None, test_ds=None,
+                 dense_threshold: int = DENSE_SOLVE_MAX, shards: int = 1) -> InfluenceReport:
+    """End-to-end coefficient-space unlearning for a linearized model."""
+    t0 = time.perf_counter()
+    if kernel is None:
+        kernel = empirical_ntk(lin.spec, lin.theta_ref, split.full.features)
+    _require_stationary(lin, theta_hat, split.full, cfg)
+    f_vec = model_outputs(lin, theta_hat, split.full.features).ravel()
+    solver = DualUnlearner(kernel, f_vec, split, cfg, opts, dense_threshold, shards)
+    coeffs = solver.solve()
+    theta_u = map_to_params(lin, theta_hat, coeffs.delta_alpha, split.full.features)
+    wall = time.perf_counter() - t0
+    report = dual_report(solver, coeffs, lin, theta_hat, theta_u, test_ds)
+    report.wall_cold = wall
     return report

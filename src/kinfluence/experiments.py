@@ -16,22 +16,23 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .datasets import LabeledDataset, data_dir, load_cifar_binary, load_idx, make_blobs, split_forget
-from .dual import DualUnlearner
+from .datasets import (LabeledDataset, data_dir, load_cifar_binary, load_idx, make_blobs,
+                       split_forget, subset_per_class)
+from .dual import DualUnlearner, dual_report, map_to_params
 from .errors import ConfigError
 from .infinite import AnalyticNtkSpec, infinite_influence
 from .kernels import KernelMatrix, empirical_ntk, read_kernel_cache, write_kernel_cache
 from .losses import SQUARED
 from .models import LinearizedModel, ModelSpec, model_outputs, save_params
-from .primal import PrimalUnlearner, attach_test_predictions
+from .primal import PrimalUnlearner
 from .report import (
-    InfluenceReport,
     MetricsRow,
-    PerTestChange,
     append_diagnostics,
     write_influence_csv,
     write_metrics_csv,
@@ -117,38 +118,6 @@ class ExperimentConfig:
 # Key-value config files
 # --------------------------------------------------------------------------
 
-_KNOWN_KEYS = {
-    "experiment.name", "dataset.kind", "dataset.classes", "dataset.per_class",
-    "dataset.d_in", "dataset.noise", "dataset.feature_scale", "dataset.targets",
-    "dataset.seed", "model.widths", "model.activation", "model.parameterization",
-    "model.init_seed", "model.linearized", "risk.lambda", "risk.loss", "risk.center",
-    "train.kind", "opt.kind", "opt.lr", "opt.beta", "stop.max_epochs", "stop.grad_tol",
-    "unlearn.percents", "unlearn.scope", "unlearn.space", "unlearn.shards",
-    "unlearn.hessian", "cg.rel_tol", "cg.max_iters", "cg.preconditioner",
-    "dual.dense_threshold", "dual.materialize_hrr", "bench.cold", "bench.test_size",
-    "seed", "seeds", "ntk.hidden_layers", "ntk.sigma_w2", "ntk.sigma_b2", "ntk.lr",
-    "ntk.epochs", "ntk.tol", "sweep.lambdas", "out",
-}
-
-# single-value spellings accepted as synonyms
-_ALIASES = {"seed": "seeds", "opt.kind": "train.kind"}
-
-
-def parse_config_text(text: str) -> dict:
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        if key not in _KNOWN_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        values[_ALIASES.get(key, key)] = val
-    return values
-
-
 def _floats(val: str) -> tuple:
     try:
         return tuple(float(v) for v in val.split(",") if v.strip())
@@ -171,63 +140,119 @@ def _bool(val: str) -> bool:
     raise ConfigError(f"bad boolean {val!r}")
 
 
+def _float_text(v) -> str:
+    # repr round-trips every float exactly
+    return repr(float(v))
+
+
+def _bool_text(v) -> str:
+    return str(v).lower()
+
+
+def _list_text(fmt):
+    return lambda values: ",".join(map(fmt, values))
+
+
+class ConfigKey(NamedTuple):
+    name: str                   # as written in config files
+    parse: Callable[[str], object]
+    fmt: Callable[[object], str] = str
+    field: str | None = None    # ExperimentConfig attribute, dotted into nested
+                                # configs; None when it is spelled like the key
+    alias: str | None = None    # single-value spelling accepted as a synonym
+    flag: str | None = None     # command-line flag that overrides the key
+
+    @property
+    def path(self) -> str:
+        return self.field or self.name
+
+
+# Every config key, once. Defaults are ExperimentConfig()'s.
+CONFIG_KEYS = (
+    ConfigKey("experiment.name", str, field="name"),
+    ConfigKey("dataset.kind", str),
+    ConfigKey("dataset.classes", _ints, _list_text(str)),
+    ConfigKey("dataset.per_class", int),
+    ConfigKey("dataset.d_in", int),
+    ConfigKey("dataset.noise", float, _float_text),
+    ConfigKey("dataset.feature_scale", float, _float_text),
+    ConfigKey("dataset.targets", str),
+    ConfigKey("dataset.seed", int),
+    ConfigKey("model.widths", _ints, _list_text(str), field="widths"),
+    ConfigKey("model.activation", str, field="activation"),
+    ConfigKey("model.parameterization", str, field="parameterization"),
+    ConfigKey("model.init_seed", int, field="init_seed"),
+    ConfigKey("model.linearized", _bool, _bool_text, field="linearized"),
+    ConfigKey("risk.lambda", float, _float_text, field="risk.lam"),
+    ConfigKey("risk.loss", str),
+    ConfigKey("risk.center", str),
+    ConfigKey("train.kind", str, field="trainer", alias="opt.kind"),
+    ConfigKey("opt.lr", float, _float_text),
+    ConfigKey("opt.beta", float, _float_text),
+    ConfigKey("stop.max_epochs", int),
+    ConfigKey("stop.grad_tol", float, _float_text),
+    ConfigKey("unlearn.percents", _floats, _list_text(_float_text), field="percents",
+              flag="--percent"),
+    ConfigKey("unlearn.scope", lambda v: v if v == "all" else int(v), field="scope"),
+    ConfigKey("unlearn.space", str, field="space", flag="--space"),
+    ConfigKey("unlearn.shards", int, field="shards", flag="--shards"),
+    ConfigKey("unlearn.hessian", str, field="hessian_variant"),
+    ConfigKey("cg.rel_tol", float, _float_text),
+    ConfigKey("cg.max_iters", int),
+    ConfigKey("dual.dense_threshold", int, field="dense_threshold"),
+    ConfigKey("dual.materialize_hrr", _bool, _bool_text, field="materialize_hrr"),
+    ConfigKey("bench.cold", str, field="cold"),
+    ConfigKey("bench.test_size", int, field="test_size"),
+    ConfigKey("seeds", _ints, _list_text(str), alias="seed", flag="--seed"),
+    ConfigKey("ntk.hidden_layers", int, field="ntk_hidden_layers"),
+    ConfigKey("ntk.sigma_w2", float, _float_text, field="ntk_sigma_w2"),
+    ConfigKey("ntk.sigma_b2", float, _float_text, field="ntk_sigma_b2"),
+    ConfigKey("ntk.lr", lambda v: None if v == "auto" else float(v),
+              lambda v: "auto" if v is None else _float_text(v), field="ntk_lr"),
+    ConfigKey("ntk.epochs", int, field="ntk_epochs"),
+    ConfigKey("ntk.tol", float, _float_text, field="ntk_tol"),
+    ConfigKey("sweep.lambdas", _floats, _list_text(_float_text), field="sweep_lambdas",
+              flag="--lambdas"),
+    ConfigKey("out", str, field="out_dir", flag="--out"),
+)
+
+_KEY_BY_NAME = {name: key for key in CONFIG_KEYS for name in (key.name, key.alias) if name}
+
+
+def parse_config_text(text: str) -> dict:
+    """Key -> value text, with aliases resolved to their key."""
+    values = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key not in _KEY_BY_NAME:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        values[_KEY_BY_NAME[key].name] = val
+    return values
+
+
 def config_from_values(values: dict) -> ExperimentConfig:
-    g = values.get
+    """Config from key -> value text; keys left out keep their defaults."""
+    top, nested = {}, {}
     try:
-        dataset = DatasetConfig(
-            kind=g("dataset.kind", "blobs"),
-            classes=_ints(g("dataset.classes", "0,1")),
-            per_class=int(g("dataset.per_class", "100")),
-            d_in=int(g("dataset.d_in", "20")),
-            noise=float(g("dataset.noise", "0.12")),
-            feature_scale=float(g("dataset.feature_scale", "1.0")),
-            targets=g("dataset.targets", "onehot"),
-            seed=int(g("dataset.seed", "0")),
-        )
-        scope_raw = g("unlearn.scope", "all")
-        scope = "all" if scope_raw == "all" else int(scope_raw)
-        ntk_lr = g("ntk.lr", "auto")
-        cfg = ExperimentConfig(
-            name=g("experiment.name", "experiment"),
-            dataset=dataset,
-            widths=_ints(g("model.widths", "20,64,2")),
-            activation=g("model.activation", "relu"),
-            parameterization=g("model.parameterization", "standard"),
-            init_seed=int(g("model.init_seed", "0")),
-            linearized=_bool(g("model.linearized", "true")),
-            risk=RiskConfig(lam=float(g("risk.lambda", "0.1")),
-                            loss=g("risk.loss", "squared"),
-                            center=g("risk.center", "reference")),
-            trainer=g("train.kind", "direct"),
-            opt=Optimizer(kind="momentum" if g("train.kind", "direct") == "momentum" else "gd",
-                          lr=float(g("opt.lr", "0.1")), beta=float(g("opt.beta", "0.9"))),
-            stop=StopRule(max_epochs=int(g("stop.max_epochs", "1000")),
-                          grad_tol=float(g("stop.grad_tol", "1e-10"))),
-            percents=_floats(g("unlearn.percents", "10,30,50,70,90")),
-            scope=scope,
-            space=g("unlearn.space", "both"),
-            shards=int(g("unlearn.shards", "1")),
-            hessian_variant=g("unlearn.hessian", "upweighted"),
-            cg=CgOptions(rel_tol=float(g("cg.rel_tol", "1e-10")),
-                         max_iters=int(g("cg.max_iters", "10000")),
-                         preconditioner=g("cg.preconditioner", "none")),
-            dense_threshold=int(g("dual.dense_threshold", "512")),
-            materialize_hrr=_bool(g("dual.materialize_hrr", "false")),
-            cold=g("bench.cold", "subprocess"),
-            test_size=int(g("bench.test_size", "50")),
-            seeds=_ints(g("seeds", "0")),
-            ntk_hidden_layers=int(g("ntk.hidden_layers", "3")),
-            ntk_sigma_w2=float(g("ntk.sigma_w2", "2.0")),
-            ntk_sigma_b2=float(g("ntk.sigma_b2", "0.01")),
-            ntk_lr=None if ntk_lr == "auto" else float(ntk_lr),
-            ntk_epochs=int(g("ntk.epochs", "20000")),
-            ntk_tol=float(g("ntk.tol", "1e-6")),
-            sweep_lambdas=_floats(g("sweep.lambdas", "1e-3,1e-1,1e1")),
-            out_dir=g("out", "results"),
-        )
+        for name, text in values.items():
+            if name not in _KEY_BY_NAME:
+                raise ConfigError(f"unknown key {name!r}")
+            key = _KEY_BY_NAME[name]
+            group, _, attr = key.path.rpartition(".")
+            (nested.setdefault(group, {}) if group else top)[attr] = key.parse(text)
+        base = ExperimentConfig()
+        trainer = top.get("trainer", base.trainer)
+        nested.setdefault("opt", {})["kind"] = "momentum" if trainer == "momentum" else "gd"
+        top.update({group: replace(getattr(base, group), **attrs)
+                    for group, attrs in nested.items()})
+        return replace(base, **top)
     except (ValueError, TypeError) as e:
         raise ConfigError(str(e)) from e
-    return cfg
 
 
 def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
@@ -238,53 +263,8 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
 
 
 def dump_config(cfg: ExperimentConfig) -> str:
-    scope = cfg.scope if cfg.scope == "all" else str(cfg.scope)
-    lines = {
-        "experiment.name": cfg.name,
-        "dataset.kind": cfg.dataset.kind,
-        "dataset.classes": ",".join(map(str, cfg.dataset.classes)),
-        "dataset.per_class": cfg.dataset.per_class,
-        "dataset.d_in": cfg.dataset.d_in,
-        "dataset.noise": cfg.dataset.noise,
-        "dataset.feature_scale": cfg.dataset.feature_scale,
-        "dataset.targets": cfg.dataset.targets,
-        "dataset.seed": cfg.dataset.seed,
-        "model.widths": ",".join(map(str, cfg.widths)),
-        "model.activation": cfg.activation,
-        "model.parameterization": cfg.parameterization,
-        "model.init_seed": cfg.init_seed,
-        "model.linearized": str(cfg.linearized).lower(),
-        "risk.lambda": cfg.risk.lam,
-        "risk.loss": cfg.risk.loss,
-        "risk.center": cfg.risk.center,
-        "train.kind": cfg.trainer,
-        "opt.lr": cfg.opt.lr,
-        "opt.beta": cfg.opt.beta,
-        "stop.max_epochs": cfg.stop.max_epochs,
-        "stop.grad_tol": cfg.stop.grad_tol,
-        "unlearn.percents": ",".join(f"{p:g}" for p in cfg.percents),
-        "unlearn.scope": scope,
-        "unlearn.space": cfg.space,
-        "unlearn.shards": cfg.shards,
-        "unlearn.hessian": cfg.hessian_variant,
-        "cg.rel_tol": cfg.cg.rel_tol,
-        "cg.max_iters": cfg.cg.max_iters,
-        "cg.preconditioner": cfg.cg.preconditioner,
-        "dual.dense_threshold": cfg.dense_threshold,
-        "dual.materialize_hrr": str(cfg.materialize_hrr).lower(),
-        "bench.cold": cfg.cold,
-        "bench.test_size": cfg.test_size,
-        "seeds": ",".join(map(str, cfg.seeds)),
-        "ntk.hidden_layers": cfg.ntk_hidden_layers,
-        "ntk.sigma_w2": cfg.ntk_sigma_w2,
-        "ntk.sigma_b2": cfg.ntk_sigma_b2,
-        "ntk.lr": "auto" if cfg.ntk_lr is None else cfg.ntk_lr,
-        "ntk.epochs": cfg.ntk_epochs,
-        "ntk.tol": cfg.ntk_tol,
-        "sweep.lambdas": ",".join(f"{v:g}" for v in cfg.sweep_lambdas),
-        "out": cfg.out_dir,
-    }
-    return "".join(f"{k} = {v}\n" for k, v in lines.items())
+    return "".join(f"{key.name} = {key.fmt(attrgetter(key.path)(cfg))}\n"
+                   for key in CONFIG_KEYS)
 
 
 # --------------------------------------------------------------------------
@@ -299,12 +279,27 @@ def _scale_features(ds: LabeledDataset, scale: float) -> LabeledDataset:
     return LabeledDataset(ds.features * scale, ds.targets, ds.labels, ds.name)
 
 
+def _real_data(kind: str) -> tuple[LabeledDataset, LabeledDataset]:
+    """Full training and held-out sets of a real dataset, from data_dir()."""
+    root = data_dir()
+    if kind == "mnist":
+        return (load_idx(os.path.join(root, "train-images-idx3-ubyte"),
+                         os.path.join(root, "train-labels-idx1-ubyte"), name="mnist"),
+                load_idx(os.path.join(root, "t10k-images-idx3-ubyte"),
+                         os.path.join(root, "t10k-labels-idx1-ubyte"), name="mnist/test"))
+    if kind == "cifar10":
+        root = os.path.join(root, "cifar-10-batches-bin")
+        return (load_cifar_binary(os.path.join(root, "data_batch_1.bin")),
+                load_cifar_binary(os.path.join(root, "test_batch.bin")))
+    raise ConfigError(f"unknown dataset kind {kind!r}")
+
+
 def make_experiment_data(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset]:
     """Deterministic train/test pair with a shared input distribution."""
     dc = cfg.dataset
     n_classes = len(dc.classes)
+    test_pc = max(1, -(-cfg.test_size // n_classes))
     if dc.kind == "blobs":
-        test_pc = max(1, -(-cfg.test_size // n_classes))
         pool = make_blobs(dc.per_class + test_pc, n_classes, dc.d_in, seed=dc.seed,
                           noise=dc.noise, encoding=dc.targets, name="blobs")
         train_rows, test_rows = [], []
@@ -314,28 +309,11 @@ def make_experiment_data(cfg: ExperimentConfig) -> tuple[LabeledDataset, Labeled
             test_rows.append(members[dc.per_class: dc.per_class + test_pc])
         train = pool.take(np.sort(np.concatenate(train_rows)), name="blobs/train")
         test = pool.take(np.sort(np.concatenate(test_rows)), name="blobs/test")
-        return _scale_features(train, dc.feature_scale), _scale_features(test, dc.feature_scale)
-    if dc.kind == "mnist":
-        from .datasets import subset_per_class
-        root = data_dir()
-        full = load_idx(os.path.join(root, "train-images-idx3-ubyte"),
-                        os.path.join(root, "train-labels-idx1-ubyte"), name="mnist")
-        held = load_idx(os.path.join(root, "t10k-images-idx3-ubyte"),
-                        os.path.join(root, "t10k-labels-idx1-ubyte"), name="mnist/test")
+    else:
+        full, held = _real_data(dc.kind)
         train = subset_per_class(full, dc.classes, dc.per_class, dc.seed, dc.targets)
-        test_pc = max(1, -(-cfg.test_size // n_classes))
         test = subset_per_class(held, dc.classes, test_pc, dc.seed + 1, dc.targets)
-        return _scale_features(train, dc.feature_scale), _scale_features(test, dc.feature_scale)
-    if dc.kind == "cifar10":
-        from .datasets import subset_per_class
-        root = os.path.join(data_dir(), "cifar-10-batches-bin")
-        full = load_cifar_binary(os.path.join(root, "data_batch_1.bin"))
-        held = load_cifar_binary(os.path.join(root, "test_batch.bin"))
-        train = subset_per_class(full, dc.classes, dc.per_class, dc.seed, dc.targets)
-        test_pc = max(1, -(-cfg.test_size // n_classes))
-        test = subset_per_class(held, dc.classes, test_pc, dc.seed + 1, dc.targets)
-        return _scale_features(train, dc.feature_scale), _scale_features(test, dc.feature_scale)
-    raise ConfigError(f"unknown dataset kind {dc.kind!r}")
+    return _scale_features(train, dc.feature_scale), _scale_features(test, dc.feature_scale)
 
 
 def accuracy(outputs: np.ndarray, targets: np.ndarray) -> float:
@@ -422,37 +400,33 @@ def _make_unlearner(ctx: _SeedContext, split, space: str):
                          materialize_hrr=cfg.materialize_hrr)
 
 
-def _solve_to_theta(ctx: _SeedContext, split, space: str, unlearner) -> np.ndarray:
-    if space == SPACE_THETA:
-        res = unlearner.solve()
-        return ctx.theta_hat + res.x
-    coeffs = unlearner.solve()
-    from .dual import map_to_params
-    return map_to_params(ctx.model, ctx.theta_hat, coeffs.delta_alpha, split.full.features)
+def stored_kernel_path(cfg: ExperimentConfig, seed: int) -> str:
+    """The seed's training kernel: the protocol run writes it, cold children read it."""
+    return os.path.join(cfg.out_dir, f"seed_{seed}", "kernel.bin")
 
 
-def measure_cold(cfg: ExperimentConfig, seed: int, percent: float, space: str,
-                 kernel_cache_path: str | None = None) -> float:
-    """Fresh-context cold runtime: operator construction + first solve."""
-    ctx = _build_seed_context(cfg, seed, kernel_cache_path)
+def measure_cold(cfg: ExperimentConfig, seed: int, percent: float, space: str) -> float:
+    """Fresh-context cold runtime: kernel gather, operator construction and
+    first solve. Reads the stored kernel when the protocol run has written it."""
+    ctx = _build_seed_context(cfg, seed, stored_kernel_path(cfg, seed))
     split = split_forget(ctx.train_ds, percent, scope=cfg.scope,
                          seed=_split_seed(seed, percent))
-    unlearner = _make_unlearner(ctx, split, space)
     t0 = time.perf_counter()
+    unlearner = _make_unlearner(ctx, split, space)
     unlearner.prepare()
     _ = unlearner.solve()
     return time.perf_counter() - t0
 
 
-def _cold_runtime(cfg, seed, percent, space, out_dir, snapshot_path, kernel_cache_path):
+def _cold_runtime(cfg, seed, percent, space, out_dir, snapshot_path):
     if cfg.cold == "skip":
         return float("nan")
     if cfg.cold == "inline":
-        return measure_cold(cfg, seed, percent, space, kernel_cache_path)
+        return measure_cold(cfg, seed, percent, space)
     result_path = os.path.join(out_dir, f"cold_s{seed}_p{percent:g}_{space}.json")
     cmd = [sys.executable, "-m", "kinfluence", "unlearn",
            "--config", snapshot_path, "--cold",
-           "--percent", f"{percent:g}", "--space", space, "--seed", str(seed),
+           "--percent", _float_text(percent), "--space", space, "--seed", str(seed),
            "--out", result_path]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -472,13 +446,11 @@ def run_unlearning_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
         f.write(dump_config(cfg))
     all_rows: list[MetricsRow] = []
     for seed in cfg.seeds:
-        seed_dir = os.path.join(cfg.out_dir, f"seed_{seed}")
+        seed_dir = os.path.dirname(stored_kernel_path(cfg, seed))
         os.makedirs(seed_dir, exist_ok=True)
-        kernel_cache_path = None
         ctx = _build_seed_context(cfg, seed)
         if ctx.kernel is not None:
-            kernel_cache_path = os.path.join(seed_dir, "kernel.bin")
-            write_kernel_cache(kernel_cache_path, ctx.kernel)
+            write_kernel_cache(stored_kernel_path(cfg, seed), ctx.kernel)
         rows = []
         for percent in cfg.percents:
             split = split_forget(ctx.train_ds, percent, scope=cfg.scope,
@@ -493,15 +465,16 @@ def run_unlearning_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
             for space in cfg.spaces():
                 case_dir = os.path.join(seed_dir, f"p{percent:g}_{space}")
                 os.makedirs(case_dir, exist_ok=True)
-                cold = _cold_runtime(cfg, seed, percent, space, seed_dir,
-                                     snapshot_path, kernel_cache_path)
+                cold = _cold_runtime(cfg, seed, percent, space, seed_dir, snapshot_path)
                 unlearner = _make_unlearner(ctx, split, space)
                 unlearner.prepare()
                 warm_times = []
-                theta_u = None
                 for _ in range(WARM_REPEATS):
                     t0 = time.perf_counter()
-                    theta_u = _solve_to_theta(ctx, split, space, unlearner)
+                    result = unlearner.solve()
+                    theta_u = (ctx.theta_hat + result.x if space == SPACE_THETA else
+                               map_to_params(ctx.model, ctx.theta_hat, result.delta_alpha,
+                                             split.full.features))
                     warm_times.append(time.perf_counter() - t0)
                 rel_l2 = float(np.linalg.norm(theta_u - theta_retrained)) / retr_norm
                 forget_out_u = model_outputs(ctx.model, theta_u, split.forget.features)
@@ -516,9 +489,10 @@ def run_unlearning_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
                     baseline_rel_l2=baseline_rel,
                 )
                 rows.append(row)
-                report = _test_point_report(ctx, split, space, unlearner, theta_u)
-                report.wall_cold = cold
-                report.wall_warm = warm_times
+                # the report of the last warm solve; no further solve
+                report = (unlearner.report(result, ctx.test_ds) if space == SPACE_THETA else
+                          dual_report(unlearner, result, ctx.model, ctx.theta_hat, theta_u,
+                                      ctx.test_ds))
                 write_influence_csv(os.path.join(case_dir, "influence.csv"),
                                     report, ctx.train_ds.d_out)
                 diag = {"seed": seed, "percent": percent, "space": space,
@@ -526,39 +500,12 @@ def run_unlearning_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
                         "residual": report.residual, "iters": report.iters,
                         "converged": report.converged, "notes": report.notes}
                 if space == SPACE_DUAL:
-                    diag.update({k: v for k, v in unlearner.diagnostics.items()
-                                 if k != "shard_seconds"})
+                    diag.update(unlearner.diagnostics)
                 append_diagnostics(os.path.join(case_dir, "diagnostics.jsonl"), diag)
         write_metrics_csv(os.path.join(seed_dir, "metrics.csv"), rows)
         all_rows.extend(rows)
     write_metrics_csv(os.path.join(cfg.out_dir, "metrics.csv"), all_rows)
     return all_rows
-
-
-def _test_point_report(ctx: _SeedContext, split, space: str, unlearner, theta_u) -> InfluenceReport:
-    cfg = ctx.cfg
-    if space == SPACE_THETA:
-        res = unlearner.solve()
-        report = InfluenceReport(delta_theta=res.x, residual=res.residual,
-                                 iters=res.iters, converged=res.converged,
-                                 notes=list(unlearner.notes))
-        attach_test_predictions(report, ctx.model, ctx.theta_hat, ctx.test_ds, cfg.risk,
-                                center=None if cfg.linearized else ctx.theta_ref)
-        return report
-    coeffs = unlearner.solve()
-    from .dual import predict_changes_dual
-    k_t = empirical_ntk(ctx.model.spec, ctx.model.theta_ref, ctx.test_ds.features,
-                        split.full.features)
-    f_t = model_outputs(ctx.model, ctx.theta_hat, ctx.test_ds.features).ravel()
-    df, raw, reg = predict_changes_dual(k_t, unlearner.kernel, coeffs, f_t,
-                                        ctx.test_ds.targets, cfg.risk)
-    report = InfluenceReport(delta_theta=theta_u - ctx.theta_hat,
-                             residual=unlearner.diagnostics.get("residual", 0.0),
-                             iters=unlearner.diagnostics.get("iters", 0),
-                             converged=unlearner.diagnostics.get("converged", True))
-    for i in range(ctx.test_ds.n):
-        report.per_test.append(PerTestChange(df[i], float(raw[i]), float(reg[i])))
-    return report
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 import struct
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,6 @@ class KernelMatrix:
     dense: np.ndarray | None = None
     sigma: np.ndarray | None = None
     spec_hash: bytes = b"\x00" * 32
-    jitter: float = field(default=0.0, repr=False)
 
     def __post_init__(self):
         if (self.dense is None) == (self.sigma is None):
@@ -99,12 +98,6 @@ class KernelMatrix:
             return self.dense @ v
         return (self.sigma @ v.reshape(self.n_cols, self.d_out)).ravel()
 
-    def matmat(self, m: np.ndarray) -> np.ndarray:
-        if self.dense is not None:
-            return self.dense @ m
-        out = self.sigma @ m.reshape(self.n_cols, self.d_out * m.shape[1])
-        return out.reshape(self.n_rows * self.d_out, m.shape[1])
-
     def min_eigenvalue(self) -> float:
         if self.sigma is not None:
             return float(np.linalg.eigvalsh((self.sigma + self.sigma.T) / 2.0).min())
@@ -115,17 +108,6 @@ class KernelMatrix:
         """trace/N, the diagonal scale used by the PSD jitter rule."""
         d = self.to_dense() if self.dense is None else self.dense
         return float(np.trace(d) / max(self.n_rows, 1))
-
-    def with_jitter(self, amount: float) -> "KernelMatrix":
-        if self.sigma is not None:
-            s = self.sigma.copy()
-            np.fill_diagonal(s, s.diagonal() + amount)
-            return KernelMatrix(self.d_out, self.source, sigma=s, spec_hash=self.spec_hash,
-                                jitter=self.jitter + amount)
-        d = self.dense.copy()
-        np.fill_diagonal(d, d.diagonal() + amount)
-        return KernelMatrix(self.d_out, self.source, dense=d, spec_hash=self.spec_hash,
-                            jitter=self.jitter + amount)
 
 
 def empirical_ntk(spec: ModelSpec, theta_ref: np.ndarray, X1: np.ndarray,

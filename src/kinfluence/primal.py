@@ -26,12 +26,10 @@ from .models import (
 )
 from .report import InfluenceReport, PerTestChange
 from .solvers import CgOptions, CgResult, cg_solve
-from .training import RiskConfig, resolve_center, risk_grad
+from .training import RiskConfig, resolve_center, stationarity_gap
 
 HESSIAN_UPWEIGHTED = "upweighted"
 HESSIAN_FULL = "full"
-
-STATIONARITY_TOL = 1e-6
 
 
 def upweighted_hessian_op(model: Model, theta_star: np.ndarray, split: SplitDataset,
@@ -98,11 +96,10 @@ class PrimalUnlearner:
         self._rhs = None
 
     def prepare(self) -> None:
-        gnorm = float(np.linalg.norm(
-            risk_grad(self.model, self.theta_star, self.split.full, self.cfg, self.center)
-        ))
-        if gnorm > STATIONARITY_TOL:
-            self.notes.append(f"NotAtOptimum: ||grad|| = {gnorm:.3e} > {STATIONARITY_TOL}")
+        gap = stationarity_gap(self.model, self.theta_star, self.split.full, self.cfg,
+                               self.center)
+        if gap is not None:
+            self.notes.append(f"NotAtOptimum: {gap}")
         self._op = upweighted_hessian_op(self.model, self.theta_star, self.split,
                                          self.cfg, self.variant)
         self._rhs = forget_gradient_rhs(self.model, self.theta_star, self.split,
@@ -113,15 +110,27 @@ class PrimalUnlearner:
             self.prepare()
         return cg_solve(self._op, self._rhs, self.opts)
 
+    def report(self, res: CgResult, test_ds=None) -> InfluenceReport:
+        """The report of one solve, with the test-point changes when
+        ``test_ds`` is given."""
+        notes = list(self.notes)
+        if not res.converged:
+            notes.append(f"MaxItersReached: residual {res.residual:.3e} after {res.iters} iters")
+        report = InfluenceReport(delta_theta=res.x, residual=res.residual, iters=res.iters,
+                                 converged=res.converged, notes=notes)
+        if test_ds is not None:
+            attach_test_predictions(report, self.model, self.theta_star, test_ds, self.cfg,
+                                    self.center)
+        return report
+
     def run(self) -> InfluenceReport:
         t0 = time.perf_counter()
         self.prepare()
         res = self.solve()
         wall = time.perf_counter() - t0
-        if not res.converged:
-            self.notes.append(f"MaxItersReached: residual {res.residual:.3e} after {res.iters} iters")
-        return InfluenceReport(delta_theta=res.x, residual=res.residual, iters=res.iters,
-                               wall_cold=wall, converged=res.converged, notes=list(self.notes))
+        report = self.report(res)
+        report.wall_cold = wall
+        return report
 
 
 def influence_params_primal(model: Model, theta_star: np.ndarray, split: SplitDataset,

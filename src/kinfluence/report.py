@@ -28,7 +28,6 @@ class InfluenceReport:
     residual: float
     iters: int
     wall_cold: float = 0.0
-    wall_warm: list = field(default_factory=list)
     per_test: list = field(default_factory=list)  # list[PerTestChange]
     converged: bool = True
     notes: list = field(default_factory=list)

@@ -19,15 +19,12 @@ from .errors import NonFiniteEncountered, SpdViolation
 class CgOptions:
     rel_tol: float = 1e-10
     max_iters: int = 10000
-    preconditioner: str = "none"  # none | jacobi
 
     def __post_init__(self):
         if self.rel_tol <= 0:
             raise ValueError("rel_tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.preconditioner not in ("none", "jacobi"):
-            raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
 
 
 @dataclass
@@ -43,13 +40,11 @@ class CgResult:
         return self.residual / self.rhs_norm if self.rhs_norm > 0 else 0.0
 
 
-def cg_solve(apply_a, rhs: np.ndarray, opts: CgOptions = CgOptions(),
-             diag: np.ndarray | None = None) -> CgResult:
+def cg_solve(apply_a, rhs: np.ndarray, opts: CgOptions = CgOptions()) -> CgResult:
     """Solve A x = rhs for an SPD operator ``apply_a``.
 
-    ``diag`` supplies the Jacobi preconditioner diagonal when
-    opts.preconditioner == "jacobi". Hitting max_iters is soft: the best
-    iterate is returned with converged=False.
+    Hitting max_iters is soft: the best iterate is returned with
+    converged=False.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     if not np.all(np.isfinite(rhs)):
@@ -58,21 +53,10 @@ def cg_solve(apply_a, rhs: np.ndarray, opts: CgOptions = CgOptions(),
     if b_norm == 0.0:
         return CgResult(np.zeros_like(rhs), 0.0, 0.0, 0, True)
 
-    if opts.preconditioner == "jacobi":
-        if diag is None:
-            raise ValueError("jacobi preconditioning needs the operator diagonal")
-        diag = np.asarray(diag, dtype=np.float64)
-        if np.any(diag <= 0):
-            raise SpdViolation("jacobi diagonal must be strictly positive")
-        apply_m = lambda r: r / diag
-    else:
-        apply_m = lambda r: r
-
     x = np.zeros_like(rhs)
     r = rhs.copy()
-    z = apply_m(r)
-    p = z.copy()
-    rz = float(r @ z)
+    p = r.copy()
+    rr = float(r @ r)
     res_norm = b_norm
     iters = 0
     for k in range(1, opts.max_iters + 1):
@@ -82,15 +66,14 @@ def cg_solve(apply_a, rhs: np.ndarray, opts: CgOptions = CgOptions(),
         pap = float(p @ ap)
         if pap <= 0.0:
             raise SpdViolation(f"p'Ap = {pap:.3e} <= 0 at iteration {k}: operator not SPD")
-        alpha = rz / pap
+        alpha = rr / pap
         x += alpha * p
         r -= alpha * ap
         iters = k
         res_norm = float(np.linalg.norm(r))
         if res_norm <= opts.rel_tol * b_norm:
             return CgResult(x, res_norm, b_norm, iters, True)
-        z = apply_m(r)
-        rz_next = float(r @ z)
-        p = z + (rz_next / rz) * p
-        rz = rz_next
+        rr_next = float(r @ r)
+        p = r + (rr_next / rr) * p
+        rr = rr_next
     return CgResult(x, res_norm, b_norm, iters, False)

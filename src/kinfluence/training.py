@@ -32,6 +32,8 @@ from .models import (
 CENTER_REFERENCE = "reference"
 CENTER_ORIGIN = "origin"
 
+STATIONARITY_TOL = 1e-6  # gradient norm above which theta is not an optimum
+
 
 @dataclass(frozen=True)
 class RiskConfig:
@@ -125,6 +127,17 @@ def risk_value_and_grad(model: Model, theta: np.ndarray, ds: LabeledDataset, cfg
 def risk_grad(model: Model, theta: np.ndarray, ds: LabeledDataset, cfg: RiskConfig,
               center: np.ndarray | None = None) -> np.ndarray:
     return risk_value_and_grad(model, theta, ds, cfg, center)[1]
+
+
+def stationarity_gap(model: Model, theta: np.ndarray, ds: LabeledDataset, cfg: RiskConfig,
+                     center: np.ndarray | None = None) -> str | None:
+    """Why ``theta`` is not a stationary point of the risk, or None if it is.
+
+    Influence estimates assume a stationary theta; callers decide whether a
+    gap is an error or a note on the report.
+    """
+    gnorm = float(np.linalg.norm(risk_grad(model, theta, ds, cfg, center)))
+    return f"||grad|| = {gnorm:.3e} exceeds {STATIONARITY_TOL}" if gnorm > STATIONARITY_TOL else None
 
 
 def risk_hvp(model: Model, theta: np.ndarray, ds: LabeledDataset, cfg: RiskConfig,

@@ -3,15 +3,22 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
+from operator import attrgetter
 
 import numpy as np
 import pytest
 
+from kinfluence import cli, experiments
 from kinfluence.datasets import make_blobs, split_forget
+from kinfluence.dual import DualUnlearner
 from kinfluence.errors import ConfigError
 from kinfluence.experiments import (
+    CONFIG_KEYS,
+    ExperimentConfig,
     accuracy,
     config_from_values,
     dump_config,
@@ -21,8 +28,11 @@ from kinfluence.experiments import (
     run_infinite_experiment,
     run_lambda_sweep,
     run_unlearning_experiment,
+    stored_kernel_path,
 )
+from kinfluence.kernels import empirical_ntk, write_kernel_cache
 from kinfluence.models import LinearizedModel, ModelSpec
+from kinfluence.primal import PrimalUnlearner
 from kinfluence.report import METRICS_HEADER, influence_csv_header
 from kinfluence.training import RiskConfig, fit_linearized_exact
 
@@ -38,6 +48,27 @@ def tiny_values(out, **extra):
     return base
 
 
+# a value for every key that differs from ExperimentConfig()'s default
+NON_DEFAULT = {
+    "experiment.name": "other", "dataset.kind": "mnist", "dataset.classes": "3,5,7",
+    "dataset.per_class": "17", "dataset.d_in": "9", "dataset.noise": "0.0123456789",
+    "dataset.feature_scale": "0.5", "dataset.targets": "pm1", "dataset.seed": "4",
+    "model.widths": "9,33,3", "model.activation": "identity",
+    "model.parameterization": "ntk", "model.init_seed": "2", "model.linearized": "false",
+    "risk.lambda": "0.00123456789", "risk.loss": "cross_entropy", "risk.center": "origin",
+    "train.kind": "momentum", "opt.lr": "0.05", "opt.beta": "0.8",
+    "stop.max_epochs": "77", "stop.grad_tol": "1e-9",
+    "unlearn.percents": "12.3456789,50", "unlearn.scope": "1", "unlearn.space": "theta",
+    "unlearn.shards": "3", "unlearn.hessian": "full",
+    "cg.rel_tol": "1e-7", "cg.max_iters": "99",
+    "dual.dense_threshold": "64", "dual.materialize_hrr": "true",
+    "bench.cold": "skip", "bench.test_size": "7", "seeds": "1,2",
+    "ntk.hidden_layers": "2", "ntk.sigma_w2": "1.5", "ntk.sigma_b2": "0.02",
+    "ntk.lr": "0.3", "ntk.epochs": "500", "ntk.tol": "1e-7",
+    "sweep.lambdas": "0.00123456789,1", "out": "elsewhere",
+}
+
+
 class TestConfig:
     def test_round_trip(self, tmp_path):
         cfg = config_from_values(tiny_values(str(tmp_path)))
@@ -45,9 +76,29 @@ class TestConfig:
         again = config_from_values(parse_config_text(text))
         assert again == cfg
 
-    def test_unknown_key_rejected(self):
+        assert set(NON_DEFAULT) == {key.name for key in CONFIG_KEYS}
+        cfg = config_from_values(NON_DEFAULT)
+        default = ExperimentConfig()
+        for key in CONFIG_KEYS:
+            get = attrgetter(key.path)
+            assert get(cfg) != get(default), key.name
+        assert cfg.percents[0] == 12.3456789 and cfg.risk.lam == 0.00123456789
+        assert config_from_values(parse_config_text(dump_config(cfg))) == cfg
+
+    def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config_text("not.a.key = 3")
+        with pytest.raises(ConfigError):
+            config_from_values(tiny_values(str(tmp_path), **{"bogus.key": "1"}))
+
+    def test_readme_lists_every_key(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        section = open(readme).read().split("### Config keys", 1)[1]
+        table = [line for line in section.split("\n\n")[1].splitlines()
+                 if line.startswith("|")]
+        listed = set(re.findall(r"`([^`]+)`", "\n".join(table)))
+        assert listed == ({key.name for key in CONFIG_KEYS}
+                          | {key.alias for key in CONFIG_KEYS if key.alias})
 
     def test_empty_percents_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -163,6 +214,20 @@ class TestUnlearningProtocol:
             fb = open(os.path.join(out_b, "seed_0", case, "influence.csv"), "rb").read()
             assert fa == fb
 
+    def test_five_solves_per_case(self, tmp_path, monkeypatch):
+        # the report of each case comes from the last of the five warm solves
+        solved = []
+        for cls in (DualUnlearner, PrimalUnlearner):
+            def counted(self, _solve=cls.solve):
+                solved.append(self)
+                return _solve(self)
+            monkeypatch.setattr(cls, "solve", counted)
+        cfg = config_from_values(tiny_values(str(tmp_path), **{"bench.cold": "skip",
+                                                               "unlearn.percents": "30,70"}))
+        run_unlearning_experiment(cfg)
+        # one unlearner per (percent, space); `solved` keeps them alive, so ids differ
+        assert sorted(Counter(map(id, solved)).values()) == [5, 5, 5, 5]
+
     def test_gd_trainer_path(self, tmp_path):
         cfg = config_from_values(tiny_values(
             str(tmp_path), **{"train.kind": "gd", "opt.lr": "0.05",
@@ -268,6 +333,28 @@ class TestCli:
         open(bad, "w").write("nonsense.key = 1\n")
         proc = subprocess.run(CLI + ["unlearn", "--config", bad], capture_output=True)
         assert proc.returncode == 2
+
+    def test_removed_preconditioner_key_exit_code(self, tmp_path):
+        cfgp = write_cfg(tmp_path, **{"cg.preconditioner": "jacobi"})
+        assert cli.main(["unlearn", "--config", cfgp]) == 2
+
+    def test_cold_child_reads_stored_kernel(self, tmp_path, monkeypatch):
+        cfgp = write_cfg(tmp_path)
+        cfg = experiments.load_config(cfgp)
+        train_ds, _ = make_experiment_data(cfg)
+        spec = ModelSpec(cfg.widths, init_seed=cfg.init_seed)
+        path = stored_kernel_path(cfg, 0)
+        os.makedirs(os.path.dirname(path))
+        write_kernel_cache(path, empirical_ntk(spec, spec.init_params(), train_ds.features))
+
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("cold child assembled the kernel")
+        monkeypatch.setattr(experiments, "empirical_ntk", no_assembly)
+        out = os.path.join(str(tmp_path), "cold.json")
+        assert cli.main(["unlearn", "--config", cfgp, "--cold", "--percent", "50",
+                         "--space", "dual", "--out", out]) == 0
+        assert json.load(open(out))["cold_runtime_s"] > 0
+        assert not os.path.exists(os.path.join(os.path.dirname(path), "metrics.csv"))
 
     def test_missing_config_exit_code(self, tmp_path):
         proc = subprocess.run(CLI + ["unlearn", "--config", "/does/not/exist.cfg"],

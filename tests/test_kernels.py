@@ -158,9 +158,3 @@ class TestCache:
         p.write_bytes(b"NOTAKERN" + bytes(64))
         with pytest.raises(BadMagic):
             read_kernel_cache(str(p))
-
-    def test_jitter_recorded(self):
-        k = KernelMatrix(1, EMPIRICAL, dense=np.eye(3))
-        k2 = k.with_jitter(1e-8)
-        assert k2.jitter == 1e-8
-        np.testing.assert_allclose(k2.dense, np.eye(3) * (1 + 1e-8))

@@ -55,23 +55,6 @@ class TestCg:
         with pytest.raises(NonFiniteEncountered):
             cg_solve(lambda v: v * np.nan, np.array([1.0]))
 
-    def test_jacobi_preconditioner(self):
-        rng = np.random.default_rng(3)
-        d = rng.uniform(1.0, 1e4, size=40)
-        a = np.diag(d) + 0.1
-        b = rng.standard_normal(40)
-        plain = cg_solve(lambda v: a @ v, b, CgOptions(rel_tol=1e-10, max_iters=2000))
-        pre = cg_solve(lambda v: a @ v, b,
-                       CgOptions(rel_tol=1e-10, max_iters=2000, preconditioner="jacobi"),
-                       diag=np.diag(a))
-        assert pre.converged
-        assert pre.iters <= plain.iters
-        np.testing.assert_allclose(pre.x, np.linalg.solve(a, b), rtol=1e-7)
-
-    def test_jacobi_requires_diag(self):
-        with pytest.raises(ValueError):
-            cg_solve(lambda v: v, np.ones(2), CgOptions(preconditioner="jacobi"))
-
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=10 ** 6))
     def test_property_matches_dense(self, n, seed):
