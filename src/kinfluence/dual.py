@@ -8,6 +8,9 @@ coefficients analytically, so only the retain-block system
     H_rr x = (|Df|/|D|) g_r - H_rf x_f
 
 has to be solved, and every matrix in it is a slice of the precomputed kernel.
+Substituting the known forget coefficients turns it into a system in
+M = lambda I + B_r^{1/2} K_rr B_r^{1/2}, whose eigenvalues are at least
+lambda however singular K_rr is (see DualUnlearner).
 The same machinery runs against analytic infinite-width kernels, where model
 outputs come from function-space training instead of a parameter vector.
 """
@@ -95,9 +98,21 @@ def _apply_blockdiag(blocks: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return np.einsum("nij,njc->nic", blocks, mat.reshape(n, d, -1)).reshape(n * d, -1)
 
 
-def _apply_blockdiag_vec(blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
-    n, d, _ = blocks.shape
-    return np.einsum("nij,nj->ni", blocks, v.reshape(n, d)).ravel()
+def _psd_sqrt_blocks(blocks: np.ndarray) -> np.ndarray:
+    """Blockwise PSD square root of blockdiag(blocks): per-point scalars, shape
+    (N,), when every block is a multiple of I, else symmetric (N, d, d) blocks."""
+    scale = blocks[:, 0, 0]
+    if np.array_equal(blocks, scale[:, None, None] * np.eye(blocks.shape[1])):
+        return np.sqrt(scale)
+    w, v = np.linalg.eigh(blocks)
+    return np.einsum("nij,nj,nkj->nik", v, np.sqrt(np.clip(w, 0.0, None)), v)
+
+
+def _apply_sqrt(c: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """C v for either form that _psd_sqrt_blocks returns."""
+    if c.ndim == 1:
+        return (v.reshape(c.shape[0], -1) * c[:, None]).ravel()
+    return np.einsum("nij,nj->ni", c, v.reshape(c.shape[:2])).ravel()
 
 
 def retain_hessian_blocks(f_vec: np.ndarray, split: SplitDataset, cfg: RiskConfig) -> np.ndarray:
@@ -121,11 +136,10 @@ def dual_hessian_block(kernel: KernelMatrix, b_r: np.ndarray, split: SplitDatase
 
 
 def dual_rhs(kernel: KernelMatrix, f_vec: np.ndarray, split: SplitDataset,
-             cfg: RiskConfig, i: str, alpha: np.ndarray | None = None) -> np.ndarray:
+             cfg: RiskConfig, i: str) -> np.ndarray:
     """Block i of the reparameterized forget-risk gradient at 0:
     K_if grad_f(forget risk) + lambda K_i alpha."""
-    if alpha is None:
-        alpha = alpha_star_from_outputs(f_vec, split.full, cfg)
+    alpha = alpha_star_from_outputs(f_vec, split.full, cfg)
     idx = {"f": np.arange(split.n_forget), "r": np.arange(split.n_forget, split.n)}
     if i not in idx:
         raise ValueError("block label must be 'f' or 'r'")
@@ -138,20 +152,23 @@ def dual_rhs(kernel: KernelMatrix, f_vec: np.ndarray, split: SplitDataset,
 
 
 class DualUnlearner:
-    """Prepares kernel blocks once; repeated reduced solves reuse them.
+    """Prepares the reduced system once; repeated reduced solves reuse it.
 
-    The retain-block system is solved densely when its size is at most
-    ``dense_threshold``, otherwise by CG whose operator evaluates
-    (|Dr|/|D|) (K_rr (B_r (K_rr v)) + lambda K_rr v); with
-    ``materialize_hrr`` the same operator is applied through a precomputed
-    dense H_rr (one gemv per iteration). ``shards`` routes the operator's
-    matvecs through the deterministic sharded kernel.
+    With a = (|Df|/|Dr|) alpha_r, C = B_r^{1/2} (blockwise PSD square root),
+    M = lambda I + C K_rr C and b = C (K_rf alpha_f - K_rr a), the retain
+    block x_r = a + C M^{-1} b solves the reduced system exactly (the
+    symmetric form of GPML Alg. 3.2). M is Cholesky-factored when its side is
+    at most ``dense_threshold``, else solved by CG with one K_rr matvec per
+    iteration, routed through the deterministic sharded kernel when
+    ``shards`` > 1. For scalar blocks (squared loss) and a Kronecker kernel,
+    M = (lambda I + c sigma_rr c) (x) I and only the sigma-sized factor is formed.
     """
 
     def __init__(self, kernel: KernelMatrix, f_vec: np.ndarray, split: SplitDataset,
                  cfg: RiskConfig, opts: CgOptions = CgOptions(),
                  dense_threshold: int = DENSE_SOLVE_MAX, shards: int = 1,
                  materialize_hrr: bool = False):
+        # materialize_hrr selects nothing; it stays for callers that still pass it
         if split.n_forget < 1 or split.n_retain < 1:
             raise DegenerateSplit("both partitions must be nonempty")
         if kernel.n_rows != split.n or kernel.n_cols != split.n:
@@ -163,7 +180,6 @@ class DualUnlearner:
         self.opts = opts
         self.dense_threshold = dense_threshold
         self.shards = max(1, int(shards))
-        self.materialize_hrr = materialize_hrr
         self.diagnostics: dict = {}
         self._prepared = False
 
@@ -171,87 +187,65 @@ class DualUnlearner:
     def prepare(self) -> None:
         split, cfg = self.split, self.cfg
         d = self.kernel.d_out
+        n_f = split.n_forget * d
         self.alpha = alpha_star_from_outputs(self.f_vec, split.full, cfg)
-        self.delta_f = -self.alpha[: split.n_forget * d]
-        self.b_r = retain_hessian_blocks(self.f_vec, split, cfg)
-        retain_idx = np.arange(split.n_forget, split.n)
-        self.k_rr = self.kernel.submatrix(retain_idx, retain_idx).to_dense()
-        rhs_r = dual_rhs(self.kernel, self.f_vec, split, cfg, "r", self.alpha)
-        h_rf_df = self._h_rf_times(self.delta_f)
-        self.rhs = (split.n_forget / split.n) * rhs_r - h_rf_df
-        self.size = split.n_retain * d
-        self.use_dense = self.size <= self.dense_threshold
-        self._factor = None
-        self._jitter = 0.0
-        if self.use_dense or self.materialize_hrr:
-            scale = split.n_retain / split.n
-            self.h_rr = scale * (self.k_rr @ _apply_blockdiag(self.b_r, self.k_rr)
-                                 + cfg.lam * self.k_rr)
-        else:
-            self.h_rr = None
+        self.delta_f = -self.alpha[:n_f]
+        self.c = _psd_sqrt_blocks(retain_hessian_blocks(self.f_vec, split, cfg))
+        fi, ri = np.arange(split.n_forget), np.arange(split.n_forget, split.n)
+        k_rr = self.kernel.submatrix(ri, ri)
+        self.a = (split.n_forget / split.n_retain) * self.alpha[n_f:]
+        self.b = _apply_sqrt(self.c, self.kernel.submatrix(ri, fi).matvec(self.alpha[:n_f])
+                             - k_rr.matvec(self.a))
+        size = split.n_retain * d
+        kron = k_rr.sigma is not None and self.c.ndim == 1
+        self.use_dense = (split.n_retain if kron else size) <= self.dense_threshold
         if self.use_dense:
             # the factorization is part of operator construction (cold work);
             # warm solves reuse it
-            try:
-                self._factor = scipy.linalg.cho_factor(self.h_rr)
-            except np.linalg.LinAlgError:
-                self._jitter = 1e-10 * float(np.trace(self.h_rr)) / max(self.size, 1)
-                self._factor = scipy.linalg.cho_factor(
-                    self.h_rr + self._jitter * np.eye(self.size))
-        self._shard_spans = (even_shards(self.size, self.shards)
-                             if self.shards > 1 else None)
+            if self.c.ndim == 1:
+                mat, cf = ((k_rr.sigma, self.c) if kron else
+                           (k_rr.to_dense(), np.repeat(self.c, d)))
+                m = mat * cf[:, None]
+                m *= cf
+            else:
+                m = _apply_blockdiag(self.c, _apply_blockdiag(self.c, k_rr.to_dense()).T)
+            m[np.diag_indices_from(m)] += cfg.lam
+            self._factor = scipy.linalg.cho_factor(m, overwrite_a=True)
+        else:
+            self.k_rr = k_rr
+        self._shard_spans = even_shards(size, self.shards) if self.shards > 1 else None
         self._shard_seconds = np.zeros(self.shards)
         self._prepared = True
 
-    def _h_rf_times(self, x_f: np.ndarray) -> np.ndarray:
-        split, cfg = self.split, self.cfg
-        fi = np.arange(split.n_forget)
-        ri = np.arange(split.n_forget, split.n)
-        k_rf = self.kernel.submatrix(ri, fi)
-        t = k_rf.matvec(x_f)
-        scale = split.n_retain / split.n
-        return scale * (self.k_rr @ _apply_blockdiag_vec(self.b_r, t) + cfg.lam * t)
-
-    def _matvec(self, mat: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def _krr_matvec(self, v: np.ndarray) -> np.ndarray:
         if self._shard_spans is None:
-            return mat @ v
-        y, seconds = sharded_matvec(mat, v, self._shard_spans)
+            return self.k_rr.matvec(v)
+        y, seconds = sharded_matvec(self.k_rr, v, self._shard_spans)
         self._shard_seconds += seconds
         return y
 
-    def _operator(self):
-        scale = self.split.n_retain / self.split.n
-        lam = self.cfg.lam
-        if self.h_rr is not None and not self.use_dense:
-            return lambda v: self._matvec(self.h_rr, v)
-
-        def apply_h(v: np.ndarray) -> np.ndarray:
-            t = self._matvec(self.k_rr, v)
-            return scale * (self._matvec(self.k_rr, _apply_blockdiag_vec(self.b_r, t)) + lam * t)
-
-        return apply_h
+    def _apply_m(self, v: np.ndarray) -> np.ndarray:
+        return self.cfg.lam * v + _apply_sqrt(self.c, self._krr_matvec(_apply_sqrt(self.c, v)))
 
     # -- warm work ----------------------------------------------------------
     def solve(self) -> DualCoefficients:
         if not self._prepared:
             self.prepare()
-        split = self.split
-        d = self.kernel.d_out
         if self.use_dense:
-            x_r = scipy.linalg.cho_solve(self._factor, self.rhs)
-            self.diagnostics.update({"solver": "dense", "jitter": self._jitter,
-                                     "iters": 0, "residual": 0.0, "converged": True})
+            side = self._factor[0].shape[0]
+            y = scipy.linalg.cho_solve(self._factor, self.b.reshape(side, -1)).ravel()
+            self.diagnostics.update({"solver": "dense", "iters": 0, "residual": 0.0,
+                                     "converged": True})
         else:
-            res = cg_solve(self._operator(), self.rhs, self.opts)
-            x_r = res.x
+            res = cg_solve(self._apply_m, self.b, self.opts)
+            y = res.x
             self.diagnostics.update({"solver": "cg", "iters": res.iters,
-                                     "residual": res.residual,
-                                     "converged": res.converged, "jitter": 0.0})
+                                     "residual": res.residual, "converged": res.converged})
             if self._shard_spans is not None:
                 # per-shard matvec seconds, summed over every solve since prepare()
                 self.diagnostics["shard_seconds"] = self._shard_seconds.tolist()
-        delta = np.concatenate([self.delta_f, x_r])
-        return DualCoefficients(self.alpha, delta, d, split.n_forget)
+        delta = np.concatenate([self.delta_f, self.a + _apply_sqrt(self.c, y)])
+        return DualCoefficients(self.alpha, delta, self.kernel.d_out, self.split.n_forget)
 
 
 def solve_reduced(kernel: KernelMatrix, f_vec: np.ndarray, split: SplitDataset,

@@ -19,6 +19,10 @@ class BadMagic(ConfigError):
     """A binary file's magic number does not match the expected format."""
 
 
+class BadHeader(ConfigError):
+    """A binary file's header holds a value its format does not define."""
+
+
 class CountMismatch(ConfigError):
     """Image and label files disagree on the number of records."""
 

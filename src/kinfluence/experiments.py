@@ -24,12 +24,12 @@ import numpy as np
 
 from .datasets import (LabeledDataset, data_dir, load_cifar_binary, load_idx, make_blobs,
                        split_forget, subset_per_class)
-from .dual import DualUnlearner, dual_report, map_to_params
+from .dual import DENSE_SOLVE_MAX, DualUnlearner, dual_report, map_to_params
 from .errors import ConfigError
 from .infinite import AnalyticNtkSpec, infinite_influence
 from .kernels import KernelMatrix, empirical_ntk, read_kernel_cache, write_kernel_cache
 from .losses import SQUARED
-from .models import LinearizedModel, ModelSpec, model_outputs, save_params
+from .models import LinearizedModel, ModelSpec, load_params, model_outputs, save_params
 from .primal import PrimalUnlearner
 from .report import (
     MetricsRow,
@@ -78,8 +78,7 @@ class ExperimentConfig:
     shards: int = 1
     hessian_variant: str = "upweighted"
     cg: CgOptions = CgOptions()
-    dense_threshold: int = 512
-    materialize_hrr: bool = False
+    dense_threshold: int = DENSE_SOLVE_MAX
     cold: str = "subprocess"       # subprocess | inline | skip
     test_size: int = 50
     seeds: tuple = (0,)
@@ -200,7 +199,6 @@ CONFIG_KEYS = (
     ConfigKey("cg.rel_tol", float, _float_text),
     ConfigKey("cg.max_iters", int),
     ConfigKey("dual.dense_threshold", int, field="dense_threshold"),
-    ConfigKey("dual.materialize_hrr", _bool, _bool_text, field="materialize_hrr"),
     ConfigKey("bench.cold", str, field="cold"),
     ConfigKey("bench.test_size", int, field="test_size"),
     ConfigKey("seeds", _ints, _list_text(str), alias="seed", flag="--seed"),
@@ -353,23 +351,26 @@ def _split_seed(seed: int, percent: float) -> int:
     return seed * 100003 + int(round(percent * 10))
 
 
-def _build_seed_context(cfg: ExperimentConfig, seed: int,
-                        kernel_cache_path: str | None = None) -> _SeedContext:
+def _build_seed_context(cfg: ExperimentConfig, seed: int, stored: bool = False) -> _SeedContext:
+    """With ``stored``, the kernel and theta_hat the protocol run wrote are read
+    back when they exist, instead of being assembled and fitted again."""
     train_ds, test_ds = make_experiment_data(cfg)
     spec = ModelSpec(cfg.widths, activation=cfg.activation,
                      init_seed=cfg.init_seed + seed,
                      parameterization=cfg.parameterization)
     theta_ref = np.zeros(spec.num_params) if cfg.risk.center == "origin" else spec.init_params()
     model = LinearizedModel(spec, theta_ref) if cfg.linearized else spec
-    kernel = None
+    kernel = theta_hat = None
     if cfg.linearized and (SPACE_DUAL in cfg.spaces() or cfg.trainer == "direct"):
-        if kernel_cache_path and os.path.exists(kernel_cache_path):
-            kernel = read_kernel_cache(kernel_cache_path, expect_hash=spec.spec_hash())
+        kernel_path, theta_path = stored_paths(cfg, seed)
+        if stored and os.path.exists(kernel_path):
+            kernel = read_kernel_cache(kernel_path, expect_hash=spec.spec_hash())
+            theta_hat = load_params(theta_path, spec)
         else:
             kernel = empirical_ntk(spec, theta_ref, train_ds.features)
-    if cfg.trainer == "direct":
+    if theta_hat is None and cfg.trainer == "direct":
         theta_hat = fit_linearized_exact(model, train_ds, cfg.risk, kernel=kernel)
-    else:
+    elif theta_hat is None:
         rep = train(model, train_ds, cfg.risk, cfg.opt, cfg.stop,
                     theta0=theta_ref.copy())
         theta_hat = rep.final_params
@@ -396,19 +397,21 @@ def _make_unlearner(ctx: _SeedContext, split, space: str):
     k_perm = ctx.kernel.submatrix(split.permutation, split.permutation)
     f_vec = model_outputs(ctx.model, ctx.theta_hat, split.full.features).ravel()
     return DualUnlearner(k_perm, f_vec, split, cfg.risk, cfg.cg,
-                         dense_threshold=cfg.dense_threshold, shards=cfg.shards,
-                         materialize_hrr=cfg.materialize_hrr)
+                         dense_threshold=cfg.dense_threshold, shards=cfg.shards)
 
 
-def stored_kernel_path(cfg: ExperimentConfig, seed: int) -> str:
-    """The seed's training kernel: the protocol run writes it, cold children read it."""
-    return os.path.join(cfg.out_dir, f"seed_{seed}", "kernel.bin")
+def stored_paths(cfg: ExperimentConfig, seed: int) -> tuple[str, str]:
+    """The seed's training kernel and theta_hat: the protocol run writes them,
+    cold children read them."""
+    seed_dir = os.path.join(cfg.out_dir, f"seed_{seed}")
+    return os.path.join(seed_dir, "kernel.bin"), os.path.join(seed_dir, "theta_hat.bin")
 
 
 def measure_cold(cfg: ExperimentConfig, seed: int, percent: float, space: str) -> float:
     """Fresh-context cold runtime: kernel gather, operator construction and
-    first solve. Reads the stored kernel when the protocol run has written it."""
-    ctx = _build_seed_context(cfg, seed, stored_kernel_path(cfg, seed))
+    first solve. Reads the stored kernel and theta_hat when the protocol run
+    has written them."""
+    ctx = _build_seed_context(cfg, seed, stored=True)
     split = split_forget(ctx.train_ds, percent, scope=cfg.scope,
                          seed=_split_seed(seed, percent))
     t0 = time.perf_counter()
@@ -446,11 +449,13 @@ def run_unlearning_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
         f.write(dump_config(cfg))
     all_rows: list[MetricsRow] = []
     for seed in cfg.seeds:
-        seed_dir = os.path.dirname(stored_kernel_path(cfg, seed))
+        kernel_path, theta_path = stored_paths(cfg, seed)
+        seed_dir = os.path.dirname(kernel_path)
         os.makedirs(seed_dir, exist_ok=True)
         ctx = _build_seed_context(cfg, seed)
         if ctx.kernel is not None:
-            write_kernel_cache(stored_kernel_path(cfg, seed), ctx.kernel)
+            write_kernel_cache(kernel_path, ctx.kernel)
+            save_params(theta_path, ctx.model.spec, ctx.theta_hat)
         rows = []
         for percent in cfg.percents:
             split = split_forget(ctx.train_ds, percent, scope=cfg.scope,

@@ -22,7 +22,7 @@ from .losses import CROSS_ENTROPY, loss_grad_batch, loss_value_batch
 from .report import PerTestChange
 from .solvers import CgOptions
 from .training import RiskConfig
-from .dual import DualUnlearner, alpha_star_from_outputs, predict_changes_dual
+from .dual import DENSE_SOLVE_MAX, DualUnlearner, alpha_star_from_outputs, predict_changes_dual
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,7 @@ class InfiniteInfluenceResult:
 def infinite_influence(spec: AnalyticNtkSpec, split: SplitDataset, test_ds: LabeledDataset,
                        cfg: RiskConfig, opts: CgOptions = CgOptions(),
                        lr: float | None = None, epochs: int = 20000,
-                       tol: float = 1e-6, dense_threshold: int = 512) -> InfiniteInfluenceResult:
+                       tol: float = 1e-6, dense_threshold: int = DENSE_SOLVE_MAX) -> InfiniteInfluenceResult:
     """Estimated vs actual changes at test points after removing the forget set.
 
     Estimates: reduced coefficient solve with the analytic kernel and the

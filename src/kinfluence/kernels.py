@@ -98,17 +98,6 @@ class KernelMatrix:
             return self.dense @ v
         return (self.sigma @ v.reshape(self.n_cols, self.d_out)).ravel()
 
-    def min_eigenvalue(self) -> float:
-        if self.sigma is not None:
-            return float(np.linalg.eigvalsh((self.sigma + self.sigma.T) / 2.0).min())
-        sym = (self.dense + self.dense.T) / 2.0
-        return float(np.linalg.eigvalsh(sym).min())
-
-    def trace_scale(self) -> float:
-        """trace/N, the diagonal scale used by the PSD jitter rule."""
-        d = self.to_dense() if self.dense is None else self.dense
-        return float(np.trace(d) / max(self.n_rows, 1))
-
 
 def empirical_ntk(spec: ModelSpec, theta_ref: np.ndarray, X1: np.ndarray,
                   X2: np.ndarray | None = None, workers: int = 1) -> KernelMatrix:
@@ -237,7 +226,7 @@ def write_kernel_cache(path: str, kernel: KernelMatrix) -> None:
 
 
 def read_kernel_cache(path: str, expect_hash: bytes | None = None) -> KernelMatrix:
-    from .errors import BadMagic, CheckpointMismatch, TruncatedFile
+    from .errors import BadHeader, BadMagic, CheckpointMismatch, TruncatedFile
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:8] != CACHE_MAGIC:
@@ -246,6 +235,10 @@ def read_kernel_cache(path: str, expect_hash: bytes | None = None) -> KernelMatr
     spec_hash = raw[26:58]
     if expect_hash is not None and spec_hash != expect_hash:
         raise CheckpointMismatch(f"{path}: spec hash mismatch")
+    if source_tag not in (0, 1):
+        raise BadHeader(f"{path}: unknown source tag {source_tag}")
+    if form not in (_FORM_DENSE, _FORM_KRON):
+        raise BadHeader(f"{path}: unknown form byte {form}")
     source = EMPIRICAL if source_tag == 0 else ANALYTIC
     side = n * d_out if form == _FORM_DENSE else n
     body = raw[58:]

@@ -85,7 +85,7 @@ BENCH_VALUES = {
     "risk.lambda": "0.5", "risk.loss": "squared",
     "unlearn.percents": "10,30,50,70,90", "unlearn.space": "both",
     "cg.rel_tol": "1e-8", "cg.max_iters": "20000",
-    "dual.dense_threshold": "4096", "dual.materialize_hrr": "true",
+    "dual.dense_threshold": "4096",
     "bench.cold": "subprocess", "bench.test_size": "10",
     "seeds": "0",
 }
@@ -218,8 +218,7 @@ class TestAcceptance:
                 f_vec = model_outputs(ctx.model, ctx.theta_hat,
                                       split.full.features).ravel()
                 solver = DualUnlearner(k_perm, f_vec, split, cfg.risk, cfg.cg,
-                                       dense_threshold=cfg.dense_threshold,
-                                       materialize_hrr=cfg.materialize_hrr)
+                                       dense_threshold=cfg.dense_threshold)
                 solver.prepare()
                 times = []
                 for _ in range(5):

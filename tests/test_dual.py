@@ -11,8 +11,9 @@ import pytest
 
 from kinfluence.datasets import LabeledDataset, make_blobs, split_forget
 from kinfluence.errors import DegenerateSplit, NotAtOptimum
-from kinfluence.kernels import empirical_ntk
-from kinfluence.losses import SQUARED, loss_grad_batch, loss_value_batch
+from kinfluence.infinite import AnalyticNtkSpec, analytic_ntk
+from kinfluence.kernels import KernelMatrix, empirical_ntk
+from kinfluence.losses import CROSS_ENTROPY, SQUARED, loss_grad_batch, loss_value_batch
 from kinfluence.models import (
     LinearizedModel,
     ModelSpec,
@@ -21,6 +22,7 @@ from kinfluence.models import (
     stacked_jacobian,
 )
 from kinfluence.dual import (
+    DENSE_SOLVE_MAX,
     DualUnlearner,
     alpha_star,
     alpha_star_from_outputs,
@@ -271,26 +273,6 @@ class TestSolveReduced:
         assert info["solver"] == "cg"
         np.testing.assert_allclose(cgres.delta_alpha, dense.delta_alpha, rtol=1e-7, atol=1e-11)
 
-    def test_materialized_operator_agrees(self):
-        # the kernel spectrum decays to rounding level, so CG solutions can
-        # differ in near-null directions; the operators themselves and the
-        # mapped parameters must agree
-        spec, lin, split, cfg, theta_hat, kernel, f_vec = quadratic_setup(seed=12)
-        ua = DualUnlearner(kernel, f_vec, split, cfg, CgOptions(rel_tol=1e-12, max_iters=5000),
-                           dense_threshold=0, materialize_hrr=False)
-        ub = DualUnlearner(kernel, f_vec, split, cfg, CgOptions(rel_tol=1e-12, max_iters=5000),
-                           dense_threshold=0, materialize_hrr=True)
-        ua.prepare(), ub.prepare()
-        rng = np.random.default_rng(0)
-        for _ in range(3):
-            v = rng.standard_normal(ua.size)
-            ya, yb = ua._operator()(v), ub._operator()(v)
-            assert np.linalg.norm(ya - yb) <= 1e-10 * np.linalg.norm(ya)
-        a, b = ua.solve(), ub.solve()
-        ta = map_to_params(lin, theta_hat, a.delta_alpha, split.full.features)
-        tb = map_to_params(lin, theta_hat, b.delta_alpha, split.full.features)
-        np.testing.assert_allclose(ta, tb, rtol=1e-8, atol=1e-10)
-
     def test_sharded_path_agrees(self):
         spec, lin, split, cfg, theta_hat, kernel, f_vec = quadratic_setup(seed=13)
         plain, _ = solve_reduced(kernel, f_vec, split, cfg,
@@ -301,6 +283,62 @@ class TestSolveReduced:
         np.testing.assert_allclose(plain.delta_alpha, sharded.delta_alpha, rtol=1e-7, atol=1e-11)
         # one running total per shard, however many CG matvecs ran
         assert len(info["shard_seconds"]) == 3
+
+
+def reduced_instance(loss, kron, percent, seed=0, d=3):
+    """A split with a dense empirical or a Kronecker analytic kernel and
+    arbitrary outputs: the reduced system is defined at any outputs."""
+    ds = make_blobs(8, d, d_in=5, seed=seed)
+    split = split_forget(ds, percent, scope="all", seed=seed + 1)
+    if kron:
+        kernel = analytic_ntk(AnalyticNtkSpec(hidden_layers=2, d_out=d), split.full.features)
+    else:
+        spec = ModelSpec((5, 16, d), init_seed=seed)
+        kernel = empirical_ntk(spec, spec.init_params(), split.full.features)
+    f_vec = np.random.default_rng(seed).normal(scale=0.5, size=split.n * d)
+    return split, RiskConfig(lam=0.1, loss=loss), kernel, f_vec
+
+
+class TestFactoredSolve:
+    @pytest.mark.parametrize("percent", [10.0, 50.0, 90.0])
+    @pytest.mark.parametrize("threshold", [DENSE_SOLVE_MAX, 0], ids=["cholesky", "cg"])
+    @pytest.mark.parametrize("kron", [False, True], ids=["dense", "kron"])
+    @pytest.mark.parametrize("loss", [SQUARED, CROSS_ENTROPY])
+    def test_solves_reduced_system(self, loss, kron, threshold, percent):
+        split, cfg, kernel, f_vec = reduced_instance(loss, kron, percent)
+        solver = DualUnlearner(kernel, f_vec, split, cfg,
+                               CgOptions(rel_tol=1e-13, max_iters=5000),
+                               dense_threshold=threshold)
+        coeffs = solver.solve()
+        assert solver.diagnostics["solver"] == ("dense" if threshold else "cg")
+        b_r = retain_hessian_blocks(f_vec, split, cfg)
+        h_rr = dual_hessian_block(kernel, b_r, split, cfg, "r", "r")
+        h_rf = dual_hessian_block(kernel, b_r, split, cfg, "r", "f")
+        rhs = ((split.n_forget / split.n) * dual_rhs(kernel, f_vec, split, cfg, "r")
+               - h_rf @ coeffs.delta_forget)
+        resid = np.linalg.norm(h_rr @ coeffs.delta_retain - rhs)
+        assert resid <= 1e-10 * np.linalg.norm(rhs)
+        g = loss_grad_batch(cfg.loss, f_vec.reshape(split.n, -1), split.full.targets)
+        known = g[: split.n_forget].ravel() / (split.n * cfg.lam)
+        np.testing.assert_array_equal(coeffs.delta_forget, known)
+
+    def test_kronecker_squared_path_never_densifies(self, monkeypatch):
+        split, cfg, kernel, f_vec = reduced_instance(SQUARED, True, 50.0)
+        opts = CgOptions(rel_tol=1e-13, max_iters=5000)
+        expect = {t: DualUnlearner(kernel, f_vec, split, cfg, opts, dense_threshold=t).solve()
+                  for t in (DENSE_SOLVE_MAX, 0)}
+
+        def no_dense(self):
+            raise AssertionError("Kronecker kernel densified")
+        monkeypatch.setattr(KernelMatrix, "to_dense", no_dense)
+        for threshold, want in expect.items():
+            solver = DualUnlearner(kernel, f_vec, split, cfg, opts, dense_threshold=threshold)
+            got = solver.solve()
+            np.testing.assert_array_equal(got.delta_alpha, want.delta_alpha)
+        # the Cholesky path factors only the sigma-sized factor of M
+        solver = DualUnlearner(kernel, f_vec, split, cfg, opts)
+        solver.prepare()
+        assert solver._factor[0].shape == (split.n_retain, split.n_retain)
 
 
 class TestMapAndPredict:
@@ -399,8 +437,8 @@ class TestEndToEnd:
 
 class TestRobustness:
     def test_duplicated_points_solve_succeeds(self):
-        # exact duplicates make the kernel singular; the dense path either
-        # factors the PSD system or falls back to recorded diagonal jitter
+        # exact duplicates make the kernel singular; the factored system
+        # lambda I + C K_rr C stays positive definite without any jitter
         spec = ModelSpec((4, 20, 1), init_seed=30)
         lin = LinearizedModel(spec, spec.init_params())
         rng = np.random.default_rng(0)
@@ -414,8 +452,8 @@ class TestRobustness:
         theta_hat = fit_linearized_exact(lin, split.full, cfg, kernel=kernel)
         f_vec = model_outputs(lin, theta_hat, split.full.features).ravel()
         coeffs, info = solve_reduced(kernel, f_vec, split, cfg)
-        assert info["solver"] == "dense" and info["jitter"] >= 0.0
+        assert info["solver"] == "dense"
         theta_u = map_to_params(lin, theta_hat, coeffs.delta_alpha, split.full.features)
         retrained = fit_linearized_exact(lin, split.retain, cfg)
         rel = np.linalg.norm(theta_u - retrained) / np.linalg.norm(retrained)
-        assert rel < 1e-6
+        assert rel < 1e-12

@@ -1,6 +1,7 @@
 """Harness protocol, baselines, sweep trends, CSV schemas, CLI behavior."""
 
 import csv
+import glob
 import json
 import os
 import re
@@ -28,10 +29,10 @@ from kinfluence.experiments import (
     run_infinite_experiment,
     run_lambda_sweep,
     run_unlearning_experiment,
-    stored_kernel_path,
+    stored_paths,
 )
 from kinfluence.kernels import empirical_ntk, write_kernel_cache
-from kinfluence.models import LinearizedModel, ModelSpec
+from kinfluence.models import LinearizedModel, ModelSpec, save_params
 from kinfluence.primal import PrimalUnlearner
 from kinfluence.report import METRICS_HEADER, influence_csv_header
 from kinfluence.training import RiskConfig, fit_linearized_exact
@@ -61,12 +62,16 @@ NON_DEFAULT = {
     "unlearn.percents": "12.3456789,50", "unlearn.scope": "1", "unlearn.space": "theta",
     "unlearn.shards": "3", "unlearn.hessian": "full",
     "cg.rel_tol": "1e-7", "cg.max_iters": "99",
-    "dual.dense_threshold": "64", "dual.materialize_hrr": "true",
+    "dual.dense_threshold": "64",
     "bench.cold": "skip", "bench.test_size": "7", "seeds": "1,2",
     "ntk.hidden_layers": "2", "ntk.sigma_w2": "1.5", "ntk.sigma_b2": "0.02",
     "ntk.lr": "0.3", "ntk.epochs": "500", "ntk.tol": "1e-7",
     "sweep.lambdas": "0.00123456789,1", "out": "elsewhere",
 }
+
+
+SHIPPED_CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir,
+                                               "configs", "*.cfg")))
 
 
 class TestConfig:
@@ -90,6 +95,11 @@ class TestConfig:
             parse_config_text("not.a.key = 3")
         with pytest.raises(ConfigError):
             config_from_values(tiny_values(str(tmp_path), **{"bogus.key": "1"}))
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=os.path.basename)
+    def test_shipped_config_loads_and_round_trips(self, path):
+        cfg = experiments.load_config(path)
+        assert config_from_values(parse_config_text(dump_config(cfg))) == cfg
 
     def test_readme_lists_every_key(self):
         readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -334,8 +344,10 @@ class TestCli:
         proc = subprocess.run(CLI + ["unlearn", "--config", bad], capture_output=True)
         assert proc.returncode == 2
 
-    def test_removed_preconditioner_key_exit_code(self, tmp_path):
-        cfgp = write_cfg(tmp_path, **{"cg.preconditioner": "jacobi"})
+    @pytest.mark.parametrize("key, value", [("cg.preconditioner", "jacobi"),
+                                            ("dual.materialize_hrr", "true")])
+    def test_removed_key_exit_code(self, tmp_path, key, value):
+        cfgp = write_cfg(tmp_path, **{key: value})
         assert cli.main(["unlearn", "--config", cfgp]) == 2
 
     def test_cold_child_reads_stored_kernel(self, tmp_path, monkeypatch):
@@ -343,13 +355,18 @@ class TestCli:
         cfg = experiments.load_config(cfgp)
         train_ds, _ = make_experiment_data(cfg)
         spec = ModelSpec(cfg.widths, init_seed=cfg.init_seed)
-        path = stored_kernel_path(cfg, 0)
+        path, theta_path = stored_paths(cfg, 0)
         os.makedirs(os.path.dirname(path))
-        write_kernel_cache(path, empirical_ntk(spec, spec.init_params(), train_ds.features))
+        kernel = empirical_ntk(spec, spec.init_params(), train_ds.features)
+        write_kernel_cache(path, kernel)
+        save_params(theta_path, spec,
+                    fit_linearized_exact(LinearizedModel(spec, spec.init_params()), train_ds,
+                                         cfg.risk, kernel=kernel))
 
-        def no_assembly(*args, **kwargs):
-            raise AssertionError("cold child assembled the kernel")
-        monkeypatch.setattr(experiments, "empirical_ntk", no_assembly)
+        def forbidden(*args, **kwargs):
+            raise AssertionError("cold child assembled the kernel or refitted theta_hat")
+        for name in ("empirical_ntk", "fit_linearized_exact", "train"):
+            monkeypatch.setattr(experiments, name, forbidden)
         out = os.path.join(str(tmp_path), "cold.json")
         assert cli.main(["unlearn", "--config", cfgp, "--cold", "--percent", "50",
                          "--space", "dual", "--out", out]) == 0

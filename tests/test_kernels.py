@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kinfluence.datasets import make_blobs
-from kinfluence.errors import BadMagic, PartitionGap, PartitionOverlap
+from kinfluence.errors import BadHeader, BadMagic, ConfigError, PartitionGap, PartitionOverlap
 from kinfluence.kernels import (
     ANALYTIC,
     EMPIRICAL,
@@ -57,7 +57,8 @@ class TestEmpirical:
         ds = make_blobs(8, 2, d_in=4, seed=5)
         k = empirical_ntk(spec, spec.init_params(), ds.features)
         np.testing.assert_allclose(k.dense, k.dense.T, atol=1e-12)
-        assert k.min_eigenvalue() >= -1e-8 * k.trace_scale()
+        min_eig = np.linalg.eigvalsh((k.dense + k.dense.T) / 2.0).min()
+        assert min_eig >= -1e-8 * np.trace(k.dense) / k.n_rows
 
     def test_workers_do_not_change_result(self):
         spec = ModelSpec((3, 12, 2), init_seed=6)
@@ -158,3 +159,15 @@ class TestCache:
         p.write_bytes(b"NOTAKERN" + bytes(64))
         with pytest.raises(BadMagic):
             read_kernel_cache(str(p))
+
+    # header bytes 24 and 25 hold the source tag and the form byte
+    @pytest.mark.parametrize("offset, value", [(25, 2), (24, 7)], ids=["form", "source"])
+    def test_unknown_header_byte_rejected(self, tmp_path, offset, value):
+        p = tmp_path / "k.bin"
+        write_kernel_cache(str(p), KernelMatrix(2, ANALYTIC, sigma=np.eye(3)))
+        raw = bytearray(p.read_bytes())
+        raw[offset] = value
+        p.write_bytes(bytes(raw))
+        with pytest.raises(BadHeader) as err:
+            read_kernel_cache(str(p))
+        assert isinstance(err.value, ConfigError)
