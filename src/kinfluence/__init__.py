@@ -59,9 +59,8 @@ from .models import (
 from .primal import (
     PrimalUnlearner,
     influence_params_primal,
-    predict_loss_change_primal,
-    predict_output_change_primal,
-    upweighted_hessian_op,
+    predict_changes_primal,
+    removal_system,
 )
 from .report import InfluenceReport, MetricsRow
 from .solvers import CgOptions, CgResult, cg_solve
@@ -72,6 +71,7 @@ from .training import (
     TrainReport,
     fit_linearized_exact,
     risk_grad,
+    risk_hessian_op,
     risk_hvp,
     risk_value,
     train,

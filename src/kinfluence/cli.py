@@ -41,7 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_unlearn.add_argument("--space", choices=["theta", "dual", "both"], default=None)
     p_unlearn.add_argument("--percent", default=None,
                            help="comma-separated removal percents")
-    p_unlearn.add_argument("--shards", type=int, default=None)
     p_unlearn.add_argument("--cold", action="store_true",
                            help="measure one cold start and write it as JSON to --out")
 

@@ -24,7 +24,7 @@ import scipy.linalg
 
 from .datasets import SplitDataset
 from .errors import DegenerateSplit, DimensionMismatch, NotAtOptimum
-from .kernels import KernelMatrix, empirical_ntk, even_shards, sharded_matvec
+from .kernels import KernelMatrix, empirical_ntk
 from .losses import loss_grad_batch, loss_hess_batch
 from .models import LinearizedModel, model_outputs, vjp
 from .report import InfluenceReport, PerTestChange
@@ -159,15 +159,13 @@ class DualUnlearner:
     block x_r = a + C M^{-1} b solves the reduced system exactly (the
     symmetric form of GPML Alg. 3.2). M is Cholesky-factored when its side is
     at most ``dense_threshold``, else solved by CG with one K_rr matvec per
-    iteration, routed through the deterministic sharded kernel when
-    ``shards`` > 1. For scalar blocks (squared loss) and a Kronecker kernel,
+    iteration. For scalar blocks (squared loss) and a Kronecker kernel,
     M = (lambda I + c sigma_rr c) (x) I and only the sigma-sized factor is formed.
     """
 
     def __init__(self, kernel: KernelMatrix, f_vec: np.ndarray, split: SplitDataset,
                  cfg: RiskConfig, opts: CgOptions = CgOptions(),
-                 dense_threshold: int = DENSE_SOLVE_MAX, shards: int = 1,
-                 materialize_hrr: bool = False):
+                 dense_threshold: int = DENSE_SOLVE_MAX, materialize_hrr: bool = False):
         # materialize_hrr selects nothing; it stays for callers that still pass it
         if split.n_forget < 1 or split.n_retain < 1:
             raise DegenerateSplit("both partitions must be nonempty")
@@ -179,7 +177,6 @@ class DualUnlearner:
         self.cfg = cfg
         self.opts = opts
         self.dense_threshold = dense_threshold
-        self.shards = max(1, int(shards))
         self.diagnostics: dict = {}
         self._prepared = False
 
@@ -196,9 +193,8 @@ class DualUnlearner:
         self.a = (split.n_forget / split.n_retain) * self.alpha[n_f:]
         self.b = _apply_sqrt(self.c, self.kernel.submatrix(ri, fi).matvec(self.alpha[:n_f])
                              - k_rr.matvec(self.a))
-        size = split.n_retain * d
         kron = k_rr.sigma is not None and self.c.ndim == 1
-        self.use_dense = (split.n_retain if kron else size) <= self.dense_threshold
+        self.use_dense = split.n_retain * (1 if kron else d) <= self.dense_threshold
         if self.use_dense:
             # the factorization is part of operator construction (cold work);
             # warm solves reuse it
@@ -213,19 +209,10 @@ class DualUnlearner:
             self._factor = scipy.linalg.cho_factor(m, overwrite_a=True)
         else:
             self.k_rr = k_rr
-        self._shard_spans = even_shards(size, self.shards) if self.shards > 1 else None
-        self._shard_seconds = np.zeros(self.shards)
         self._prepared = True
 
-    def _krr_matvec(self, v: np.ndarray) -> np.ndarray:
-        if self._shard_spans is None:
-            return self.k_rr.matvec(v)
-        y, seconds = sharded_matvec(self.k_rr, v, self._shard_spans)
-        self._shard_seconds += seconds
-        return y
-
     def _apply_m(self, v: np.ndarray) -> np.ndarray:
-        return self.cfg.lam * v + _apply_sqrt(self.c, self._krr_matvec(_apply_sqrt(self.c, v)))
+        return self.cfg.lam * v + _apply_sqrt(self.c, self.k_rr.matvec(_apply_sqrt(self.c, v)))
 
     # -- warm work ----------------------------------------------------------
     def solve(self) -> DualCoefficients:
@@ -241,18 +228,15 @@ class DualUnlearner:
             y = res.x
             self.diagnostics.update({"solver": "cg", "iters": res.iters,
                                      "residual": res.residual, "converged": res.converged})
-            if self._shard_spans is not None:
-                # per-shard matvec seconds, summed over every solve since prepare()
-                self.diagnostics["shard_seconds"] = self._shard_seconds.tolist()
         delta = np.concatenate([self.delta_f, self.a + _apply_sqrt(self.c, y)])
         return DualCoefficients(self.alpha, delta, self.kernel.d_out, self.split.n_forget)
 
 
 def solve_reduced(kernel: KernelMatrix, f_vec: np.ndarray, split: SplitDataset,
                   cfg: RiskConfig, opts: CgOptions = CgOptions(),
-                  dense_threshold: int = DENSE_SOLVE_MAX, shards: int = 1) -> tuple[DualCoefficients, dict]:
+                  dense_threshold: int = DENSE_SOLVE_MAX) -> tuple[DualCoefficients, dict]:
     """One-shot reduced-system solve; returns coefficients and diagnostics."""
-    solver = DualUnlearner(kernel, f_vec, split, cfg, opts, dense_threshold, shards)
+    solver = DualUnlearner(kernel, f_vec, split, cfg, opts, dense_threshold)
     coeffs = solver.solve()
     return coeffs, solver.diagnostics
 
@@ -316,14 +300,14 @@ def dual_report(solver: DualUnlearner, coeffs: DualCoefficients, lin: Linearized
 def unlearn_dual(lin: LinearizedModel, theta_hat: np.ndarray, split: SplitDataset,
                  cfg: RiskConfig, opts: CgOptions = CgOptions(),
                  kernel: KernelMatrix | None = None, test_ds=None,
-                 dense_threshold: int = DENSE_SOLVE_MAX, shards: int = 1) -> InfluenceReport:
+                 dense_threshold: int = DENSE_SOLVE_MAX) -> InfluenceReport:
     """End-to-end coefficient-space unlearning for a linearized model."""
     t0 = time.perf_counter()
     if kernel is None:
         kernel = empirical_ntk(lin.spec, lin.theta_ref, split.full.features)
     _require_stationary(lin, theta_hat, split.full, cfg)
     f_vec = model_outputs(lin, theta_hat, split.full.features).ravel()
-    solver = DualUnlearner(kernel, f_vec, split, cfg, opts, dense_threshold, shards)
+    solver = DualUnlearner(kernel, f_vec, split, cfg, opts, dense_threshold)
     coeffs = solver.solve()
     theta_u = map_to_params(lin, theta_hat, coeffs.delta_alpha, split.full.features)
     wall = time.perf_counter() - t0

@@ -39,7 +39,8 @@ from .report import (
     write_train_csv,
 )
 from .solvers import CgOptions
-from .training import Optimizer, RiskConfig, StopRule, fit_linearized_exact, risk_grad, train
+from .training import (Optimizer, RiskConfig, StopRule, TrainReport, fit_linearized_exact,
+                       risk_grad, train)
 
 WARM_REPEATS = 5
 
@@ -75,7 +76,6 @@ class ExperimentConfig:
     percents: tuple = (10.0, 30.0, 50.0, 70.0, 90.0)
     scope: object = "all"
     space: str = "both"            # theta | dual | both
-    shards: int = 1
     hessian_variant: str = "upweighted"
     cg: CgOptions = CgOptions()
     dense_threshold: int = DENSE_SOLVE_MAX
@@ -194,7 +194,6 @@ CONFIG_KEYS = (
               flag="--percent"),
     ConfigKey("unlearn.scope", lambda v: v if v == "all" else int(v), field="scope"),
     ConfigKey("unlearn.space", str, field="space", flag="--space"),
-    ConfigKey("unlearn.shards", int, field="shards", flag="--shards"),
     ConfigKey("unlearn.hessian", str, field="hessian_variant"),
     ConfigKey("cg.rel_tol", float, _float_text),
     ConfigKey("cg.max_iters", int),
@@ -345,6 +344,7 @@ class _SeedContext:
     train_ds: LabeledDataset
     test_ds: LabeledDataset
     kernel: KernelMatrix | None
+    trained: TrainReport | None = None  # the gd/momentum fit that gave theta_hat
 
 
 def _split_seed(seed: int, percent: float) -> int:
@@ -360,7 +360,7 @@ def _build_seed_context(cfg: ExperimentConfig, seed: int, stored: bool = False) 
                      parameterization=cfg.parameterization)
     theta_ref = np.zeros(spec.num_params) if cfg.risk.center == "origin" else spec.init_params()
     model = LinearizedModel(spec, theta_ref) if cfg.linearized else spec
-    kernel = theta_hat = None
+    kernel = theta_hat = trained = None
     if cfg.linearized and (SPACE_DUAL in cfg.spaces() or cfg.trainer == "direct"):
         kernel_path, theta_path = stored_paths(cfg, seed)
         if stored and os.path.exists(kernel_path):
@@ -371,10 +371,10 @@ def _build_seed_context(cfg: ExperimentConfig, seed: int, stored: bool = False) 
     if theta_hat is None and cfg.trainer == "direct":
         theta_hat = fit_linearized_exact(model, train_ds, cfg.risk, kernel=kernel)
     elif theta_hat is None:
-        rep = train(model, train_ds, cfg.risk, cfg.opt, cfg.stop,
-                    theta0=theta_ref.copy())
-        theta_hat = rep.final_params
-    return _SeedContext(cfg, seed, model, theta_ref, theta_hat, train_ds, test_ds, kernel)
+        trained = train(model, train_ds, cfg.risk, cfg.opt, cfg.stop, theta0=theta_ref.copy())
+        theta_hat = trained.final_params
+    return _SeedContext(cfg, seed, model, theta_ref, theta_hat, train_ds, test_ds, kernel,
+                        trained)
 
 
 def _retrain_oracle(ctx: _SeedContext, split) -> np.ndarray:
@@ -397,7 +397,7 @@ def _make_unlearner(ctx: _SeedContext, split, space: str):
     k_perm = ctx.kernel.submatrix(split.permutation, split.permutation)
     f_vec = model_outputs(ctx.model, ctx.theta_hat, split.full.features).ravel()
     return DualUnlearner(k_perm, f_vec, split, cfg.risk, cfg.cg,
-                         dense_threshold=cfg.dense_threshold, shards=cfg.shards)
+                         dense_threshold=cfg.dense_threshold)
 
 
 def stored_paths(cfg: ExperimentConfig, seed: int) -> tuple[str, str]:
@@ -621,13 +621,11 @@ def run_training(cfg: ExperimentConfig):
     ctx = _build_seed_context(cfg, cfg.seeds[0])
     spec = ctx.model.spec if cfg.linearized else ctx.model
     save_params(os.path.join(cfg.out_dir, "theta_hat.bin"), spec, ctx.theta_hat)
-    if cfg.trainer == "direct":
+    if ctx.trained is None:
         gnorm = float(np.linalg.norm(risk_grad(ctx.model, ctx.theta_hat,
                                                ctx.train_ds, cfg.risk)))
         write_train_csv(os.path.join(cfg.out_dir, "train.csv"), [np.nan], [gnorm])
     else:
-        rep = train(ctx.model, ctx.train_ds, cfg.risk, cfg.opt, cfg.stop,
-                    theta0=ctx.theta_ref.copy())
         write_train_csv(os.path.join(cfg.out_dir, "train.csv"),
-                        rep.loss_history, rep.grad_norm_history)
+                        ctx.trained.loss_history, ctx.trained.grad_norm_history)
     return ctx

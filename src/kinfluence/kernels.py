@@ -9,6 +9,7 @@ Kronecker form through slicing and matvecs.
 
 from __future__ import annotations
 
+import os
 import struct
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -16,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, PartitionGap, PartitionOverlap
+from .errors import (BadHeader, BadMagic, CheckpointMismatch, DimensionMismatch, PartitionGap,
+                     PartitionOverlap, TruncatedFile)
 from .models import ModelSpec, activations_and_deltas
 
 EMPIRICAL = "empirical"
@@ -24,6 +26,7 @@ ANALYTIC = "analytic"
 
 CACHE_MAGIC = b"KINFKER1"
 _FORM_DENSE, _FORM_KRON = 0, 1
+_CACHE_HEADER = 58  # magic 8, N and d_out 8 each, source tag 1, form 1, spec hash 32
 _ASSEMBLY_BLOCK = 64  # points per kernel-assembly row block
 
 
@@ -100,13 +103,12 @@ class KernelMatrix:
 
 
 def empirical_ntk(spec: ModelSpec, theta_ref: np.ndarray, X1: np.ndarray,
-                  X2: np.ndarray | None = None, workers: int = 1) -> KernelMatrix:
+                  X2: np.ndarray | None = None) -> KernelMatrix:
     """Gram matrix of parameter Jacobians at ``theta_ref``.
 
     Equal to stacked_jacobian(X1) @ stacked_jacobian(X2).T, assembled without
     the Jacobians via the layerwise identity
     K[(i,k),(j,l)] = sum_l (s_w^2 a_i'a_j + s_b^2) * (delta_ik' delta_jl).
-    ``workers`` fans the row blocks of the output across threads.
     """
     symmetric = X2 is None
     a1, d1 = activations_and_deltas(spec, theta_ref, X1)
@@ -114,8 +116,9 @@ def empirical_ntk(spec: ModelSpec, theta_ref: np.ndarray, X1: np.ndarray,
     n1, n2 = a1[0].shape[0], a2[0].shape[0]
     d = spec.d_out
     out = np.zeros((n1 * d, n2 * d))
-
-    def fill(r0: int, r1: int) -> None:
+    # row blocks of _ASSEMBLY_BLOCK points bound the scratch memory
+    for r0 in range(0, n1, _ASSEMBLY_BLOCK):
+        r1 = min(r0 + _ASSEMBLY_BLOCK, n1)
         acc = np.zeros(((r1 - r0) * d, n2 * d))
         for layer in range(spec.n_layers):
             s_w, s_b = spec.layer_scales(layer)
@@ -125,16 +128,6 @@ def empirical_ntk(spec: ModelSpec, theta_ref: np.ndarray, X1: np.ndarray,
             dd = d1[layer][r0:r1].reshape((r1 - r0) * d, -1) @ d2[layer].reshape(n2 * d, -1).T
             acc += np.repeat(np.repeat(gram, d, axis=0), d, axis=1) * dd
         out[r0 * d:r1 * d] = acc
-
-    # fixed-size row blocks keep the per-block gemm shapes (hence rounding)
-    # independent of the worker count
-    blocks = [(r0, min(r0 + _ASSEMBLY_BLOCK, n1)) for r0 in range(0, n1, _ASSEMBLY_BLOCK)]
-    if workers <= 1 or len(blocks) == 1:
-        for r0, r1 in blocks:
-            fill(r0, r1)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda span: fill(*span), blocks))
     return KernelMatrix(d, EMPIRICAL, dense=out, spec_hash=spec.spec_hash())
 
 
@@ -226,25 +219,29 @@ def write_kernel_cache(path: str, kernel: KernelMatrix) -> None:
 
 
 def read_kernel_cache(path: str, expect_hash: bytes | None = None) -> KernelMatrix:
-    from .errors import BadHeader, BadMagic, CheckpointMismatch, TruncatedFile
+    """Checks the header and the file size, then reads the payload straight
+    into an array."""
     with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:8] != CACHE_MAGIC:
-        raise BadMagic(f"{path}: not a kernel cache file")
-    n, d_out, source_tag, form = struct.unpack("<QQBB", raw[8:26])
-    spec_hash = raw[26:58]
-    if expect_hash is not None and spec_hash != expect_hash:
-        raise CheckpointMismatch(f"{path}: spec hash mismatch")
-    if source_tag not in (0, 1):
-        raise BadHeader(f"{path}: unknown source tag {source_tag}")
-    if form not in (_FORM_DENSE, _FORM_KRON):
-        raise BadHeader(f"{path}: unknown form byte {form}")
+        head = f.read(_CACHE_HEADER)
+        if head[:8] != CACHE_MAGIC:
+            raise BadMagic(f"{path}: not a kernel cache file")
+        if len(head) < _CACHE_HEADER:
+            raise TruncatedFile(f"{path}: header {len(head)} bytes != {_CACHE_HEADER}")
+        n, d_out, source_tag, form = struct.unpack("<QQBB", head[8:26])
+        spec_hash = head[26:]
+        if expect_hash is not None and spec_hash != expect_hash:
+            raise CheckpointMismatch(f"{path}: spec hash mismatch")
+        if source_tag not in (0, 1):
+            raise BadHeader(f"{path}: unknown source tag {source_tag}")
+        if form not in (_FORM_DENSE, _FORM_KRON):
+            raise BadHeader(f"{path}: unknown form byte {form}")
+        side = n * d_out if form == _FORM_DENSE else n
+        body = os.fstat(f.fileno()).st_size - _CACHE_HEADER
+        if body != 8 * side * side:
+            raise TruncatedFile(f"{path}: payload {body} bytes != {8 * side * side}")
+        mat = np.fromfile(f, dtype="<f8", count=side * side)
+    mat = mat.astype(np.float64, copy=False).reshape(side, side)
     source = EMPIRICAL if source_tag == 0 else ANALYTIC
-    side = n * d_out if form == _FORM_DENSE else n
-    body = raw[58:]
-    if len(body) != 8 * side * side:
-        raise TruncatedFile(f"{path}: payload {len(body)} bytes != {8 * side * side}")
-    mat = np.frombuffer(body, dtype="<f8").reshape(side, side).astype(np.float64)
     if form == _FORM_DENSE:
         return KernelMatrix(d_out, source, dense=mat, spec_hash=spec_hash)
     return KernelMatrix(d_out, source, sigma=mat, spec_hash=spec_hash)

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -118,9 +119,6 @@ class ModelSpec:
             "sigma_b2": self.sigma_b2,
         }, sort_keys=True).encode()
         return hashlib.sha256(payload).digest()
-
-    def with_seed(self, seed: int) -> "ModelSpec":
-        return replace(self, init_seed=seed)
 
 
 @dataclass(frozen=True)
@@ -318,17 +316,19 @@ def save_params(path: str, spec: ModelSpec, theta: np.ndarray) -> None:
 
 
 def load_params(path: str, spec: ModelSpec) -> np.ndarray:
+    """Checks the header and the file size, then reads the payload straight
+    into an array."""
     with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 8 + 32:
-        raise CheckpointMismatch(f"{path}: file too short for header")
-    (count,) = struct.unpack("<Q", raw[:8])
-    file_hash = raw[8:40]
-    if count != spec.num_params:
-        raise CheckpointMismatch(f"{path}: stores {count} params, spec has {spec.num_params}")
-    if file_hash != spec.spec_hash():
-        raise CheckpointMismatch(f"{path}: spec hash mismatch")
-    payload = raw[40:]
-    if len(payload) != 8 * count:
-        raise CheckpointMismatch(f"{path}: payload length {len(payload)} != {8 * count}")
-    return np.frombuffer(payload, dtype="<f8").astype(np.float64)
+        head = f.read(8 + 32)
+        if len(head) < 8 + 32:
+            raise CheckpointMismatch(f"{path}: file too short for header")
+        (count,) = struct.unpack("<Q", head[:8])
+        if count != spec.num_params:
+            raise CheckpointMismatch(f"{path}: stores {count} params, spec has {spec.num_params}")
+        if head[8:] != spec.spec_hash():
+            raise CheckpointMismatch(f"{path}: spec hash mismatch")
+        payload = os.fstat(f.fileno()).st_size - len(head)
+        if payload != 8 * count:
+            raise CheckpointMismatch(f"{path}: payload length {payload} != {8 * count}")
+        theta = np.fromfile(f, dtype="<f8", count=count)
+    return theta.astype(np.float64, copy=False)

@@ -1,10 +1,12 @@
-"""Parameter-space influence: upweighted Hessian system solved by CG.
+"""Parameter-space influence: the removal system solved by CG.
 
-Removing the forget block perturbs the stationarity condition; the first-order
-correction solves H s = (|Df|/|D|) grad_forget with H either the upweighted
-Hessian (default, equal to the scaled retain-set Hessian) or the full-data
-Hessian approximation. For quadratic risks the correction is exact, which is
-what every retraining-oracle test leans on.
+Removing the forget block moves the optimum of the risk; to first order the
+change s solves H s = g, where H is the retain-set risk Hessian (the exact
+removal Hessian, ``upweighted``) or the full-data one (the small-|Df|
+approximation, ``full``) and g is the forget-set risk gradient scaled by
+|Df| over the size of H's set. Both come from the risk's own derivatives in
+training.py. For quadratic risks the correction is exact, which is what
+every retraining-oracle test leans on.
 """
 
 from __future__ import annotations
@@ -15,62 +17,31 @@ import numpy as np
 
 from .datasets import SplitDataset
 from .errors import DegenerateSplit
-from .losses import loss_grad_batch, loss_hess_batch
-from .models import (
-    Model,
-    _spec_of,
-    jacobian_point,
-    jvp,
-    model_outputs,
-    vjp,
-)
+from .losses import loss_grad_batch
+from .models import Model, _spec_of, jacobian_point, jvp, model_outputs
 from .report import InfluenceReport, PerTestChange
 from .solvers import CgOptions, CgResult, cg_solve
-from .training import RiskConfig, resolve_center, stationarity_gap
+from .training import RiskConfig, resolve_center, risk_grad, risk_hessian_op, stationarity_gap
 
 HESSIAN_UPWEIGHTED = "upweighted"
 HESSIAN_FULL = "full"
 
 
-def upweighted_hessian_op(model: Model, theta_star: np.ndarray, split: SplitDataset,
-                          cfg: RiskConfig, variant: str = HESSIAN_UPWEIGHTED):
-    """Linear operator v -> H v.
+def removal_system(model: Model, theta_star: np.ndarray, split: SplitDataset,
+                   cfg: RiskConfig, variant: str = HESSIAN_UPWEIGHTED,
+                   center: np.ndarray | None = None):
+    """(H, g): the risk-Hessian operator on the retain set (``upweighted``)
+    or the full set (``full``), and (|Df|/|set|) grad of the forget-set risk.
 
-    ``upweighted`` implements the exact removal Hessian via its scaled-retain
-    form (1/|D|) sum_retain J'BJ v + (|Dr|/|D|) lambda v; ``full`` keeps every
-    point and the full lambda, the small-|Df| approximation.
+    The scale rides on g, not on H, so each CG iteration is one bare HVP.
     """
     if split.n_forget < 1 or split.n_retain < 1:
         raise DegenerateSplit("both partitions must be nonempty")
     if variant not in (HESSIAN_UPWEIGHTED, HESSIAN_FULL):
         raise ValueError(f"unknown hessian variant {variant!r}")
-    spec = _spec_of(model)
-    at = jacobian_point(model, theta_star)
     ds = split.retain if variant == HESSIAN_UPWEIGHTED else split.full
-    lam_scale = split.n_retain / split.n if variant == HESSIAN_UPWEIGHTED else 1.0
-    x = ds.features
-    f = model_outputs(model, theta_star, x)
-    blocks = loss_hess_batch(cfg.loss, f, ds.targets)
-    n_full = split.n
-
-    def apply_h(v: np.ndarray) -> np.ndarray:
-        u = jvp(spec, at, x, v).reshape(ds.n, ds.d_out)
-        bu = np.einsum("nij,nj->ni", blocks, u).ravel()
-        return vjp(spec, at, x, bu) / n_full + lam_scale * cfg.lam * v
-
-    return apply_h
-
-
-def forget_gradient_rhs(model: Model, theta_star: np.ndarray, split: SplitDataset,
-                        cfg: RiskConfig, center: np.ndarray | None = None) -> np.ndarray:
-    """(|Df|/|D|) grad of the forget-set risk at theta_star."""
-    spec = _spec_of(model)
-    at = jacobian_point(model, theta_star)
-    fds = split.forget
-    g = loss_grad_batch(cfg.loss, model_outputs(model, theta_star, fds.features), fds.targets)
-    c = resolve_center(model, cfg, center)
-    return (vjp(spec, at, fds.features, g.ravel()) / split.n
-            + (split.n_forget / split.n) * cfg.lam * (theta_star - c))
+    g = risk_grad(model, theta_star, split.forget, cfg, center)
+    return risk_hessian_op(model, theta_star, ds, cfg), (split.n_forget / ds.n) * g
 
 
 class PrimalUnlearner:
@@ -100,10 +71,8 @@ class PrimalUnlearner:
                                self.center)
         if gap is not None:
             self.notes.append(f"NotAtOptimum: {gap}")
-        self._op = upweighted_hessian_op(self.model, self.theta_star, self.split,
-                                         self.cfg, self.variant)
-        self._rhs = forget_gradient_rhs(self.model, self.theta_star, self.split,
-                                        self.cfg, self.center)
+        self._op, self._rhs = removal_system(self.model, self.theta_star, self.split,
+                                             self.cfg, self.variant, self.center)
 
     def solve(self) -> CgResult:
         if self._op is None:
@@ -141,36 +110,26 @@ def influence_params_primal(model: Model, theta_star: np.ndarray, split: SplitDa
     return PrimalUnlearner(model, theta_star, split, cfg, opts, variant, center).run()
 
 
-def predict_output_change_primal(model: Model, theta_star: np.ndarray,
-                                 delta_theta: np.ndarray, x_t: np.ndarray) -> np.ndarray:
-    """First-order output change J(x_t) delta at the test input."""
-    spec = _spec_of(model)
-    at = jacobian_point(model, theta_star)
-    return jvp(spec, at, np.asarray(x_t)[None, :], delta_theta)
+def predict_changes_primal(model: Model, theta_star: np.ndarray, delta_theta: np.ndarray,
+                           test_ds, cfg: RiskConfig, center: np.ndarray | None = None):
+    """First-order output/loss changes at every test point in one batch.
 
-
-def predict_loss_change_primal(model: Model, theta_star: np.ndarray, delta_theta: np.ndarray,
-                               x_t: np.ndarray, y_t: np.ndarray, cfg: RiskConfig,
-                               center: np.ndarray | None = None) -> tuple[float, float]:
-    """First-order loss change at a test point: (raw, regularizer-included).
-
-    The raw variant is grad_f loss ' (J delta); the second adds the
-    lambda (theta_star - c)' delta term from the single-point risk.
+    Output changes are J(X_t) delta; the raw loss change of a point is
+    grad_f loss ' (J delta), and the regularizer variant adds the
+    lambda (theta_star - c)' delta term of the single-point risk.
     """
-    f_t = model_outputs(model, theta_star, np.asarray(x_t)[None, :])[0]
-    g = loss_grad_batch(cfg.loss, f_t[None, :], np.asarray(y_t)[None, :])[0]
-    df = predict_output_change_primal(model, theta_star, delta_theta, x_t)
-    raw = float(g @ df)
+    x_t = test_ds.features
+    df = jvp(_spec_of(model), jacobian_point(model, theta_star), x_t,
+             delta_theta).reshape(test_ds.n, test_ds.d_out)
+    g_t = loss_grad_batch(cfg.loss, model_outputs(model, theta_star, x_t), test_ds.targets)
+    raw = np.einsum("td,td->t", g_t, df)
     c = resolve_center(model, cfg, center)
-    return raw, raw + float(cfg.lam * (theta_star - c) @ delta_theta)
+    return df, raw, raw + float(cfg.lam * (theta_star - c) @ delta_theta)
 
 
 def attach_test_predictions(report: InfluenceReport, model: Model, theta_star: np.ndarray,
                             test_ds, cfg: RiskConfig, center: np.ndarray | None = None) -> None:
-    for i in range(test_ds.n):
-        out = predict_output_change_primal(model, theta_star, report.delta_theta,
-                                           test_ds.features[i])
-        raw, reg = predict_loss_change_primal(model, theta_star, report.delta_theta,
-                                              test_ds.features[i], test_ds.targets[i],
-                                              cfg, center)
-        report.per_test.append(PerTestChange(out, raw, reg))
+    df, raw, reg = predict_changes_primal(model, theta_star, report.delta_theta, test_ds,
+                                          cfg, center)
+    report.per_test.extend(PerTestChange(df[i], float(raw[i]), float(reg[i]))
+                           for i in range(test_ds.n))

@@ -35,10 +35,6 @@ class CgResult:
     iters: int
     converged: bool
 
-    @property
-    def rel_residual(self) -> float:
-        return self.residual / self.rhs_norm if self.rhs_norm > 0 else 0.0
-
 
 def cg_solve(apply_a, rhs: np.ndarray, opts: CgOptions = CgOptions()) -> CgResult:
     """Solve A x = rhs for an SPD operator ``apply_a``.

@@ -140,25 +140,35 @@ def stationarity_gap(model: Model, theta: np.ndarray, ds: LabeledDataset, cfg: R
     return f"||grad|| = {gnorm:.3e} exceeds {STATIONARITY_TOL}" if gnorm > STATIONARITY_TOL else None
 
 
-def risk_hvp(model: Model, theta: np.ndarray, ds: LabeledDataset, cfg: RiskConfig,
-             v: np.ndarray, center: np.ndarray | None = None) -> np.ndarray:
-    """Risk-Hessian vector product (1/N) J' B J v + lambda v.
+def risk_hessian_op(model: Model, theta: np.ndarray, ds: LabeledDataset, cfg: RiskConfig):
+    """The risk Hessian as an operator v -> (1/N) J' B J v + lambda v.
 
-    Exact for linearized models; for raw ReLU/identity networks the
-    Gauss-Newton form with J at theta equals the Hessian almost everywhere
-    (the model is piecewise linear in theta).
+    Outputs and per-point loss Hessians B are evaluated once; each product
+    then costs one JVP and one VJP. Exact for linearized models; for raw
+    ReLU/identity networks the Gauss-Newton form with J at theta equals the
+    Hessian almost everywhere (the model is piecewise linear in theta).
     """
     _check_ds(ds, model)
+    spec = _spec_of(model)
+    at = jacobian_point(model, theta)
+    x = ds.features
+    blocks = loss_hess_batch(cfg.loss, model_outputs(model, theta, x), ds.targets)
+
+    def apply_h(v: np.ndarray) -> np.ndarray:
+        u = jvp(spec, at, x, v).reshape(ds.n, ds.d_out)
+        bu = np.einsum("nij,nj->ni", blocks, u).ravel()
+        return vjp(spec, at, x, bu) / ds.n + cfg.lam * v
+
+    return apply_h
+
+
+def risk_hvp(model: Model, theta: np.ndarray, ds: LabeledDataset, cfg: RiskConfig,
+             v: np.ndarray, center: np.ndarray | None = None) -> np.ndarray:
+    """One risk-Hessian vector product; see risk_hessian_op."""
     v = np.asarray(v, dtype=np.float64)
     if not np.all(np.isfinite(v)):
         raise ValueError("hvp direction must be finite")
-    spec = _spec_of(model)
-    at = jacobian_point(model, theta)
-    f = model_outputs(model, theta, ds.features)
-    blocks = loss_hess_batch(cfg.loss, f, ds.targets)
-    u = jvp(spec, at, ds.features, v).reshape(ds.n, ds.d_out)
-    bu = np.einsum("nij,nj->ni", blocks, u).ravel()
-    return vjp(spec, at, ds.features, bu) / ds.n + cfg.lam * v
+    return risk_hessian_op(model, theta, ds, cfg)(v)
 
 
 def train(model: Model, ds: LabeledDataset, cfg: RiskConfig, opt: Optimizer, stop: StopRule,

@@ -273,17 +273,6 @@ class TestSolveReduced:
         assert info["solver"] == "cg"
         np.testing.assert_allclose(cgres.delta_alpha, dense.delta_alpha, rtol=1e-7, atol=1e-11)
 
-    def test_sharded_path_agrees(self):
-        spec, lin, split, cfg, theta_hat, kernel, f_vec = quadratic_setup(seed=13)
-        plain, _ = solve_reduced(kernel, f_vec, split, cfg,
-                                 CgOptions(rel_tol=1e-12, max_iters=5000), dense_threshold=0)
-        sharded, info = solve_reduced(kernel, f_vec, split, cfg,
-                                      CgOptions(rel_tol=1e-12, max_iters=5000),
-                                      dense_threshold=0, shards=3)
-        np.testing.assert_allclose(plain.delta_alpha, sharded.delta_alpha, rtol=1e-7, atol=1e-11)
-        # one running total per shard, however many CG matvecs ran
-        assert len(info["shard_seconds"]) == 3
-
 
 def reduced_instance(loss, kron, percent, seed=0, d=3):
     """A split with a dense empirical or a Kronecker analytic kernel and

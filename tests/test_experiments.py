@@ -60,7 +60,7 @@ NON_DEFAULT = {
     "train.kind": "momentum", "opt.lr": "0.05", "opt.beta": "0.8",
     "stop.max_epochs": "77", "stop.grad_tol": "1e-9",
     "unlearn.percents": "12.3456789,50", "unlearn.scope": "1", "unlearn.space": "theta",
-    "unlearn.shards": "3", "unlearn.hessian": "full",
+    "unlearn.hessian": "full",
     "cg.rel_tol": "1e-7", "cg.max_iters": "99",
     "dual.dense_threshold": "64",
     "bench.cold": "skip", "bench.test_size": "7", "seeds": "1,2",
@@ -338,6 +338,20 @@ class TestCli:
         assert os.path.exists(os.path.join(res, "theta_hat.bin"))
         assert os.path.exists(os.path.join(res, "train.csv"))
 
+    def test_train_trains_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, _train=experiments.train, **kwargs):
+            calls.append(1)
+            return _train(*args, **kwargs)
+        monkeypatch.setattr(experiments, "train", counted)
+        cfgp = write_cfg(tmp_path, **{"train.kind": "gd", "opt.lr": "0.05",
+                                      "stop.max_epochs": "50", "unlearn.space": "theta"})
+        assert cli.main(["train", "--config", cfgp]) == 0
+        assert len(calls) == 1
+        with open(os.path.join(str(tmp_path), "results", "train.csv")) as f:
+            assert len(f.readlines()) == 1 + 50  # header plus one row per epoch
+
     def test_config_error_exit_code(self, tmp_path):
         bad = os.path.join(str(tmp_path), "bad.cfg")
         open(bad, "w").write("nonsense.key = 1\n")
@@ -345,7 +359,8 @@ class TestCli:
         assert proc.returncode == 2
 
     @pytest.mark.parametrize("key, value", [("cg.preconditioner", "jacobi"),
-                                            ("dual.materialize_hrr", "true")])
+                                            ("dual.materialize_hrr", "true"),
+                                            ("unlearn.shards", "3")])
     def test_removed_key_exit_code(self, tmp_path, key, value):
         cfgp = write_cfg(tmp_path, **{key: value})
         assert cli.main(["unlearn", "--config", cfgp]) == 2

@@ -268,3 +268,13 @@ class TestCheckpoints:
         raw = open(p, "rb").read()
         assert raw[:8] == (1).to_bytes(8, "little")
         assert raw[40:] == np.array([1.0], dtype="<f8").tobytes()
+
+    @pytest.mark.parametrize("change", [-8, 8], ids=["truncated", "overlong"])
+    def test_payload_length_checked(self, tmp_path, change):
+        spec = ModelSpec((6, 4, 2), init_seed=9)
+        p = tmp_path / "theta.bin"
+        save_params(str(p), spec, spec.init_params())
+        raw = p.read_bytes()
+        p.write_bytes(raw[:change] if change < 0 else raw + bytes(change))
+        with pytest.raises(CheckpointMismatch, match="payload length"):
+            load_params(str(p), spec)

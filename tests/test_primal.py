@@ -5,16 +5,18 @@ import pytest
 
 from kinfluence.datasets import LabeledDataset, make_blobs, split_forget
 from kinfluence.errors import DegenerateSplit
-from kinfluence.losses import SQUARED
-from kinfluence.models import LinearizedModel, ModelSpec, batch_forward, forward, stacked_jacobian
+from kinfluence.losses import CROSS_ENTROPY, SQUARED, loss_grad_batch
+from kinfluence.models import (LinearizedModel, ModelSpec, batch_forward, model_outputs,
+                               stacked_jacobian)
 from kinfluence.primal import (
     HESSIAN_FULL,
-    forget_gradient_rhs,
+    HESSIAN_UPWEIGHTED,
+    attach_test_predictions,
     influence_params_primal,
-    predict_loss_change_primal,
-    predict_output_change_primal,
-    upweighted_hessian_op,
+    predict_changes_primal,
+    removal_system,
 )
+from kinfluence.report import InfluenceReport
 from kinfluence.solvers import CgOptions
 from kinfluence.training import RiskConfig, fit_linearized_exact
 
@@ -29,10 +31,11 @@ def quadratic_instance(seed=0, widths=(5, 24, 2), n_per_class=12, lam=0.3, perce
     return spec, lin, split, cfg, theta_star
 
 
-def dense_hessian(spec, lin, ds, cfg, scale_points, lam_scale, n_full):
-    """Oracle: (1/n_full) J'BJ over ``ds`` + lam_scale*lam*I with explicit J."""
+def dense_hessian(spec, lin, ds, cfg):
+    """Oracle: the squared-loss risk Hessian over ``ds``, (1/|ds|) J'J + lam*I,
+    with explicit J."""
     jac = stacked_jacobian(spec, lin.theta_ref, ds.features)
-    return jac.T @ jac / n_full + lam_scale * cfg.lam * np.eye(spec.num_params)
+    return jac.T @ jac / ds.n + cfg.lam * np.eye(spec.num_params)
 
 
 class TestHessianOperator:
@@ -44,23 +47,36 @@ class TestHessianOperator:
 
     def test_matches_scaled_retain_dense_oracle(self):
         spec, lin, split, cfg, theta = quadratic_instance()
-        op = upweighted_hessian_op(lin, theta, split, cfg)
-        h = dense_hessian(spec, lin, split.retain, cfg, split.n_retain,
-                          split.n_retain / split.n, split.n)
+        op, _ = removal_system(lin, theta, split, cfg)
+        h = dense_hessian(spec, lin, split.retain, cfg)
         rng = np.random.default_rng(0)
         for _ in range(4):
             v = rng.standard_normal(spec.num_params)
             np.testing.assert_allclose(op(v), h @ v, rtol=1e-10, atol=1e-12)
 
+    @pytest.mark.parametrize("variant", [HESSIAN_UPWEIGHTED, HESSIAN_FULL])
+    def test_rhs_is_scaled_forget_gradient(self, variant):
+        # g = (|Df|/|set of H|) * ((1/|Df|) J_f'(f_f - y_f) + lam (theta - theta_ref))
+        spec, lin, split, cfg, theta = quadratic_instance(seed=2)
+        _, g = removal_system(lin, theta, split, cfg, variant)
+        jac_f = stacked_jacobian(spec, lin.theta_ref, split.forget.features)
+        f_f = jac_f @ (theta - lin.theta_ref) + batch_forward(spec, lin.theta_ref,
+                                                              split.forget.features).ravel()
+        grad_f = (jac_f.T @ (f_f - split.forget.targets.ravel()) / split.n_forget
+                  + cfg.lam * (theta - lin.theta_ref))
+        n_set = split.n_retain if variant == HESSIAN_UPWEIGHTED else split.n
+        oracle = (split.n_forget / n_set) * grad_f
+        assert np.linalg.norm(g - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
     def test_difference_form_identity(self):
-        # H_up v == full-data Hessian v - (|Df|/|D|) forget Hessian v to 1e-12
+        # (|Dr|/|D|) H_up v == full-data Hessian v - (|Df|/|D|) forget Hessian v to 1e-12
         spec, lin, split, cfg, theta = quadratic_instance(seed=3)
-        op = upweighted_hessian_op(lin, theta, split, cfg)
+        op, _ = removal_system(lin, theta, split, cfg)
         jac_all = stacked_jacobian(spec, lin.theta_ref, split.full.features)
         jac_f = stacked_jacobian(spec, lin.theta_ref, split.forget.features)
         h_all = jac_all.T @ jac_all / split.n + cfg.lam * np.eye(spec.num_params)
         h_f = jac_f.T @ jac_f / split.n_forget + cfg.lam * np.eye(spec.num_params)
-        h_diff = h_all - (split.n_forget / split.n) * h_f
+        h_diff = (split.n / split.n_retain) * (h_all - (split.n_forget / split.n) * h_f)
         v = np.random.default_rng(1).standard_normal(spec.num_params)
         scale = np.linalg.norm(h_diff @ v)
         assert np.linalg.norm(op(v) - h_diff @ v) <= 1e-12 * scale
@@ -72,15 +88,13 @@ class TestHessianOperator:
         _, _, vt = np.linalg.svd(jac, full_matrices=True)
         null = vt[-1]
         assert np.linalg.norm(jac @ null) < 1e-8
-        op_full = upweighted_hessian_op(lin, theta, split, cfg, variant=HESSIAN_FULL)
-        np.testing.assert_allclose(op_full(null), cfg.lam * null, atol=1e-10)
-        op_up = upweighted_hessian_op(lin, theta, split, cfg)
-        np.testing.assert_allclose(op_up(null), (split.n_retain / split.n) * cfg.lam * null,
-                                   atol=1e-10)
+        for variant in (HESSIAN_FULL, HESSIAN_UPWEIGHTED):
+            op, _ = removal_system(lin, theta, split, cfg, variant)
+            np.testing.assert_allclose(op(null), cfg.lam * null, atol=1e-10)
 
     def test_linearity(self):
         spec, lin, split, cfg, theta = quadratic_instance(seed=5)
-        op = upweighted_hessian_op(lin, theta, split, cfg)
+        op, _ = removal_system(lin, theta, split, cfg)
         rng = np.random.default_rng(2)
         u, v = rng.standard_normal((2, spec.num_params))
         a, b = 0.7, -1.3
@@ -138,10 +152,8 @@ class TestInfluence:
     def test_cg_matches_dense_solve(self):
         spec, lin, split, cfg, theta_star = quadratic_instance(seed=9, widths=(4, 16, 2),
                                                                n_per_class=8)
-        op = upweighted_hessian_op(lin, theta_star, split, cfg)
-        rhs = forget_gradient_rhs(lin, theta_star, split, cfg)
-        h = dense_hessian(spec, lin, split.retain, cfg, split.n_retain,
-                          split.n_retain / split.n, split.n)
+        op, rhs = removal_system(lin, theta_star, split, cfg)
+        h = dense_hessian(spec, lin, split.retain, cfg)
         oracle = np.linalg.solve(h, rhs)
         from kinfluence.solvers import cg_solve
         res = cg_solve(op, rhs, CgOptions(rel_tol=1e-13, max_iters=4000))
@@ -165,27 +177,30 @@ class TestInfluence:
         assert 0 < rel < 0.5  # close but not identical
 
 
+def held_out(d_in, d_out, seed, n=6):
+    return make_blobs(n // d_out, d_out, d_in=d_in, seed=seed)
+
+
 class TestPredictors:
     def test_zero_delta(self):
         spec, lin, split, cfg, theta_star = quadratic_instance(seed=12)
-        x_t = split.full.features[0]
-        y_t = split.full.targets[0]
-        out = predict_output_change_primal(lin, theta_star, np.zeros(spec.num_params), x_t)
-        np.testing.assert_array_equal(out, np.zeros(2))
-        raw, reg = predict_loss_change_primal(lin, theta_star, np.zeros(spec.num_params),
-                                              x_t, y_t, cfg)
-        assert raw == 0.0 and reg == 0.0
+        test = held_out(5, 2, seed=30)
+        df, raw, reg = predict_changes_primal(lin, theta_star, np.zeros(spec.num_params),
+                                              test, cfg)
+        np.testing.assert_array_equal(df, np.zeros((test.n, 2)))
+        np.testing.assert_array_equal(raw, 0.0)
+        np.testing.assert_array_equal(reg, 0.0)
 
     def test_affine_exactness_on_linearized(self):
         spec, lin, split, cfg, theta_star = quadratic_instance(seed=13)
         report = influence_params_primal(lin, theta_star, split, cfg,
                                          CgOptions(rel_tol=1e-12, max_iters=4000))
-        from kinfluence.models import linear_forward
-        x_t = np.random.default_rng(3).uniform(0, 1, 5)
-        pred = predict_output_change_primal(lin, theta_star, report.delta_theta, x_t)
-        exact = (linear_forward(lin, theta_star + report.delta_theta, x_t)
-                 - linear_forward(lin, theta_star, x_t))
-        np.testing.assert_allclose(pred, exact, rtol=1e-9, atol=1e-12)
+        from kinfluence.models import linear_batch_forward
+        test = held_out(5, 2, seed=31)
+        df, _, _ = predict_changes_primal(lin, theta_star, report.delta_theta, test, cfg)
+        exact = (linear_batch_forward(lin, theta_star + report.delta_theta, test.features)
+                 - linear_batch_forward(lin, theta_star, test.features))
+        np.testing.assert_allclose(df, exact, rtol=1e-9, atol=1e-12)
 
     def test_first_order_shrinkage_nonlinear(self):
         spec = ModelSpec((4, 64, 2), init_seed=14)
@@ -193,13 +208,52 @@ class TestPredictors:
         rng = np.random.default_rng(4)
         delta = rng.standard_normal(spec.num_params)
         delta /= np.linalg.norm(delta)
-        x_t = rng.uniform(0, 1, 4)
+        test = held_out(4, 2, seed=32)
+        cfg = RiskConfig(lam=0.1, loss=SQUARED, center="origin")
         errs = []
         for scale in (1e-2, 1e-3):
-            pred = predict_output_change_primal(spec, theta, scale * delta, x_t)
-            actual = forward(spec, theta + scale * delta, x_t) - forward(spec, theta, x_t)
+            pred, _, _ = predict_changes_primal(spec, theta, scale * delta, test, cfg)
+            actual = (batch_forward(spec, theta + scale * delta, test.features)
+                      - batch_forward(spec, theta, test.features))
             errs.append(np.linalg.norm(pred - actual) / np.linalg.norm(actual))
         assert errs[1] < errs[0]  # relative error shrinks with the step
+
+    @pytest.mark.parametrize("loss", [SQUARED, CROSS_ENTROPY])
+    @pytest.mark.parametrize("linearized", [True, False], ids=["linearized", "raw"])
+    def test_batch_matches_explicit_oracles(self, loss, linearized):
+        spec = ModelSpec((5, 24, 3), init_seed=15)
+        theta_ref = spec.init_params()
+        rng = np.random.default_rng(5)
+        theta_star = theta_ref + 0.1 * rng.standard_normal(spec.num_params)
+        delta = rng.standard_normal(spec.num_params)
+        model = LinearizedModel(spec, theta_ref) if linearized else spec
+        cfg = RiskConfig(lam=0.3, loss=loss)
+        test = held_out(5, 3, seed=33, n=6)
+        assert test.n >= 5
+        center = None if linearized else theta_ref
+        df, raw, reg = predict_changes_primal(model, theta_star, delta, test, cfg, center)
+
+        at = theta_ref if linearized else theta_star
+        df_oracle = (stacked_jacobian(spec, at, test.features) @ delta).reshape(test.n, 3)
+        np.testing.assert_allclose(df, df_oracle, rtol=1e-12, atol=1e-12)
+        g_t = loss_grad_batch(loss, model_outputs(model, theta_star, test.features),
+                              test.targets)
+        raw_oracle = np.array([g_t[i] @ df_oracle[i] for i in range(test.n)])
+        np.testing.assert_allclose(raw, raw_oracle, rtol=1e-12, atol=1e-12)
+        reg_term = cfg.lam * (theta_star - theta_ref) @ delta
+        np.testing.assert_allclose(reg, raw_oracle + reg_term, rtol=1e-12, atol=1e-12)
+
+    def test_attach_appends_one_change_per_point(self):
+        spec, lin, split, cfg, theta_star = quadratic_instance(seed=16)
+        delta = np.random.default_rng(6).standard_normal(spec.num_params)
+        test = held_out(5, 2, seed=34)
+        report = InfluenceReport(delta_theta=delta, residual=0.0, iters=0)
+        attach_test_predictions(report, lin, theta_star, test, cfg)
+        df, raw, reg = predict_changes_primal(lin, theta_star, delta, test, cfg)
+        assert len(report.per_test) == test.n
+        for i, change in enumerate(report.per_test):
+            np.testing.assert_array_equal(change.output_change, df[i])
+            assert (change.loss_change_raw, change.loss_change_reg) == (raw[i], reg[i])
 
 
 class TestBaselineRegime:
