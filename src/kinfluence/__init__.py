@@ -8,18 +8,12 @@ from .datasets import (
     make_blobs,
     split_forget,
     subset_per_class,
-    write_idx,
 )
 from .dual import (
     DualCoefficients,
     DualUnlearner,
-    alpha_star,
-    dual_hessian_block,
-    dual_rhs,
     map_to_params,
     predict_changes_dual,
-    solve_reduced,
-    unlearn_dual,
 )
 from .infinite import (
     AnalyticNtkSpec,
@@ -36,13 +30,7 @@ from .kernels import (
     sharded_matvec,
     write_kernel_cache,
 )
-from .losses import (
-    CROSS_ENTROPY,
-    SQUARED,
-    loss_grad_out,
-    loss_hess_out,
-    loss_value,
-)
+from .losses import CROSS_ENTROPY, SQUARED
 from .models import (
     LinearizedModel,
     ModelSpec,
@@ -50,7 +38,6 @@ from .models import (
     forward,
     jacobian,
     jvp,
-    linear_forward,
     load_params,
     save_params,
     stacked_jacobian,
@@ -58,7 +45,6 @@ from .models import (
 )
 from .primal import (
     PrimalUnlearner,
-    influence_params_primal,
     predict_changes_primal,
     removal_system,
 )

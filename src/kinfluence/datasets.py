@@ -160,19 +160,6 @@ def load_idx(images_path: str, labels_path: str, name: str = "idx") -> LabeledDa
     return LabeledDataset(features, _one_hot(labels.astype(np.int64)), labels.astype(np.int64), name)
 
 
-def write_idx(images_path: str, labels_path: str, ds: LabeledDataset, rows: int, cols: int) -> None:
-    """Write a dataset back to an IDX pair (fixture/round-trip helper)."""
-    if rows * cols != ds.d_in:
-        raise CountMismatch(f"rows*cols = {rows * cols} != d_in = {ds.d_in}")
-    pixels = np.rint(ds.features * 255.0).astype(np.uint8)
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, ds.n, rows, cols))
-        f.write(pixels.tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABEL_MAGIC, ds.n))
-        f.write(ds.labels.astype(np.uint8).tobytes())
-
-
 # --------------------------------------------------------------------------
 # CIFAR-10 binary batches
 # --------------------------------------------------------------------------

@@ -17,8 +17,6 @@ outputs come from function-space training instead of a parameter vector.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 import scipy.linalg
 
@@ -27,9 +25,9 @@ from .errors import DegenerateSplit, DimensionMismatch, NotAtOptimum
 from .kernels import KernelMatrix, empirical_ntk
 from .losses import loss_grad_batch, loss_hess_batch
 from .models import LinearizedModel, model_outputs, vjp
-from .report import InfluenceReport, PerTestChange
+from .report import InfluenceReport, PerTestChange, max_iters_note
 from .solvers import CgOptions, cg_solve
-from .training import CENTER_ORIGIN, RiskConfig, stationarity_gap
+from .training import RiskConfig, stationarity_gap
 
 DENSE_SOLVE_MAX = 512
 
@@ -56,40 +54,24 @@ class DualCoefficients:
 
 
 def _require_stationary(lin: LinearizedModel, theta_hat: np.ndarray, ds, cfg: RiskConfig) -> None:
-    # the representer identity theta_hat - theta_ref = J' alpha fails away
-    # from the optimum, so coefficient space hard-errors there
+    """Raise NotAtOptimum unless theta_hat is a stationary point of the risk.
+
+    The representer identity theta_hat - theta_ref = J' alpha, on which every
+    coefficient-space answer rests, fails away from the optimum.
+    """
     gap = stationarity_gap(lin, theta_hat, ds, cfg)
     if gap is not None:
         raise NotAtOptimum(gap)
 
 
-def alpha_star(lin: LinearizedModel, theta_hat: np.ndarray, ds, cfg: RiskConfig) -> np.ndarray:
-    """-(1/lambda) grad of the risk w.r.t. vectorized outputs at the optimum.
-
-    Hard-errors when theta_hat is not stationary.
-    """
-    if cfg.center == CENTER_ORIGIN and np.any(lin.theta_ref != 0.0):
-        raise ValueError("origin-centered risk requires linearization around 0")
-    _require_stationary(lin, theta_hat, ds, cfg)
-    return alpha_star_from_outputs(model_outputs(lin, theta_hat, ds.features), ds, cfg)
-
-
 def alpha_star_from_outputs(f_vec: np.ndarray, ds, cfg: RiskConfig) -> np.ndarray:
-    """Same map given vectorized outputs directly (function-space callers)."""
+    """-(1/lambda) grad of the risk w.r.t. the vectorized outputs ``f_vec``: the
+    representer coefficients when the outputs are those of the optimum."""
     f = np.asarray(f_vec, dtype=np.float64).reshape(ds.n, ds.d_out)
     g = loss_grad_batch(cfg.loss, f, ds.targets).ravel()
     # single fused denominator so -alpha's forget block reproduces the known
     # value grad/(N lam) bitwise
     return -g / (cfg.lam * ds.n)
-
-
-def representer_residual(lin: LinearizedModel, theta_hat: np.ndarray, ds,
-                         alpha: np.ndarray) -> float:
-    """Relative residual of theta_hat - theta_ref = J' alpha (rank diagnostic)."""
-    lhs = theta_hat - lin.theta_ref
-    rhs = vjp(lin.spec, lin.theta_ref, ds.features, alpha)
-    denom = np.linalg.norm(lhs)
-    return float(np.linalg.norm(lhs - rhs) / denom) if denom > 0 else float(np.linalg.norm(rhs))
 
 
 def _apply_blockdiag(blocks: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -120,35 +102,6 @@ def retain_hessian_blocks(f_vec: np.ndarray, split: SplitDataset, cfg: RiskConfi
     retain = split.retain
     f = np.asarray(f_vec).reshape(split.n, split.full.d_out)[split.n_forget:]
     return loss_hess_batch(cfg.loss, f, retain.targets) / split.n_retain
-
-
-def dual_hessian_block(kernel: KernelMatrix, b_r: np.ndarray, split: SplitDataset,
-                       cfg: RiskConfig, i: str, j: str) -> np.ndarray:
-    """Dense block H^{ij} = (|Dr|/|D|) (K_ir B_r K_rj + lambda K_ij)."""
-    idx = {"f": np.arange(split.n_forget), "r": np.arange(split.n_forget, split.n)}
-    if i not in idx or j not in idx:
-        raise ValueError("block labels must be 'f' or 'r'")
-    k_ir = kernel.submatrix(idx[i], idx["r"]).to_dense()
-    k_rj = kernel.submatrix(idx["r"], idx[j]).to_dense()
-    k_ij = kernel.submatrix(idx[i], idx[j]).to_dense()
-    scale = split.n_retain / split.n
-    return scale * (k_ir @ _apply_blockdiag(b_r, k_rj) + cfg.lam * k_ij)
-
-
-def dual_rhs(kernel: KernelMatrix, f_vec: np.ndarray, split: SplitDataset,
-             cfg: RiskConfig, i: str) -> np.ndarray:
-    """Block i of the reparameterized forget-risk gradient at 0:
-    K_if grad_f(forget risk) + lambda K_i alpha."""
-    alpha = alpha_star_from_outputs(f_vec, split.full, cfg)
-    idx = {"f": np.arange(split.n_forget), "r": np.arange(split.n_forget, split.n)}
-    if i not in idx:
-        raise ValueError("block label must be 'f' or 'r'")
-    f = np.asarray(f_vec).reshape(split.n, split.full.d_out)
-    g_f = loss_grad_batch(cfg.loss, f[: split.n_forget], split.forget.targets).ravel()
-    g_f /= split.n_forget
-    k_if = kernel.submatrix(idx[i], idx["f"])
-    k_i = kernel.submatrix(idx[i], np.arange(split.n))
-    return k_if.matvec(g_f) + cfg.lam * k_i.matvec(alpha)
 
 
 class DualUnlearner:
@@ -232,15 +185,6 @@ class DualUnlearner:
         return DualCoefficients(self.alpha, delta, self.kernel.d_out, self.split.n_forget)
 
 
-def solve_reduced(kernel: KernelMatrix, f_vec: np.ndarray, split: SplitDataset,
-                  cfg: RiskConfig, opts: CgOptions = CgOptions(),
-                  dense_threshold: int = DENSE_SOLVE_MAX) -> tuple[DualCoefficients, dict]:
-    """One-shot reduced-system solve; returns coefficients and diagnostics."""
-    solver = DualUnlearner(kernel, f_vec, split, cfg, opts, dense_threshold)
-    coeffs = solver.solve()
-    return coeffs, solver.diagnostics
-
-
 def map_to_params(lin: LinearizedModel, theta_hat: np.ndarray, delta_alpha: np.ndarray,
                   X: np.ndarray) -> np.ndarray:
     """theta_hat + J(theta_ref)' delta_alpha over the full training inputs."""
@@ -273,20 +217,12 @@ def predict_changes_dual(k_test: KernelMatrix, kernel: KernelMatrix,
 def dual_report(solver: DualUnlearner, coeffs: DualCoefficients, lin: LinearizedModel,
                 theta_hat: np.ndarray, theta_u: np.ndarray, test_ds=None) -> InfluenceReport:
     """The report of one reduced solve whose map to parameters is ``theta_u``:
-    solver health, a representer-identity note, and the test-point changes
-    when ``test_ds`` is given."""
-    split = solver.split
-    notes = []
-    resid = representer_residual(lin, theta_hat, split.full, coeffs.alpha_star)
-    if resid > 1e-6:
-        notes.append(f"representer identity residual {resid:.3e} (rank-deficiency diagnostic)")
-    report = InfluenceReport(
-        delta_theta=theta_u - theta_hat,
-        residual=solver.diagnostics.get("residual", 0.0),
-        iters=solver.diagnostics.get("iters", 0),
-        converged=solver.diagnostics.get("converged", True),
-        notes=notes,
-    )
+    solver health, and the test-point changes when ``test_ds`` is given."""
+    split, diag = solver.split, solver.diagnostics
+    report = InfluenceReport(delta_theta=theta_u - theta_hat, residual=diag["residual"],
+                             iters=diag["iters"], converged=diag["converged"])
+    if not report.converged:
+        report.notes.append(max_iters_note(report.residual, report.iters))
     if test_ds is not None:
         k_t = empirical_ntk(lin.spec, lin.theta_ref, test_ds.features, split.full.features)
         f_t = model_outputs(lin, theta_hat, test_ds.features).ravel()
@@ -294,23 +230,4 @@ def dual_report(solver: DualUnlearner, coeffs: DualCoefficients, lin: Linearized
                                             solver.cfg)
         report.per_test = [PerTestChange(df[i], float(raw[i]), float(reg[i]))
                            for i in range(test_ds.n)]
-    return report
-
-
-def unlearn_dual(lin: LinearizedModel, theta_hat: np.ndarray, split: SplitDataset,
-                 cfg: RiskConfig, opts: CgOptions = CgOptions(),
-                 kernel: KernelMatrix | None = None, test_ds=None,
-                 dense_threshold: int = DENSE_SOLVE_MAX) -> InfluenceReport:
-    """End-to-end coefficient-space unlearning for a linearized model."""
-    t0 = time.perf_counter()
-    if kernel is None:
-        kernel = empirical_ntk(lin.spec, lin.theta_ref, split.full.features)
-    _require_stationary(lin, theta_hat, split.full, cfg)
-    f_vec = model_outputs(lin, theta_hat, split.full.features).ravel()
-    solver = DualUnlearner(kernel, f_vec, split, cfg, opts, dense_threshold)
-    coeffs = solver.solve()
-    theta_u = map_to_params(lin, theta_hat, coeffs.delta_alpha, split.full.features)
-    wall = time.perf_counter() - t0
-    report = dual_report(solver, coeffs, lin, theta_hat, theta_u, test_ds)
-    report.wall_cold = wall
     return report

@@ -24,7 +24,7 @@ import numpy as np
 
 from .datasets import (LabeledDataset, data_dir, load_cifar_binary, load_idx, make_blobs,
                        split_forget, subset_per_class)
-from .dual import DENSE_SOLVE_MAX, DualUnlearner, dual_report, map_to_params
+from .dual import DENSE_SOLVE_MAX, DualUnlearner, _require_stationary, dual_report, map_to_params
 from .errors import ConfigError
 from .infinite import AnalyticNtkSpec, infinite_influence
 from .kernels import KernelMatrix, empirical_ntk, read_kernel_cache, write_kernel_cache
@@ -40,7 +40,7 @@ from .report import (
 )
 from .solvers import CgOptions
 from .training import (Optimizer, RiskConfig, StopRule, TrainReport, fit_linearized_exact,
-                       risk_grad, train)
+                       risk_grad, risk_value_and_grad, train)
 
 WARM_REPEATS = 5
 
@@ -394,6 +394,7 @@ def _make_unlearner(ctx: _SeedContext, split, space: str):
         return PrimalUnlearner(ctx.model, ctx.theta_hat, split, cfg.risk, cfg.cg,
                                variant=cfg.hessian_variant,
                                center=None if cfg.linearized else ctx.theta_ref)
+    _require_stationary(ctx.model, ctx.theta_hat, split.full, cfg.risk)
     k_perm = ctx.kernel.submatrix(split.permutation, split.permutation)
     f_vec = model_outputs(ctx.model, ctx.theta_hat, split.full.features).ravel()
     return DualUnlearner(k_perm, f_vec, split, cfg.risk, cfg.cg,
@@ -470,8 +471,10 @@ def run_unlearning_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
             for space in cfg.spaces():
                 case_dir = os.path.join(seed_dir, f"p{percent:g}_{space}")
                 os.makedirs(case_dir, exist_ok=True)
-                cold = _cold_runtime(cfg, seed, percent, space, seed_dir, snapshot_path)
+                # built first, so a non-stationary theta_hat fails here and
+                # not in the cold child
                 unlearner = _make_unlearner(ctx, split, space)
+                cold = _cold_runtime(cfg, seed, percent, space, seed_dir, snapshot_path)
                 unlearner.prepare()
                 warm_times = []
                 for _ in range(WARM_REPEATS):
@@ -543,7 +546,6 @@ def run_lambda_sweep(cfg: ExperimentConfig, lambdas=None, record_every: int = 1)
         theta_nl = theta0.copy()
         theta_li = theta0.copy()
         series = []
-        from .training import risk_value_and_grad
         for epoch in range(cfg.stop.max_epochs):
             _, g_nl = risk_value_and_grad(spec, theta_nl, train_ds, risk, center=theta0)
             _, g_li = risk_value_and_grad(lin, theta_li, train_ds, risk)
@@ -590,12 +592,10 @@ def run_infinite_experiment(cfg: ExperimentConfig, percent: float | None = None)
     ntk_spec = AnalyticNtkSpec(hidden_layers=cfg.ntk_hidden_layers,
                                sigma_w2=cfg.ntk_sigma_w2, sigma_b2=cfg.ntk_sigma_b2,
                                d_out=train_ds.d_out)
-    from .infinite import analytic_ntk
-    write_kernel_cache(os.path.join(cfg.out_dir, "kernel.bin"),
-                       analytic_ntk(ntk_spec, split.full.features))
     res = infinite_influence(ntk_spec, split, test_ds, cfg.risk, cfg.cg,
                              lr=cfg.ntk_lr, epochs=cfg.ntk_epochs, tol=cfg.ntk_tol,
                              dense_threshold=cfg.dense_threshold)
+    write_kernel_cache(os.path.join(cfg.out_dir, "kernel.bin"), res.kernel)
     with open(os.path.join(cfg.out_dir, "infinite_outputs.csv"), "w") as f:
         f.write(",".join(INFINITE_OUT_HEADER) + "\n")
         for t in range(test_ds.n):

@@ -3,10 +3,10 @@ training.
 
 The kernel follows the layerwise arc-cosine recursion for fully connected
 ReLU stacks; with a fully connected readout it factors as sigma (x) I_{d_out}.
-Training happens directly on the output vector: each step moves f by
--lr (K grad_f risk + lambda (f - f0)), whose fixed point under squared loss is
-the kernel-ridge interpolant. Influence estimation reuses the coefficient
-machinery verbatim with the analytic kernel and KGD outputs.
+Training happens directly on the output vector, starting from f = 0: each
+step moves f by -lr (K grad_f risk + lambda f), whose fixed point under
+squared loss is the kernel-ridge interpolant. Influence estimation reuses the
+coefficient machinery verbatim with the analytic kernel and KGD outputs.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .datasets import LabeledDataset, SplitDataset
 from .errors import DegenerateSplit, DimensionMismatch, DivergenceDetected, NotConverged
 from .kernels import ANALYTIC, KernelMatrix
 from .losses import CROSS_ENTROPY, loss_grad_batch, loss_value_batch
-from .report import PerTestChange
 from .solvers import CgOptions
 from .training import RiskConfig
 from .dual import DENSE_SOLVE_MAX, DualUnlearner, alpha_star_from_outputs, predict_changes_dual
@@ -88,14 +87,9 @@ def analytic_ntk(spec: AnalyticNtkSpec, X1: np.ndarray, X2: np.ndarray | None = 
 @dataclass
 class FunctionState:
     f_train: np.ndarray          # (d_out*N,), point-major
-    f0_train: np.ndarray
     epoch: int
-    residual: float              # ||K grad_f risk + lambda (f - f0)||
+    residual: float              # ||K grad_f risk + lambda f||
     loss_history: np.ndarray = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if np.any(self.f0_train != 0.0):
-            raise ValueError("function-space training starts from f0 = 0")
 
 
 def stable_kgd_lr(kernel: KernelMatrix, n: int, cfg: RiskConfig, safety: float = 1.8) -> float:
@@ -111,8 +105,8 @@ def kgd_train(kernel: KernelMatrix, ds: LabeledDataset, cfg: RiskConfig,
               tol: float | None = None) -> FunctionState:
     """Full-batch function-space descent of the regularized risk.
 
-    The iterate stays in the span of kernel columns, f = f0 + K c, so the
-    reproducing-norm regularizer is tracked exactly as (lam/2) c'(f - f0).
+    The iterate starts at 0 and stays in the span of kernel columns, f = K c,
+    so the reproducing-norm regularizer is tracked exactly as (lam/2) c'f.
     Stops early when the stationarity residual drops below ``tol``; raises
     DivergenceDetected when the loss stops being finite or grows without
     bound (the empirical stability check of the step size).
@@ -122,8 +116,7 @@ def kgd_train(kernel: KernelMatrix, ds: LabeledDataset, cfg: RiskConfig,
         raise DimensionMismatch("kernel does not match the dataset")
     if lr is None:
         lr = stable_kgd_lr(kernel, ds.n, cfg)
-    f0 = np.zeros(ds.n * d)
-    f = f0.copy()
+    f = np.zeros(ds.n * d)
     coef = np.zeros_like(f)
     losses = []
     residual = np.inf
@@ -131,9 +124,9 @@ def kgd_train(kernel: KernelMatrix, ds: LabeledDataset, cfg: RiskConfig,
     for epoch in range(1, epochs + 1):
         fm = f.reshape(ds.n, d)
         loss = float(loss_value_batch(cfg.loss, fm, ds.targets).mean()
-                     + 0.5 * cfg.lam * float(coef @ (f - f0)))
+                     + 0.5 * cfg.lam * float(coef @ f))
         grad = loss_grad_batch(cfg.loss, fm, ds.targets).ravel() / ds.n
-        step = kernel.matvec(grad) + cfg.lam * (f - f0)
+        step = kernel.matvec(grad) + cfg.lam * f
         residual = float(np.linalg.norm(step))
         losses.append(loss)
         if not np.isfinite(loss) or not np.all(np.isfinite(step)):
@@ -144,7 +137,7 @@ def kgd_train(kernel: KernelMatrix, ds: LabeledDataset, cfg: RiskConfig,
             break
         f = f - lr * step
         coef = coef - lr * (grad + cfg.lam * coef)
-    return FunctionState(f, f0, epoch, residual, np.asarray(losses))
+    return FunctionState(f, epoch, residual, np.asarray(losses))
 
 
 def require_converged(state: FunctionState, tol: float) -> None:
@@ -170,7 +163,7 @@ class InfiniteInfluenceResult:
     est_loss_raw: np.ndarray
     est_loss_reg: np.ndarray
     act_loss: np.ndarray
-    per_test: list = field(default_factory=list)
+    kernel: KernelMatrix     # the training kernel the estimates were solved against
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -204,7 +197,7 @@ def infinite_influence(spec: AnalyticNtkSpec, split: SplitDataset, test_ds: Labe
     coeffs = solver.solve()
 
     k_test = analytic_ntk(spec, test_ds.features, full.features)
-    k_test_retain = analytic_ntk(spec, test_ds.features, split.retain.features)
+    k_test_retain = k_test.submatrix(np.arange(test_ds.n), retain_idx)
     f_test = infinite_predict(k_test, alpha)
     f_test_r = infinite_predict(k_test_retain, alpha_r)
 
@@ -213,12 +206,10 @@ def infinite_influence(spec: AnalyticNtkSpec, split: SplitDataset, test_ds: Labe
     act_out = f_test_r - f_test
     act_loss = (loss_value_batch(cfg.loss, f_test_r, test_ds.targets)
                 - loss_value_batch(cfg.loss, f_test, test_ds.targets))
-    per_test = [PerTestChange(est_out[i], float(est_raw[i]), float(est_reg[i]))
-                for i in range(test_ds.n)]
     return InfiniteInfluenceResult(
         est_output=est_out, act_output=act_out,
         est_loss_raw=est_raw, est_loss_reg=est_reg, act_loss=act_loss,
-        per_test=per_test,
+        kernel=kernel,
         diagnostics={
             "kgd_epochs_full": state.epoch, "kgd_residual_full": state.residual,
             "kgd_epochs_retain": state_r.epoch, "kgd_residual_retain": state_r.residual,

@@ -74,13 +74,6 @@ class KernelMatrix:
             return self.dense
         return np.kron(self.sigma, np.eye(self.d_out))
 
-    def block(self, i: int, j: int) -> np.ndarray:
-        """(d_out, d_out) block for point pair (i, j)."""
-        d = self.d_out
-        if self.dense is not None:
-            return self.dense[i * d:(i + 1) * d, j * d:(j + 1) * d]
-        return self.sigma[i, j] * np.eye(d)
-
     def submatrix(self, rows: np.ndarray, cols: np.ndarray) -> "KernelMatrix":
         """Point-index slicing; keeps the Kronecker form when present."""
         rows, cols = np.asarray(rows), np.asarray(cols)
@@ -178,7 +171,7 @@ def sharded_matvec(matrix, v: np.ndarray, shards, workers: int | None = None):
     out = np.empty(a.shape[0])
     seconds = [0.0] * len(spans)
 
-    def run(k: int) -> None:
+    def shard(k: int) -> None:
         t0 = time.perf_counter()
         lo, hi = spans[k]
         _det_rows_matvec(a[lo:hi], v, out[lo:hi])
@@ -188,10 +181,10 @@ def sharded_matvec(matrix, v: np.ndarray, shards, workers: int | None = None):
         workers = len(spans)
     if workers <= 1 or len(spans) == 1:
         for k in range(len(spans)):
-            run(k)
+            shard(k)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(len(spans))))
+            list(pool.map(shard, range(len(spans))))
     return out, seconds
 
 

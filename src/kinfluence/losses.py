@@ -1,9 +1,9 @@
 """Per-point loss functions and their output-space derivatives.
 
 Both kinds are convex in the model output: squared error has Hessian I,
-softmax cross-entropy has Hessian diag(p) - p p' (PSD). Batch variants
-operate on (N, d_out) arrays and return per-point values/blocks without any
-1/N scaling — risk-level code applies its own normalization.
+softmax cross-entropy has Hessian diag(p) - p p' (PSD). Every function
+takes (N, d_out) arrays and returns per-point values/blocks without any 1/N
+scaling — risk-level code applies its own normalization.
 """
 
 from __future__ import annotations
@@ -58,14 +58,3 @@ def loss_hess_batch(kind: str, f: np.ndarray, y: np.ndarray) -> np.ndarray:
     h[:, np.arange(d), np.arange(d)] += p
     return h
 
-
-def loss_value(kind: str, f: np.ndarray, y: np.ndarray) -> float:
-    return float(loss_value_batch(kind, f[None, :], y[None, :])[0])
-
-
-def loss_grad_out(kind: str, f: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return loss_grad_batch(kind, f[None, :], y[None, :])[0]
-
-
-def loss_hess_out(kind: str, f: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return loss_hess_batch(kind, f[None, :], y[None, :])[0]

@@ -282,10 +282,6 @@ def linear_batch_forward(lin: LinearizedModel, theta: np.ndarray, X: np.ndarray)
     return base + corr
 
 
-def linear_forward(lin: LinearizedModel, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return linear_batch_forward(lin, theta, np.asarray(x)[None, :])[0]
-
-
 def model_outputs(model: Model, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Batch outputs of either a raw network or its linearization."""
     if isinstance(model, LinearizedModel):

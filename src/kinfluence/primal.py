@@ -11,15 +11,13 @@ every retraining-oracle test leans on.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from .datasets import SplitDataset
 from .errors import DegenerateSplit
 from .losses import loss_grad_batch
 from .models import Model, _spec_of, jacobian_point, jvp, model_outputs
-from .report import InfluenceReport, PerTestChange
+from .report import InfluenceReport, PerTestChange, max_iters_note
 from .solvers import CgOptions, CgResult, cg_solve
 from .training import RiskConfig, resolve_center, risk_grad, risk_hessian_op, stationarity_gap
 
@@ -84,30 +82,13 @@ class PrimalUnlearner:
         ``test_ds`` is given."""
         notes = list(self.notes)
         if not res.converged:
-            notes.append(f"MaxItersReached: residual {res.residual:.3e} after {res.iters} iters")
+            notes.append(max_iters_note(res.residual, res.iters))
         report = InfluenceReport(delta_theta=res.x, residual=res.residual, iters=res.iters,
                                  converged=res.converged, notes=notes)
         if test_ds is not None:
             attach_test_predictions(report, self.model, self.theta_star, test_ds, self.cfg,
                                     self.center)
         return report
-
-    def run(self) -> InfluenceReport:
-        t0 = time.perf_counter()
-        self.prepare()
-        res = self.solve()
-        wall = time.perf_counter() - t0
-        report = self.report(res)
-        report.wall_cold = wall
-        return report
-
-
-def influence_params_primal(model: Model, theta_star: np.ndarray, split: SplitDataset,
-                            cfg: RiskConfig, opts: CgOptions = CgOptions(),
-                            variant: str = HESSIAN_UPWEIGHTED,
-                            center: np.ndarray | None = None) -> InfluenceReport:
-    """One-shot theta-space influence estimate; theta_u = theta_star + delta."""
-    return PrimalUnlearner(model, theta_star, split, cfg, opts, variant, center).run()
 
 
 def predict_changes_primal(model: Model, theta_star: np.ndarray, delta_theta: np.ndarray,

@@ -27,10 +27,14 @@ class InfluenceReport:
     delta_theta: np.ndarray | None
     residual: float
     iters: int
-    wall_cold: float = 0.0
     per_test: list = field(default_factory=list)  # list[PerTestChange]
     converged: bool = True
     notes: list = field(default_factory=list)
+
+
+def max_iters_note(residual: float, iters: int) -> str:
+    """The report note of a CG solve that stopped at its iteration cap."""
+    return f"MaxItersReached: residual {residual:.3e} after {iters} iters"
 
 
 def influence_csv_header(d_out: int) -> list[str]:

@@ -18,7 +18,6 @@ from kinfluence.dual import (
     DualUnlearner,
     map_to_params,
     predict_changes_dual,
-    solve_reduced,
 )
 from kinfluence.experiments import (
     config_from_values,
@@ -35,7 +34,7 @@ from kinfluence.models import (
     model_outputs,
     stacked_jacobian,
 )
-from kinfluence.primal import influence_params_primal
+from kinfluence.primal import PrimalUnlearner
 from kinfluence.solvers import CgOptions
 from kinfluence.training import RiskConfig, fit_linearized_exact, risk_grad, risk_hvp
 
@@ -69,8 +68,10 @@ def quad_instance():
     retain_idx = np.arange(split.n_forget, split.n)
     retrained = fit_linearized_exact(lin, split.retain, cfg,
                                      kernel=kernel.submatrix(retain_idx, retain_idx))
-    primal = influence_params_primal(lin, theta_hat, split, cfg,
-                                     CgOptions(rel_tol=1e-10, max_iters=20000))
+    unlearner = PrimalUnlearner(lin, theta_hat, split, cfg,
+                                CgOptions(rel_tol=1e-10, max_iters=20000))
+    unlearner.prepare()
+    primal = unlearner.report(unlearner.solve())
     setup_seconds = time.perf_counter() - t0
     return dict(spec=spec, lin=lin, split=split, cfg=cfg, kernel=kernel,
                 theta_hat=theta_hat, retrained=retrained, primal=primal,
@@ -120,8 +121,8 @@ class TestAcceptance:
             q = quad_instance
             lin, split, cfg = q["lin"], q["split"], q["cfg"]
             f_vec = model_outputs(lin, q["theta_hat"], split.full.features).ravel()
-            coeffs, _ = solve_reduced(q["kernel"], f_vec, split, cfg,
-                                      CgOptions(rel_tol=1e-10, max_iters=20000))
+            coeffs = DualUnlearner(q["kernel"], f_vec, split, cfg,
+                                   CgOptions(rel_tol=1e-10, max_iters=20000)).solve()
             theta_dual = map_to_params(lin, q["theta_hat"], coeffs.delta_alpha,
                                        split.full.features)
             dp = q["primal"].delta_theta
@@ -140,8 +141,8 @@ class TestAcceptance:
             n, d = split.n, 2
             nf, nr = split.n_forget, split.n_retain
             f_vec = model_outputs(lin, q["theta_hat"], split.full.features).ravel()
-            coeffs, _ = solve_reduced(kernel, f_vec, split, cfg,
-                                      CgOptions(rel_tol=1e-12, max_iters=20000))
+            coeffs = DualUnlearner(kernel, f_vec, split, cfg,
+                                   CgOptions(rel_tol=1e-12, max_iters=20000)).solve()
             # dense unreduced oracle
             k = kernel.to_dense()
             f = f_vec.reshape(n, d)
@@ -173,7 +174,7 @@ class TestAcceptance:
             kernel = empirical_ntk(spec, lin.theta_ref, split.full.features)
             theta_hat = fit_linearized_exact(lin, split.full, cfg, kernel=kernel)
             f_vec = model_outputs(lin, theta_hat, split.full.features).ravel()
-            coeffs, _ = solve_reduced(kernel, f_vec, split, cfg)
+            coeffs = DualUnlearner(kernel, f_vec, split, cfg).solve()
             test = make_blobs(10 // n_classes + 1, n_classes, d_in=5, seed=77,
                               encoding=encoding).take(np.arange(10))
             k_t = empirical_ntk(spec, lin.theta_ref, test.features, split.full.features)

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from kinfluence.datasets import (
+    IDX_IMAGE_MAGIC,
+    IDX_LABEL_MAGIC,
     LabeledDataset,
     data_dir,
     load_cifar_binary,
@@ -14,7 +16,6 @@ from kinfluence.datasets import (
     make_blobs,
     split_forget,
     subset_per_class,
-    write_idx,
 )
 from kinfluence.errors import (
     BadMagic,
@@ -38,6 +39,19 @@ def _write_idx_fixture(tmp_path, pixels, labels, rows=2, cols=2,
         f.write(struct.pack(">II", label_magic, len(labels)))
         f.write(bytes(labels))
     return str(images), str(lab)
+
+
+def write_idx(images_path: str, labels_path: str, ds: LabeledDataset, rows: int, cols: int) -> None:
+    """Write a dataset back to an IDX pair (fixture/round-trip helper)."""
+    if rows * cols != ds.d_in:
+        raise CountMismatch(f"rows*cols = {rows * cols} != d_in = {ds.d_in}")
+    pixels = np.rint(ds.features * 255.0).astype(np.uint8)
+    with open(images_path, "wb") as f:
+        f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, ds.n, rows, cols))
+        f.write(pixels.tobytes())
+    with open(labels_path, "wb") as f:
+        f.write(struct.pack(">II", IDX_LABEL_MAGIC, ds.n))
+        f.write(ds.labels.astype(np.uint8).tobytes())
 
 
 class TestIdx:

@@ -6,10 +6,12 @@ unreduced coefficient system solved densely, finite differences of the
 reparameterized risk, and exact retraining fits.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from kinfluence.datasets import LabeledDataset, make_blobs, split_forget
+from kinfluence.datasets import LabeledDataset, SplitDataset, make_blobs, split_forget
 from kinfluence.errors import DegenerateSplit, NotAtOptimum
 from kinfluence.infinite import AnalyticNtkSpec, analytic_ntk
 from kinfluence.kernels import KernelMatrix, empirical_ntk
@@ -24,18 +26,16 @@ from kinfluence.models import (
 from kinfluence.dual import (
     DENSE_SOLVE_MAX,
     DualUnlearner,
-    alpha_star,
+    _apply_blockdiag,
+    _require_stationary,
     alpha_star_from_outputs,
-    dual_hessian_block,
-    dual_rhs,
+    dual_report,
     map_to_params,
     predict_changes_dual,
-    representer_residual,
     retain_hessian_blocks,
-    solve_reduced,
-    unlearn_dual,
 )
-from kinfluence.primal import influence_params_primal
+from kinfluence.experiments import _make_unlearner
+from kinfluence.primal import PrimalUnlearner
 from kinfluence.solvers import CgOptions
 from kinfluence.training import RiskConfig, fit_linearized_exact, risk_value
 
@@ -77,6 +77,35 @@ def unreduced_solution(kernel, f_vec, split, cfg):
     return np.linalg.solve(h, rhs), alpha
 
 
+def dual_hessian_block(kernel: KernelMatrix, b_r: np.ndarray, split: SplitDataset,
+                       cfg: RiskConfig, i: str, j: str) -> np.ndarray:
+    """Dense block H^{ij} = (|Dr|/|D|) (K_ir B_r K_rj + lambda K_ij)."""
+    idx = {"f": np.arange(split.n_forget), "r": np.arange(split.n_forget, split.n)}
+    if i not in idx or j not in idx:
+        raise ValueError("block labels must be 'f' or 'r'")
+    k_ir = kernel.submatrix(idx[i], idx["r"]).to_dense()
+    k_rj = kernel.submatrix(idx["r"], idx[j]).to_dense()
+    k_ij = kernel.submatrix(idx[i], idx[j]).to_dense()
+    scale = split.n_retain / split.n
+    return scale * (k_ir @ _apply_blockdiag(b_r, k_rj) + cfg.lam * k_ij)
+
+
+def dual_rhs(kernel: KernelMatrix, f_vec: np.ndarray, split: SplitDataset,
+             cfg: RiskConfig, i: str) -> np.ndarray:
+    """Block i of the reparameterized forget-risk gradient at 0:
+    K_if grad_f(forget risk) + lambda K_i alpha."""
+    alpha = alpha_star_from_outputs(f_vec, split.full, cfg)
+    idx = {"f": np.arange(split.n_forget), "r": np.arange(split.n_forget, split.n)}
+    if i not in idx:
+        raise ValueError("block label must be 'f' or 'r'")
+    f = np.asarray(f_vec).reshape(split.n, split.full.d_out)
+    g_f = loss_grad_batch(cfg.loss, f[: split.n_forget], split.forget.targets).ravel()
+    g_f /= split.n_forget
+    k_if = kernel.submatrix(idx[i], idx["f"])
+    k_i = kernel.submatrix(idx[i], np.arange(split.n))
+    return k_if.matvec(g_f) + cfg.lam * k_i.matvec(alpha)
+
+
 class TestAlphaStar:
     def test_interpolation_gives_zero(self):
         spec = ModelSpec((2, 1), activation="identity", bias=False)
@@ -86,12 +115,12 @@ class TestAlphaStar:
                             np.array([[1.0], [-1.0]] * 4),
                             np.array([1, 0] * 4))
         cfg = RiskConfig(lam=0.2, loss=SQUARED)
-        a = alpha_star(lin, theta_ref, ds, cfg)
+        a = alpha_star_from_outputs(model_outputs(lin, theta_ref, ds.features).ravel(), ds, cfg)
         np.testing.assert_array_equal(a, np.zeros(8))
 
     def test_matches_classical_dual_ridge(self):
         spec, lin, split, cfg, theta_hat, kernel, f_vec = quadratic_setup(seed=1)
-        a = alpha_star(lin, theta_hat, split.full, cfg)
+        a = alpha_star_from_outputs(f_vec, split.full, cfg)
         # oracle: (K + lam N I)^(-1) (y - f0)
         k = kernel.to_dense()
         f0 = model_outputs(lin, lin.theta_ref, split.full.features).ravel()
@@ -100,14 +129,18 @@ class TestAlphaStar:
         np.testing.assert_allclose(a, oracle, rtol=1e-8, atol=1e-12)
 
     def test_representer_identity(self):
+        # theta_hat - theta_ref = J' alpha at the optimum
         spec, lin, split, cfg, theta_hat, kernel, f_vec = quadratic_setup(seed=2)
-        a = alpha_star(lin, theta_hat, split.full, cfg)
-        assert representer_residual(lin, theta_hat, split.full, a) < 1e-6
+        a = alpha_star_from_outputs(f_vec, split.full, cfg)
+        jac = stacked_jacobian(spec, lin.theta_ref, split.full.features)
+        lhs = theta_hat - lin.theta_ref
+        assert np.linalg.norm(lhs - jac.T @ a) / np.linalg.norm(lhs) < 1e-6
 
     def test_not_at_optimum_hard_error(self):
         spec, lin, split, cfg, theta_hat, kernel, f_vec = quadratic_setup(seed=3)
+        _require_stationary(lin, theta_hat, split.full, cfg)
         with pytest.raises(NotAtOptimum):
-            alpha_star(lin, theta_hat + 0.1, split.full, cfg)
+            _require_stationary(lin, theta_hat + 0.1, split.full, cfg)
 
 
 class TestBlocks:
@@ -243,14 +276,14 @@ class TestSolveReduced:
 
     def test_forget_block_is_known_value(self):
         spec, lin, split, cfg, theta_hat, kernel, f_vec = quadratic_setup(seed=8)
-        coeffs, _ = solve_reduced(kernel, f_vec, split, cfg)
+        coeffs = DualUnlearner(kernel, f_vec, split, cfg).solve()
         g = loss_grad_batch(cfg.loss, f_vec.reshape(split.n, 2), split.full.targets)
         known = g[: split.n_forget].ravel() / (split.n * cfg.lam)
         np.testing.assert_array_equal(coeffs.delta_forget, known)
 
     def test_matches_unreduced_system(self):
         spec, lin, split, cfg, theta_hat, kernel, f_vec = quadratic_setup(seed=9)
-        coeffs, _ = solve_reduced(kernel, f_vec, split, cfg)
+        coeffs = DualUnlearner(kernel, f_vec, split, cfg).solve()
         oracle, alpha = unreduced_solution(kernel, f_vec, split, cfg)
         rel = np.linalg.norm(coeffs.delta_alpha - oracle) / np.linalg.norm(oracle)
         assert rel < 1e-8
@@ -258,7 +291,7 @@ class TestSolveReduced:
 
     def test_mapped_params_match_retraining(self):
         spec, lin, split, cfg, theta_hat, kernel, f_vec = quadratic_setup(seed=10)
-        coeffs, _ = solve_reduced(kernel, f_vec, split, cfg)
+        coeffs = DualUnlearner(kernel, f_vec, split, cfg).solve()
         theta_u = map_to_params(lin, theta_hat, coeffs.delta_alpha, split.full.features)
         retrained = fit_linearized_exact(lin, split.retain, cfg)
         rel = np.linalg.norm(theta_u - retrained) / np.linalg.norm(retrained)
@@ -266,11 +299,11 @@ class TestSolveReduced:
 
     def test_cg_and_dense_paths_agree(self):
         spec, lin, split, cfg, theta_hat, kernel, f_vec = quadratic_setup(seed=11)
-        dense, _ = solve_reduced(kernel, f_vec, split, cfg, dense_threshold=10 ** 6)
-        cgres, info = solve_reduced(kernel, f_vec, split, cfg,
-                                    CgOptions(rel_tol=1e-13, max_iters=5000),
-                                    dense_threshold=0)
-        assert info["solver"] == "cg"
+        dense = DualUnlearner(kernel, f_vec, split, cfg, dense_threshold=10 ** 6).solve()
+        solver = DualUnlearner(kernel, f_vec, split, cfg,
+                               CgOptions(rel_tol=1e-13, max_iters=5000), dense_threshold=0)
+        cgres = solver.solve()
+        assert solver.diagnostics["solver"] == "cg"
         np.testing.assert_allclose(cgres.delta_alpha, dense.delta_alpha, rtol=1e-7, atol=1e-11)
 
 
@@ -338,18 +371,17 @@ class TestMapAndPredict:
 
     def test_unlearning_reduces_retain_risk(self):
         spec, lin, split, cfg, theta_hat, kernel, f_vec = quadratic_setup(seed=15)
-        coeffs, _ = solve_reduced(kernel, f_vec, split, cfg)
+        coeffs = DualUnlearner(kernel, f_vec, split, cfg).solve()
         theta_u = map_to_params(lin, theta_hat, coeffs.delta_alpha, split.full.features)
         assert (risk_value(lin, theta_u, split.retain, cfg)
                 <= risk_value(lin, theta_hat, split.retain, cfg))
 
     def test_agrees_with_primal_influence(self):
         spec, lin, split, cfg, theta_hat, kernel, f_vec = quadratic_setup(seed=16)
-        coeffs, _ = solve_reduced(kernel, f_vec, split, cfg)
+        coeffs = DualUnlearner(kernel, f_vec, split, cfg).solve()
         theta_dual = map_to_params(lin, theta_hat, coeffs.delta_alpha, split.full.features)
-        rep = influence_params_primal(lin, theta_hat, split, cfg,
-                                      CgOptions(rel_tol=1e-13, max_iters=5000))
-        delta_primal = rep.delta_theta
+        delta_primal = PrimalUnlearner(lin, theta_hat, split, cfg,
+                                       CgOptions(rel_tol=1e-13, max_iters=5000)).solve().x
         rel = (np.linalg.norm((theta_dual - theta_hat) - delta_primal)
                / np.linalg.norm(delta_primal))
         assert rel < 1e-6
@@ -377,7 +409,7 @@ class TestMapAndPredict:
 
     def test_vectorized_equals_per_point_loop(self):
         spec, lin, split, cfg, theta_hat, kernel, f_vec = quadratic_setup(seed=19)
-        coeffs, _ = solve_reduced(kernel, f_vec, split, cfg)
+        coeffs = DualUnlearner(kernel, f_vec, split, cfg).solve()
         test = make_blobs(5, 2, d_in=5, seed=55)
         k_t = empirical_ntk(spec, lin.theta_ref, test.features, split.full.features)
         f_t = model_outputs(lin, theta_hat, test.features).ravel()
@@ -396,7 +428,7 @@ class TestMapAndPredict:
 
     def test_affine_exactness_of_output_changes(self):
         spec, lin, split, cfg, theta_hat, kernel, f_vec = quadratic_setup(seed=20)
-        coeffs, _ = solve_reduced(kernel, f_vec, split, cfg)
+        coeffs = DualUnlearner(kernel, f_vec, split, cfg).solve()
         test = make_blobs(4, 2, d_in=5, seed=77)
         k_t = empirical_ntk(spec, lin.theta_ref, test.features, split.full.features)
         f_t = model_outputs(lin, theta_hat, test.features).ravel()
@@ -411,17 +443,37 @@ class TestEndToEnd:
     def test_unlearn_dual_report(self):
         spec, lin, split, cfg, theta_hat, kernel, f_vec = quadratic_setup(seed=21)
         test = make_blobs(3, 2, d_in=5, seed=31)
-        rep = unlearn_dual(lin, theta_hat, split, cfg, kernel=kernel, test_ds=test)
+        solver = DualUnlearner(kernel, f_vec, split, cfg)
+        solver.prepare()
+        coeffs = solver.solve()
+        theta_u = map_to_params(lin, theta_hat, coeffs.delta_alpha, split.full.features)
+        rep = dual_report(solver, coeffs, lin, theta_hat, theta_u, test)
         retrained = fit_linearized_exact(lin, split.retain, cfg)
         rel = (np.linalg.norm(theta_hat + rep.delta_theta - retrained)
                / np.linalg.norm(retrained))
         assert rel < 1e-7
         assert len(rep.per_test) == test.n
+        assert rep.converged and rep.notes == []
+
+    def test_max_iters_noted(self):
+        spec, lin, split, cfg, theta_hat, kernel, f_vec = quadratic_setup(seed=22)
+        solver = DualUnlearner(kernel, f_vec, split, cfg, CgOptions(max_iters=1),
+                               dense_threshold=0)
+        coeffs = solver.solve()
+        theta_u = map_to_params(lin, theta_hat, coeffs.delta_alpha, split.full.features)
+        rep = dual_report(solver, coeffs, lin, theta_hat, theta_u)
+        assert not rep.converged and rep.iters == 1
+        assert [n.split(":")[0] for n in rep.notes] == ["MaxItersReached"]
 
     def test_not_at_optimum_raises(self):
+        # the harness's coefficient-space unlearner refuses a non-stationary theta_hat
         spec, lin, split, cfg, theta_hat, kernel, f_vec = quadratic_setup(seed=22)
+        exp_cfg = SimpleNamespace(risk=cfg, cg=CgOptions(), dense_threshold=DENSE_SOLVE_MAX)
+        ctx = SimpleNamespace(cfg=exp_cfg, model=lin, theta_hat=theta_hat, kernel=kernel)
+        assert isinstance(_make_unlearner(ctx, split, "dual"), DualUnlearner)
+        ctx.theta_hat = theta_hat + 0.05
         with pytest.raises(NotAtOptimum):
-            unlearn_dual(lin, theta_hat + 0.05, split, cfg, kernel=kernel)
+            _make_unlearner(ctx, split, "dual")
 
 
 class TestRobustness:
@@ -440,8 +492,9 @@ class TestRobustness:
         kernel = empirical_ntk(spec, lin.theta_ref, split.full.features)
         theta_hat = fit_linearized_exact(lin, split.full, cfg, kernel=kernel)
         f_vec = model_outputs(lin, theta_hat, split.full.features).ravel()
-        coeffs, info = solve_reduced(kernel, f_vec, split, cfg)
-        assert info["solver"] == "dense"
+        solver = DualUnlearner(kernel, f_vec, split, cfg)
+        coeffs = solver.solve()
+        assert solver.diagnostics["solver"] == "dense"
         theta_u = map_to_params(lin, theta_hat, coeffs.delta_alpha, split.full.features)
         retrained = fit_linearized_exact(lin, split.retain, cfg)
         rel = np.linalg.norm(theta_u - retrained) / np.linalg.norm(retrained)

@@ -173,9 +173,8 @@ class TestBaseline:
         split = split_forget(ds, 30.0, scope="all", seed=2)
         theta_hat = fit_linearized_exact(lin, split.full, cfg)
         retrained = fit_linearized_exact(lin, split.retain, cfg)
-        from kinfluence.primal import influence_params_primal
-        rep = influence_params_primal(lin, theta_hat, split, cfg)
-        infl_rel = np.linalg.norm(theta_hat + rep.delta_theta - retrained)
+        res = PrimalUnlearner(lin, theta_hat, split, cfg).solve()
+        infl_rel = np.linalg.norm(theta_hat + res.x - retrained)
         wins = sum(
             np.linalg.norm(random_perturbation_baseline(theta_hat, retrained, s) - retrained)
             > infl_rel
@@ -392,6 +391,22 @@ class TestCli:
         proc = subprocess.run(CLI + ["unlearn", "--config", "/does/not/exist.cfg"],
                               capture_output=True)
         assert proc.returncode == 2
+
+    def test_dual_not_at_optimum_exit_code(self, tmp_path, capsys):
+        # five gd epochs leave theta_hat far from stationary
+        cfgp = write_cfg(tmp_path, **{"train.kind": "gd", "opt.lr": "0.05",
+                                      "stop.max_epochs": "5"})
+        assert cli.main(["unlearn", "--config", cfgp, "--space", "dual"]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_theta_not_at_optimum_noted(self, tmp_path):
+        cfgp = write_cfg(tmp_path, **{"train.kind": "gd", "opt.lr": "0.05",
+                                      "stop.max_epochs": "5"})
+        assert cli.main(["unlearn", "--config", cfgp, "--space", "theta"]) == 0
+        diag = os.path.join(str(tmp_path), "results", "seed_0", "p50_theta",
+                            "diagnostics.jsonl")
+        (record,) = [json.loads(line) for line in open(diag)]
+        assert any(note.startswith("NotAtOptimum") for note in record["notes"])
 
     def test_numerical_failure_exit_code(self, tmp_path):
         cfgp = write_cfg(tmp_path, **{"train.kind": "gd", "opt.lr": "50.0",

@@ -9,7 +9,6 @@ from kinfluence.datasets import LabeledDataset, make_blobs, split_forget
 from kinfluence.errors import DivergenceDetected, NotConverged
 from kinfluence.infinite import (
     AnalyticNtkSpec,
-    FunctionState,
     analytic_ntk,
     infinite_influence,
     infinite_predict,
@@ -142,10 +141,6 @@ class TestKgd:
         unstable = 2.5 * stable_kgd_lr(k, 4, cfg, safety=2.0)
         with pytest.raises(DivergenceDetected):
             kgd_train(k, raw_targets_ds(y), cfg, lr=unstable, epochs=5000, tol=None)
-
-    def test_f0_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            FunctionState(np.zeros(3), np.ones(3), 0, 0.0)
 
 
 class TestInfinitePredict:

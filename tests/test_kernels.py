@@ -83,12 +83,6 @@ class TestKron:
         cols = np.array([0, 1, 4, 5, 10, 11])
         np.testing.assert_array_equal(sub.to_dense(), full[np.ix_(rows, cols)])
 
-    def test_block_indexing(self):
-        rng = np.random.default_rng(4)
-        dense = rng.standard_normal((8, 8))
-        k = KernelMatrix(2, EMPIRICAL, dense=dense)
-        np.testing.assert_array_equal(k.block(1, 3), dense[2:4, 6:8])
-
 
 class TestShardedMatvec:
     def setup_method(self):

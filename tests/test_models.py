@@ -8,10 +8,7 @@ from kinfluence.losses import (
     CROSS_ENTROPY,
     SQUARED,
     loss_grad_batch,
-    loss_grad_out,
     loss_hess_batch,
-    loss_hess_out,
-    loss_value,
     loss_value_batch,
 )
 from kinfluence.models import (
@@ -22,7 +19,6 @@ from kinfluence.models import (
     jacobian,
     jvp,
     linear_batch_forward,
-    linear_forward,
     load_params,
     save_params,
     stacked_jacobian,
@@ -184,7 +180,7 @@ class TestLinearized:
         theta = theta0 + np.random.default_rng(1).standard_normal(spec.num_params)
         x = np.array([0.1, 0.7, -0.3])
         np.testing.assert_allclose(
-            linear_forward(lin, theta, x), forward(spec, theta, x), rtol=1e-12
+            linear_batch_forward(lin, theta, x[None])[0], forward(spec, theta, x), rtol=1e-12
         )
 
     def test_perturbation_matches_jacobian_product(self):
@@ -194,35 +190,37 @@ class TestLinearized:
         delta = np.random.default_rng(2).standard_normal(spec.num_params)
         x = np.random.default_rng(3).standard_normal(5)
         expected = forward(spec, theta0, x) + jacobian(spec, theta0, x) @ delta
-        np.testing.assert_allclose(linear_forward(lin, theta0 + delta, x), expected, rtol=1e-13)
+        np.testing.assert_allclose(linear_batch_forward(lin, theta0 + delta, x[None])[0], expected,
+                                   rtol=1e-13)
 
 
 class TestLosses:
     def test_squared_at_target(self):
-        f = np.array([0.2, -1.0])
-        assert loss_value(SQUARED, f, f) == 0.0
-        np.testing.assert_array_equal(loss_grad_out(SQUARED, f, f), np.zeros(2))
-        np.testing.assert_array_equal(loss_hess_out(SQUARED, f, f), np.eye(2))
+        f = np.array([[0.2, -1.0]])
+        assert loss_value_batch(SQUARED, f, f)[0] == 0.0
+        np.testing.assert_array_equal(loss_grad_batch(SQUARED, f, f)[0], np.zeros(2))
+        np.testing.assert_array_equal(loss_hess_batch(SQUARED, f, f)[0], np.eye(2))
 
     def test_cross_entropy_symmetric_logits(self):
-        g = loss_grad_out(CROSS_ENTROPY, np.zeros(2), np.array([1.0, 0.0]))
+        g = loss_grad_batch(CROSS_ENTROPY, np.zeros((1, 2)), np.array([[1.0, 0.0]]))[0]
         np.testing.assert_allclose(g, [-0.5, 0.5])
 
     @pytest.mark.parametrize("kind", [SQUARED, CROSS_ENTROPY])
     def test_grad_hess_finite_differences(self, kind):
         rng = np.random.default_rng(12)
         for _ in range(20):
-            f = rng.standard_normal(3)
-            y = np.array([0.0, 1.0, 0.0]) if kind == CROSS_ENTROPY else rng.standard_normal(3)
+            f = rng.standard_normal((1, 3))
+            y = (np.array([[0.0, 1.0, 0.0]]) if kind == CROSS_ENTROPY
+                 else rng.standard_normal((1, 3)))
             h = 1e-6
-            grad = loss_grad_out(kind, f, y)
-            hess = loss_hess_out(kind, f, y)
+            grad = loss_grad_batch(kind, f, y)[0]
+            hess = loss_hess_batch(kind, f, y)[0]
             for i in range(3):
-                e = np.zeros(3)
-                e[i] = h
-                fd_g = (loss_value(kind, f + e, y) - loss_value(kind, f - e, y)) / (2 * h)
+                e = np.zeros((1, 3))
+                e[0, i] = h
+                fd_g = (loss_value_batch(kind, f + e, y) - loss_value_batch(kind, f - e, y))[0] / (2 * h)
                 assert abs(fd_g - grad[i]) / max(abs(grad[i]), 1.0) < 1e-6
-                fd_h = (loss_grad_out(kind, f + e, y) - loss_grad_out(kind, f - e, y)) / (2 * h)
+                fd_h = (loss_grad_batch(kind, f + e, y) - loss_grad_batch(kind, f - e, y))[0] / (2 * h)
                 np.testing.assert_allclose(fd_h, hess[:, i], rtol=1e-5, atol=1e-6)
 
     @pytest.mark.parametrize("kind", [SQUARED, CROSS_ENTROPY])
@@ -241,8 +239,10 @@ class TestLosses:
         vals = loss_value_batch(CROSS_ENTROPY, F, Y)
         grads = loss_grad_batch(CROSS_ENTROPY, F, Y)
         for i in range(6):
-            assert vals[i] == pytest.approx(loss_value(CROSS_ENTROPY, F[i], Y[i]), rel=1e-14)
-            np.testing.assert_allclose(grads[i], loss_grad_out(CROSS_ENTROPY, F[i], Y[i]))
+            assert vals[i] == pytest.approx(
+                loss_value_batch(CROSS_ENTROPY, F[i][None], Y[i][None])[0], rel=1e-14)
+            np.testing.assert_allclose(grads[i],
+                                       loss_grad_batch(CROSS_ENTROPY, F[i][None], Y[i][None])[0])
 
 
 class TestCheckpoints:

@@ -11,8 +11,8 @@ from kinfluence.models import (LinearizedModel, ModelSpec, batch_forward, model_
 from kinfluence.primal import (
     HESSIAN_FULL,
     HESSIAN_UPWEIGHTED,
+    PrimalUnlearner,
     attach_test_predictions,
-    influence_params_primal,
     predict_changes_primal,
     removal_system,
 )
@@ -117,8 +117,8 @@ class TestInfluence:
         np.testing.assert_allclose(batch_forward(spec, theta_ref, feats), targets)
         cfg = RiskConfig(lam=0.2, loss=SQUARED)  # reference-centered: reg term 0 at theta_ref
         split = split_forget(ds, 25.0, scope="all", seed=1)
-        report = influence_params_primal(lin, theta_ref, split, cfg)
-        np.testing.assert_allclose(report.delta_theta, 0.0, atol=1e-12)
+        res = PrimalUnlearner(lin, theta_ref, split, cfg).solve()
+        np.testing.assert_allclose(res.x, 0.0, atol=1e-12)
 
     def test_ridge_refit_closed_form(self):
         # linear model: influence step must equal the exact ridge refit on Dr
@@ -131,21 +131,21 @@ class TestInfluence:
         cfg = RiskConfig(lam=0.4, loss=SQUARED, center="origin")
         split = split_forget(ds, 30.0, scope="all", seed=2)
         theta_star = fit_linearized_exact(lin, split.full, cfg)
-        report = influence_params_primal(lin, theta_star, split, cfg,
-                                         CgOptions(rel_tol=1e-13, max_iters=1000))
+        res = PrimalUnlearner(lin, theta_star, split, cfg,
+                              CgOptions(rel_tol=1e-13, max_iters=1000)).solve()
         # oracle: closed-form ridge on the retain rows
         xr, yr = split.retain.features, split.retain.targets[:, 0]
         nr = xr.shape[0]
         refit = np.linalg.solve(xr.T @ xr / nr + cfg.lam * np.eye(4), xr.T @ yr / nr)
-        got = theta_star + report.delta_theta
+        got = theta_star + res.x
         assert np.linalg.norm(got - refit) / np.linalg.norm(refit) < 1e-8
 
     def test_quadratic_exactness_vs_retraining(self):
         spec, lin, split, cfg, theta_star = quadratic_instance(seed=8)
         opts = CgOptions(rel_tol=1e-12, max_iters=4000)
-        report = influence_params_primal(lin, theta_star, split, cfg, opts)
+        res = PrimalUnlearner(lin, theta_star, split, cfg, opts).solve()
         retrained = fit_linearized_exact(lin, split.retain, cfg)
-        got = theta_star + report.delta_theta
+        got = theta_star + res.x
         rel = np.linalg.norm(got - retrained) / np.linalg.norm(retrained)
         assert rel < 1e-8
 
@@ -161,19 +161,18 @@ class TestInfluence:
 
     def test_not_at_optimum_warning(self):
         spec, lin, split, cfg, theta_star = quadratic_instance(seed=10)
-        report = influence_params_primal(lin, theta_star + 0.5, split, cfg,
-                                         CgOptions(rel_tol=1e-8, max_iters=2000))
+        unlearner = PrimalUnlearner(lin, theta_star + 0.5, split, cfg,
+                                    CgOptions(rel_tol=1e-8, max_iters=2000))
+        unlearner.prepare()
+        report = unlearner.report(unlearner.solve())
         assert any("NotAtOptimum" in note for note in report.notes)
 
     def test_full_variant_close_for_small_forget(self):
         spec, lin, split, cfg, theta_star = quadratic_instance(seed=11, percent=10.0)
-        up = influence_params_primal(lin, theta_star, split, cfg,
-                                     CgOptions(rel_tol=1e-12, max_iters=4000))
-        full = influence_params_primal(lin, theta_star, split, cfg,
-                                       CgOptions(rel_tol=1e-12, max_iters=4000),
-                                       variant=HESSIAN_FULL)
-        rel = (np.linalg.norm(up.delta_theta - full.delta_theta)
-               / np.linalg.norm(up.delta_theta))
+        opts = CgOptions(rel_tol=1e-12, max_iters=4000)
+        up = PrimalUnlearner(lin, theta_star, split, cfg, opts).solve()
+        full = PrimalUnlearner(lin, theta_star, split, cfg, opts, variant=HESSIAN_FULL).solve()
+        rel = np.linalg.norm(up.x - full.x) / np.linalg.norm(up.x)
         assert 0 < rel < 0.5  # close but not identical
 
 
@@ -193,12 +192,12 @@ class TestPredictors:
 
     def test_affine_exactness_on_linearized(self):
         spec, lin, split, cfg, theta_star = quadratic_instance(seed=13)
-        report = influence_params_primal(lin, theta_star, split, cfg,
-                                         CgOptions(rel_tol=1e-12, max_iters=4000))
+        delta = PrimalUnlearner(lin, theta_star, split, cfg,
+                                CgOptions(rel_tol=1e-12, max_iters=4000)).solve().x
         from kinfluence.models import linear_batch_forward
         test = held_out(5, 2, seed=31)
-        df, _, _ = predict_changes_primal(lin, theta_star, report.delta_theta, test, cfg)
-        exact = (linear_batch_forward(lin, theta_star + report.delta_theta, test.features)
+        df, _, _ = predict_changes_primal(lin, theta_star, delta, test, cfg)
+        exact = (linear_batch_forward(lin, theta_star + delta, test.features)
                  - linear_batch_forward(lin, theta_star, test.features))
         np.testing.assert_allclose(df, exact, rtol=1e-9, atol=1e-12)
 
@@ -268,9 +267,9 @@ class TestBaselineRegime:
         split = split_forget(ds, 10.0, scope="all", seed=22)
         theta_hat = fit_linearized_exact(lin, split.full, cfg)
         retrained = fit_linearized_exact(lin, split.retain, cfg)
-        rep = influence_params_primal(lin, theta_hat, split, cfg,
-                                      CgOptions(rel_tol=1e-10, max_iters=20000))
-        rel = np.linalg.norm(theta_hat + rep.delta_theta - retrained)
+        res = PrimalUnlearner(lin, theta_hat, split, cfg,
+                              CgOptions(rel_tol=1e-10, max_iters=20000)).solve()
+        rel = np.linalg.norm(theta_hat + res.x - retrained)
         rng = np.random.default_rng(23)
         radius = np.linalg.norm(theta_hat - retrained)
         noise = rng.standard_normal(spec.num_params)
