@@ -32,16 +32,15 @@ from .kernels import (
 )
 from .losses import CROSS_ENTROPY, SQUARED
 from .models import (
+    Linearization,
     LinearizedModel,
     ModelSpec,
     batch_forward,
     forward,
     jacobian,
-    jvp,
     load_params,
     save_params,
     stacked_jacobian,
-    vjp,
 )
 from .primal import (
     PrimalUnlearner,

@@ -24,7 +24,7 @@ from .datasets import SplitDataset
 from .errors import DegenerateSplit, DimensionMismatch, NotAtOptimum
 from .kernels import KernelMatrix, empirical_ntk
 from .losses import loss_grad_batch, loss_hess_batch
-from .models import LinearizedModel, model_outputs, vjp
+from .models import Linearization, LinearizedModel, model_outputs
 from .report import InfluenceReport, PerTestChange, max_iters_note
 from .solvers import CgOptions, cg_solve
 from .training import RiskConfig, stationarity_gap
@@ -190,7 +190,9 @@ def map_to_params(lin: LinearizedModel, theta_hat: np.ndarray, delta_alpha: np.n
     """theta_hat + J(theta_ref)' delta_alpha over the full training inputs."""
     if delta_alpha.shape[0] != X.shape[0] * lin.spec.d_out:
         raise DimensionMismatch("delta_alpha length does not match the dataset")
-    return theta_hat + vjp(lin.spec, lin.theta_ref, X, delta_alpha)
+    theta_u = Linearization(lin.spec, lin.theta_ref, X).vjp(delta_alpha)
+    theta_u += theta_hat
+    return theta_u
 
 
 def predict_changes_dual(k_test: KernelMatrix, kernel: KernelMatrix,

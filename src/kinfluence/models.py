@@ -165,9 +165,10 @@ def _forward_cache(spec: ModelSpec, theta: np.ndarray, X: np.ndarray):
     for layer, (w, b) in enumerate(_unpack(spec, theta)):
         s_w, s_b = spec.layer_scales(layer)
         acts.append(a)
-        z = s_w * (a @ w.T)
+        z = a @ w.T
+        z *= s_w
         if b is not None:
-            z = z + s_b * b
+            z += s_b * b
         pres.append(z)
         if layer < spec.n_layers - 1:
             a = np.maximum(z, 0.0) if spec.activation == "relu" else z
@@ -184,48 +185,62 @@ def forward(spec: ModelSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     return batch_forward(spec, theta, np.asarray(x)[None, :])[0]
 
 
-def _act_grad(spec: ModelSpec, z: np.ndarray) -> np.ndarray:
-    if spec.activation == "relu":
-        return (z > 0.0).astype(np.float64)  # subgradient 0 at exactly 0
-    return np.ones_like(z)
+class Linearization:
+    """One forward pass of the network at ``theta`` over the inputs ``X``, kept
+    for Jacobian products at that point.
 
+    The layer inputs, the hidden-layer activation derivatives (ReLU'(0) = 0)
+    and the outputs are evaluated once, so each ``jvp`` is one tangent sweep
+    and each ``vjp`` one cotangent sweep over the layers. The weights the
+    products read are copied, so later writes to the caller's ``theta`` cannot
+    reach the cache; ``X`` is read in place as the first layer's input.
+    """
 
-def jvp(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """J(theta) @ v over the batch, flattened point-major (N*d_out,)."""
-    v = np.asarray(v, dtype=np.float64)
-    acts, pres = _forward_cache(spec, theta, X)
-    dlayers = _unpack(spec, v)
-    tangent = None
-    for layer, ((w, _b), (dw, db)) in enumerate(zip(_unpack(spec, theta), dlayers)):
-        s_w, s_b = spec.layer_scales(layer)
-        t = s_w * (acts[layer] @ dw.T)
-        if tangent is not None:
-            t = t + s_w * (tangent @ w.T)
-        if db is not None:
-            t = t + s_b * db
-        if layer < spec.n_layers - 1:
-            t = t * _act_grad(spec, pres[layer])
-        tangent = t
-    return tangent.ravel()
+    def __init__(self, spec: ModelSpec, theta: np.ndarray, X: np.ndarray):
+        acts, pres = _forward_cache(spec, theta, X)
+        self.spec = spec
+        self.acts = acts
+        self.masks = [(z > 0.0).astype(np.float64) if spec.activation == "relu"
+                      else np.ones_like(z) for z in pres[:-1]]
+        # no product reads the first layer's weights
+        self.weights = [None] + [w.copy() for w, _b in _unpack(spec, theta)[1:]]
+        self.outputs = pres[-1]
 
+    def jvp(self, v: np.ndarray) -> np.ndarray:
+        """J @ v over the batch, flattened point-major (N*d_out,)."""
+        spec = self.spec
+        tangent = None
+        for layer, (dw, db) in enumerate(_unpack(spec, v)):
+            s_w, s_b = spec.layer_scales(layer)
+            t = self.acts[layer] @ dw.T
+            t *= s_w
+            if tangent is not None:
+                t += s_w * (tangent @ self.weights[layer].T)
+            if db is not None:
+                t += s_b * db
+            if layer < spec.n_layers - 1:
+                t *= self.masks[layer]
+            tangent = t
+        return tangent.ravel()
 
-def vjp(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """J(theta)' @ u for a point-major flattened cotangent u (N*d_out,)."""
-    acts, pres = _forward_cache(spec, theta, X)
-    n = acts[0].shape[0]
-    u = np.asarray(u, dtype=np.float64).reshape(n, spec.d_out)
-    layers = _unpack(spec, theta)
-    grad = np.zeros(spec.num_params)
-    delta = u
-    for layer in range(spec.n_layers - 1, -1, -1):
-        w_sl, _shape, b_sl = spec.param_slices[layer]
-        s_w, s_b = spec.layer_scales(layer)
-        grad[w_sl] = (s_w * (delta.T @ acts[layer])).ravel()
-        if b_sl is not None:
-            grad[b_sl] = s_b * delta.sum(axis=0)
-        if layer > 0:
-            delta = s_w * (delta @ layers[layer][0]) * _act_grad(spec, pres[layer - 1])
-    return grad
+    def vjp(self, u: np.ndarray) -> np.ndarray:
+        """J' @ u for a point-major flattened cotangent u (N*d_out,)."""
+        spec = self.spec
+        delta = np.asarray(u, dtype=np.float64).reshape(self.acts[0].shape[0], spec.d_out)
+        grad = np.empty(spec.num_params)  # every slice is written below
+        for layer in range(spec.n_layers - 1, -1, -1):
+            w_sl, shape, b_sl = spec.param_slices[layer]
+            s_w, s_b = spec.layer_scales(layer)
+            block = grad[w_sl].reshape(shape)
+            np.matmul(delta.T, self.acts[layer], out=block)
+            block *= s_w
+            if b_sl is not None:
+                grad[b_sl] = s_b * delta.sum(axis=0)
+            if layer > 0:
+                delta = delta @ self.weights[layer]
+                delta *= s_w
+                delta *= self.masks[layer - 1]
+        return grad
 
 
 def activations_and_deltas(spec: ModelSpec, theta: np.ndarray, X: np.ndarray):
@@ -235,16 +250,15 @@ def activations_and_deltas(spec: ModelSpec, theta: np.ndarray, X: np.ndarray):
     pre-activation; together with A these determine every Jacobian block and
     the tangent-kernel contraction without materializing the Jacobian.
     """
-    acts, pres = _forward_cache(spec, theta, X)
-    n = acts[0].shape[0]
-    layers = _unpack(spec, theta)
+    lz = Linearization(spec, theta, X)
+    n = lz.acts[0].shape[0]
     deltas = [None] * spec.n_layers
     deltas[-1] = np.broadcast_to(np.eye(spec.d_out), (n, spec.d_out, spec.d_out)).copy()
     for layer in range(spec.n_layers - 1, 0, -1):
         s_w, _ = spec.layer_scales(layer)
-        w = layers[layer][0]
-        deltas[layer - 1] = s_w * (deltas[layer] @ w) * _act_grad(spec, pres[layer - 1])[:, None, :]
-    return acts, deltas
+        deltas[layer - 1] = (s_w * (deltas[layer] @ lz.weights[layer])
+                             * lz.masks[layer - 1][:, None, :])
+    return lz.acts, deltas
 
 
 def stacked_jacobian(spec: ModelSpec, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -270,16 +284,25 @@ def jacobian(spec: ModelSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
 # Linearized-model evaluation
 # --------------------------------------------------------------------------
 
+def linearize(model: Model, theta: np.ndarray, X: np.ndarray) -> tuple[Linearization, np.ndarray]:
+    """From one forward pass: the Jacobian products of ``model`` over ``X``
+    (taken at theta_ref if linearized, else at ``theta``) and its outputs at
+    ``theta``, shape (N, d_out)."""
+    if not isinstance(model, LinearizedModel):
+        lz = Linearization(model, theta, X)
+        return lz, lz.outputs
+    theta = np.asarray(theta, dtype=np.float64)
+    lz = Linearization(model.spec, model.theta_ref, X)
+    if theta.shape != model.theta_ref.shape:
+        raise DimensionMismatch("theta length mismatch")
+    if theta is model.theta_ref or np.array_equal(theta, model.theta_ref):
+        return lz, lz.outputs
+    return lz, lz.outputs + lz.jvp(theta - model.theta_ref).reshape(lz.outputs.shape)
+
+
 def linear_batch_forward(lin: LinearizedModel, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
     """f(X, theta_ref) + J(theta_ref) (theta - theta_ref), shape (N, d_out)."""
-    theta = np.asarray(theta, dtype=np.float64)
-    base = batch_forward(lin.spec, lin.theta_ref, X)
-    if theta.shape != lin.theta_ref.shape:
-        raise DimensionMismatch("theta length mismatch")
-    if theta is lin.theta_ref or np.array_equal(theta, lin.theta_ref):
-        return base
-    corr = jvp(lin.spec, lin.theta_ref, X, theta - lin.theta_ref).reshape(base.shape)
-    return base + corr
+    return linearize(lin, theta, X)[1]
 
 
 def model_outputs(model: Model, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -287,11 +310,6 @@ def model_outputs(model: Model, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
     if isinstance(model, LinearizedModel):
         return linear_batch_forward(model, theta, X)
     return batch_forward(model, theta, X)
-
-
-def jacobian_point(model: Model, theta: np.ndarray) -> np.ndarray:
-    """Where Jacobians of this model are evaluated: theta_ref if linearized."""
-    return model.theta_ref if isinstance(model, LinearizedModel) else theta
 
 
 # --------------------------------------------------------------------------

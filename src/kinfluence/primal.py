@@ -16,7 +16,7 @@ import numpy as np
 from .datasets import SplitDataset
 from .errors import DegenerateSplit
 from .losses import loss_grad_batch
-from .models import Model, _spec_of, jacobian_point, jvp, model_outputs
+from .models import Model, linearize
 from .report import InfluenceReport, PerTestChange, max_iters_note
 from .solvers import CgOptions, CgResult, cg_solve
 from .training import RiskConfig, resolve_center, risk_grad, risk_hessian_op, stationarity_gap
@@ -99,10 +99,9 @@ def predict_changes_primal(model: Model, theta_star: np.ndarray, delta_theta: np
     grad_f loss ' (J delta), and the regularizer variant adds the
     lambda (theta_star - c)' delta term of the single-point risk.
     """
-    x_t = test_ds.features
-    df = jvp(_spec_of(model), jacobian_point(model, theta_star), x_t,
-             delta_theta).reshape(test_ds.n, test_ds.d_out)
-    g_t = loss_grad_batch(cfg.loss, model_outputs(model, theta_star, x_t), test_ds.targets)
+    lz, f_t = linearize(model, theta_star, test_ds.features)
+    df = lz.jvp(delta_theta).reshape(test_ds.n, test_ds.d_out)
+    g_t = loss_grad_batch(cfg.loss, f_t, test_ds.targets)
     raw = np.einsum("td,td->t", g_t, df)
     c = resolve_center(model, cfg, center)
     return df, raw, raw + float(cfg.lam * (theta_star - c) @ delta_theta)

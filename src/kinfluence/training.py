@@ -19,15 +19,7 @@ from .datasets import LabeledDataset
 from .errors import DimensionMismatch, DivergenceDetected, EmptyDataset
 from .kernels import KernelMatrix, empirical_ntk
 from .losses import SQUARED, loss_grad_batch, loss_hess_batch, loss_value_batch
-from .models import (
-    LinearizedModel,
-    Model,
-    _spec_of,
-    jacobian_point,
-    jvp,
-    model_outputs,
-    vjp,
-)
+from .models import Linearization, LinearizedModel, Model, _spec_of, linearize, model_outputs
 
 CENTER_REFERENCE = "reference"
 CENTER_ORIGIN = "origin"
@@ -114,13 +106,14 @@ def risk_value_and_grad(model: Model, theta: np.ndarray, ds: LabeledDataset, cfg
                         center: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     _check_ds(ds, model)
     theta = np.asarray(theta, dtype=np.float64)
-    f = model_outputs(model, theta, ds.features)
+    lz, f = linearize(model, theta, ds.features)
     c = resolve_center(model, cfg, center)
     value = float(loss_value_batch(cfg.loss, f, ds.targets).mean()
                   + 0.5 * cfg.lam * np.sum((theta - c) ** 2))
     g_out = loss_grad_batch(cfg.loss, f, ds.targets).ravel()
-    spec = _spec_of(model)
-    grad = vjp(spec, jacobian_point(model, theta), ds.features, g_out) / ds.n + cfg.lam * (theta - c)
+    grad = lz.vjp(g_out)
+    grad /= ds.n
+    grad += cfg.lam * (theta - c)
     return value, grad
 
 
@@ -143,21 +136,23 @@ def stationarity_gap(model: Model, theta: np.ndarray, ds: LabeledDataset, cfg: R
 def risk_hessian_op(model: Model, theta: np.ndarray, ds: LabeledDataset, cfg: RiskConfig):
     """The risk Hessian as an operator v -> (1/N) J' B J v + lambda v.
 
-    Outputs and per-point loss Hessians B are evaluated once; each product
-    then costs one JVP and one VJP. Exact for linearized models; for raw
-    ReLU/identity networks the Gauss-Newton form with J at theta equals the
-    Hessian almost everywhere (the model is piecewise linear in theta).
+    The forward pass (layer inputs, activation masks, outputs) and the
+    per-point loss Hessians B are evaluated once, here; each product then
+    costs one tangent and one cotangent sweep over the layers. Exact for
+    linearized models; for raw ReLU/identity networks the Gauss-Newton form
+    with J at theta equals the Hessian almost everywhere (the model is
+    piecewise linear in theta).
     """
     _check_ds(ds, model)
-    spec = _spec_of(model)
-    at = jacobian_point(model, theta)
-    x = ds.features
-    blocks = loss_hess_batch(cfg.loss, model_outputs(model, theta, x), ds.targets)
+    lz, f = linearize(model, theta, ds.features)
+    blocks = loss_hess_batch(cfg.loss, f, ds.targets)
 
     def apply_h(v: np.ndarray) -> np.ndarray:
-        u = jvp(spec, at, x, v).reshape(ds.n, ds.d_out)
-        bu = np.einsum("nij,nj->ni", blocks, u).ravel()
-        return vjp(spec, at, x, bu) / ds.n + cfg.lam * v
+        u = lz.jvp(v).reshape(ds.n, ds.d_out)
+        hv = lz.vjp(np.einsum("nij,nj->ni", blocks, u).ravel())
+        hv /= ds.n
+        hv += cfg.lam * v
+        return hv
 
     return apply_h
 
@@ -224,8 +219,8 @@ def fit_linearized_exact(lin: LinearizedModel, ds: LabeledDataset, cfg: RiskConf
     k = kernel.to_dense()
     if k.shape[0] != ds.n * ds.d_out:
         raise DimensionMismatch("kernel does not match dataset size")
-    f0 = model_outputs(lin, lin.theta_ref, ds.features).ravel()
-    rhs = ds.targets_vec - f0
+    lz = Linearization(lin.spec, lin.theta_ref, ds.features)
+    rhs = ds.targets_vec - lz.outputs.ravel()
     sys = k + cfg.lam * ds.n * np.eye(k.shape[0])
     beta = scipy.linalg.solve(sys, rhs, assume_a="pos")
-    return lin.theta_ref + vjp(lin.spec, lin.theta_ref, ds.features, beta)
+    return lin.theta_ref + lz.vjp(beta)

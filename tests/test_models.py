@@ -12,17 +12,16 @@ from kinfluence.losses import (
     loss_value_batch,
 )
 from kinfluence.models import (
+    Linearization,
     LinearizedModel,
     ModelSpec,
     batch_forward,
     forward,
     jacobian,
-    jvp,
     linear_batch_forward,
     load_params,
     save_params,
     stacked_jacobian,
-    vjp,
 )
 
 
@@ -148,8 +147,9 @@ class TestJvpVjp:
             X = rng.standard_normal((6, 5))
             v = rng.standard_normal(spec.num_params)
             u = rng.standard_normal(6 * 2)
-            lhs = u @ jvp(spec, theta, X, v)
-            rhs = vjp(spec, theta, X, u) @ v
+            lz = Linearization(spec, theta, X)
+            lhs = u @ lz.jvp(v)
+            rhs = lz.vjp(u) @ v
             assert abs(lhs - rhs) / max(abs(lhs), 1e-300) < 1e-12
 
     def test_against_dense_jacobian(self):
@@ -159,8 +159,9 @@ class TestJvpVjp:
         jac = stacked_jacobian(spec, theta, X)
         v = np.random.default_rng(4).standard_normal(spec.num_params)
         u = np.random.default_rng(5).standard_normal(15)
-        np.testing.assert_allclose(jvp(spec, theta, X, v), jac @ v, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(vjp(spec, theta, X, u), jac.T @ u, rtol=1e-12, atol=1e-12)
+        lz = Linearization(spec, theta, X)
+        np.testing.assert_allclose(lz.jvp(v), jac @ v, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(lz.vjp(u), jac.T @ u, rtol=1e-12, atol=1e-12)
 
 
 class TestLinearized:

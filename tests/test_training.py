@@ -1,20 +1,34 @@
 """Risk derivatives and trainers against closed-form and FD oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from kinfluence.datasets import make_blobs
+from kinfluence import models
+from kinfluence.datasets import make_blobs, split_forget
 from kinfluence.errors import DivergenceDetected
-from kinfluence.losses import CROSS_ENTROPY, SQUARED
-from kinfluence.models import LinearizedModel, ModelSpec, batch_forward, stacked_jacobian
+from kinfluence.losses import CROSS_ENTROPY, SQUARED, loss_hess_batch
+from kinfluence.models import (
+    LinearizedModel,
+    ModelSpec,
+    batch_forward,
+    linear_batch_forward,
+    stacked_jacobian,
+)
+from kinfluence.primal import PrimalUnlearner
+from kinfluence.solvers import CgOptions
 from kinfluence.training import (
     Optimizer,
     RiskConfig,
     StopRule,
     fit_linearized_exact,
     risk_grad,
+    risk_hessian_op,
     risk_hvp,
     risk_value,
+    risk_value_and_grad,
     train,
 )
 
@@ -82,18 +96,35 @@ class TestHvp:
             np.zeros(spec.num_params),
         )
 
-    def test_matches_explicit_gram(self):
-        # oracle: materialize J and form (1/N) J'J + lam I explicitly
-        spec, lin, ds = small_lin(6)
-        cfg = RiskConfig(lam=0.25, loss=SQUARED)
-        jac = stacked_jacobian(spec, lin.theta_ref, ds.features)
-        h = jac.T @ jac / ds.n + cfg.lam * np.eye(spec.num_params)
+    @pytest.mark.parametrize("model_kind,activation,parameterization,bias,loss",
+                             itertools.product(("linearized", "raw"), ("relu", "identity"),
+                                               ("standard", "ntk"), (True, False),
+                                               (SQUARED, CROSS_ENTROPY)),
+                             ids=lambda v: ("bias" if v else "no_bias") if isinstance(v, bool) else v)
+    def test_matches_explicit_gram(self, model_kind, activation, parameterization, bias, loss):
+        # oracle: materialize J and form (1/N) J'BJ + lam I explicitly; the
+        # linearized model is evaluated off its reference point, the raw
+        # network away from its initialization (Gauss-Newton form at theta)
+        spec = ModelSpec((4, 12, 7, 3), activation=activation, init_seed=6,
+                         parameterization=parameterization, bias=bias)
+        theta_ref = spec.init_params()
+        ds = make_blobs(6, 3, d_in=4, seed=6)
+        cfg = RiskConfig(lam=0.25, loss=loss)
         rng = np.random.default_rng(1)
+        theta = theta_ref + 0.1 * rng.standard_normal(spec.num_params)
+        linearized = model_kind == "linearized"
+        at = theta_ref if linearized else theta
+        jac = stacked_jacobian(spec, at, ds.features)
+        f = batch_forward(spec, at, ds.features).ravel()
+        if linearized:
+            f += jac @ (theta - theta_ref)
+        b = scipy.linalg.block_diag(*loss_hess_batch(loss, f.reshape(ds.n, 3), ds.targets))
+        h = jac.T @ b @ jac / ds.n + cfg.lam * np.eye(spec.num_params)
+        model = LinearizedModel(spec, theta_ref) if linearized else spec
+        op = risk_hessian_op(model, theta, ds, cfg)
         for _ in range(5):
             v = rng.standard_normal(spec.num_params)
-            np.testing.assert_allclose(
-                risk_hvp(lin, lin.theta_ref, ds, cfg, v), h @ v, rtol=1e-10, atol=1e-12
-            )
+            assert np.linalg.norm(op(v) - h @ v) <= 1e-12 * np.linalg.norm(h @ v)
 
     def test_symmetry(self):
         spec, lin, ds = small_lin(7)
@@ -115,6 +146,63 @@ class TestHvp:
                 for e in np.eye(spec.num_params)]
         eig = np.linalg.eigvalsh(np.array(cols))
         assert eig.min() >= cfg.lam * (1 - 1e-10)
+
+    @pytest.mark.parametrize("linearized", [True, False])
+    def test_operator_does_not_alias_theta(self, linearized):
+        # writing to the theta the operator was built from leaves its products
+        spec, lin, ds = small_lin(9)
+        cfg = RiskConfig(lam=0.2, loss=CROSS_ENTROPY)
+        rng = np.random.default_rng(3)
+        theta = lin.theta_ref + 0.1 * rng.standard_normal(spec.num_params)
+        op = risk_hessian_op(lin if linearized else spec, theta, ds, cfg)
+        v = rng.standard_normal(spec.num_params)
+        before = op(v)
+        theta *= -2.0
+        assert np.array_equal(op(v), before)
+
+
+@pytest.fixture
+def forward_calls(monkeypatch):
+    """Counts the network forward passes run through the models module."""
+    calls = []
+    real = models._forward_cache
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(models, "_forward_cache", counting)
+    return calls
+
+
+class TestForwardPassOnce:
+    def test_hessian_operator(self, forward_calls):
+        spec, lin, ds = small_lin(10)
+        op = risk_hessian_op(lin, lin.theta_ref + 0.01, ds, RiskConfig(lam=0.1))
+        assert len(forward_calls) == 1
+        for _ in range(3):
+            op(np.ones(spec.num_params))
+        assert len(forward_calls) == 1
+
+    def test_primal_solve_after_prepare(self, forward_calls):
+        spec, lin, ds = small_lin(11)
+        cfg = RiskConfig(lam=0.1)
+        split = split_forget(ds, 25.0, scope="all", seed=0)
+        unl = PrimalUnlearner(lin, fit_linearized_exact(lin, split.full, cfg), split, cfg,
+                              CgOptions(rel_tol=1e-10))
+        unl.prepare()
+        forward_calls.clear()
+        assert unl.solve().iters > 0
+        assert len(forward_calls) == 0
+
+    def test_linear_forward_and_risk_gradient(self, forward_calls):
+        spec, lin, ds = small_lin(12)
+        theta = lin.theta_ref + 0.01
+        linear_batch_forward(lin, theta, ds.features)
+        assert len(forward_calls) == 1
+        forward_calls.clear()
+        risk_value_and_grad(lin, theta, ds, RiskConfig(lam=0.1))
+        assert len(forward_calls) == 1
 
 
 class TestTrain:
