@@ -35,10 +35,8 @@ from .models import (
     Linearization,
     LinearizedModel,
     ModelSpec,
-    batch_forward,
-    forward,
-    jacobian,
     load_params,
+    model_outputs,
     save_params,
     stacked_jacobian,
 )

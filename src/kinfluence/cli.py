@@ -119,9 +119,7 @@ def main(argv=None) -> int:
             run_lambda_sweep(cfg)
             return 0
         if args.command == "ntk-infinite":
-            cfg = load_config(args.config, _overrides(args))
-            percent = float(args.percent) if args.percent else None
-            run_infinite_experiment(cfg, percent)
+            run_infinite_experiment(load_config(args.config, _overrides(args)))
             return 0
         if args.command == "report":
             return _cmd_report(args)

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .datasets import SplitDataset
-from .errors import DegenerateSplit, DimensionMismatch, NotAtOptimum
+from .errors import DimensionMismatch, NotAtOptimum
 from .kernels import KernelMatrix, empirical_ntk
 from .losses import loss_grad_batch, loss_hess_batch
 from .models import Linearization, LinearizedModel, model_outputs
@@ -120,8 +120,6 @@ class DualUnlearner:
                  cfg: RiskConfig, opts: CgOptions = CgOptions(),
                  dense_threshold: int = DENSE_SOLVE_MAX, materialize_hrr: bool = False):
         # materialize_hrr selects nothing; it stays for callers that still pass it
-        if split.n_forget < 1 or split.n_retain < 1:
-            raise DegenerateSplit("both partitions must be nonempty")
         if kernel.n_rows != split.n or kernel.n_cols != split.n:
             raise DimensionMismatch("kernel size does not match the split")
         self.kernel = kernel

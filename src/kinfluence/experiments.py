@@ -392,8 +392,7 @@ def _make_unlearner(ctx: _SeedContext, split, space: str):
     cfg = ctx.cfg
     if space == SPACE_THETA:
         return PrimalUnlearner(ctx.model, ctx.theta_hat, split, cfg.risk, cfg.cg,
-                               variant=cfg.hessian_variant,
-                               center=None if cfg.linearized else ctx.theta_ref)
+                               variant=cfg.hessian_variant)
     _require_stationary(ctx.model, ctx.theta_hat, split.full, cfg.risk)
     k_perm = ctx.kernel.submatrix(split.permutation, split.permutation)
     f_vec = model_outputs(ctx.model, ctx.theta_hat, split.full.features).ravel()
@@ -524,30 +523,29 @@ SWEEP_HEADER = ["epoch", "rel_param_dist", "output_rmse",
                 "acc_model", "acc_linear", "grad_norm_model", "grad_norm_linear"]
 
 
-def run_lambda_sweep(cfg: ExperimentConfig, lambdas=None, record_every: int = 1) -> dict:
+def run_lambda_sweep(cfg: ExperimentConfig, record_every: int = 1) -> dict:
     """Train a raw network and its linearization side by side for each lambda.
 
     Both models share the initialization and the optimizer; per epoch the
     harness records the relative parameter distance, the output RMSE on the
     test set, both test accuracies, and both gradient norms.
     """
-    lambdas = tuple(lambdas if lambdas is not None else cfg.sweep_lambdas)
-    if len(lambdas) < 2:
+    if len(cfg.sweep_lambdas) < 2:
         raise ConfigError("a lambda sweep needs at least two values")
     os.makedirs(cfg.out_dir, exist_ok=True)
     train_ds, test_ds = make_experiment_data(cfg)
     spec = ModelSpec(cfg.widths, activation=cfg.activation, init_seed=cfg.init_seed,
                      parameterization=cfg.parameterization)
-    theta0 = spec.init_params()
+    theta0 = spec.theta_init
     lin = LinearizedModel(spec, theta0)
     results = {}
-    for lam in lambdas:
+    for lam in cfg.sweep_lambdas:
         risk = RiskConfig(lam=lam, loss=cfg.risk.loss, center="reference")
         theta_nl = theta0.copy()
         theta_li = theta0.copy()
         series = []
         for epoch in range(cfg.stop.max_epochs):
-            _, g_nl = risk_value_and_grad(spec, theta_nl, train_ds, risk, center=theta0)
+            _, g_nl = risk_value_and_grad(spec, theta_nl, train_ds, risk)
             _, g_li = risk_value_and_grad(lin, theta_li, train_ds, risk)
             if epoch % record_every == 0 or epoch == cfg.stop.max_epochs - 1:
                 out_nl = model_outputs(spec, theta_nl, test_ds.features)
@@ -582,10 +580,13 @@ INFINITE_LOSS_HEADER = ["test_index", "est_loss_change_raw", "est_loss_change_re
                         "act_loss_change"]
 
 
-def run_infinite_experiment(cfg: ExperimentConfig, percent: float | None = None):
-    """Estimate-vs-actual table for the infinitely wide network."""
+def run_infinite_experiment(cfg: ExperimentConfig):
+    """Estimate-vs-actual table for the infinitely wide network, at the one
+    removal percent the config names."""
+    if len(cfg.percents) != 1:
+        raise ConfigError(f"ntk-infinite runs one removal percent, got {len(cfg.percents)}")
+    (percent,) = cfg.percents
     os.makedirs(cfg.out_dir, exist_ok=True)
-    percent = cfg.percents[0] if percent is None else percent
     train_ds, test_ds = make_experiment_data(cfg)
     split = split_forget(train_ds, percent, scope=cfg.scope,
                          seed=_split_seed(cfg.seeds[0], percent))

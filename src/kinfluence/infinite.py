@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import LabeledDataset, SplitDataset
-from .errors import DegenerateSplit, DimensionMismatch, DivergenceDetected, NotConverged
-from .kernels import ANALYTIC, KernelMatrix
+from .errors import DimensionMismatch, DivergenceDetected, NotConverged
+from .kernels import KernelMatrix
 from .losses import CROSS_ENTROPY, loss_grad_batch, loss_value_batch
 from .solvers import CgOptions
 from .training import RiskConfig
@@ -77,7 +77,7 @@ def analytic_ntk(spec: AnalyticNtkSpec, X1: np.ndarray, X2: np.ndarray | None = 
     for _ in range(spec.hidden_layers):
         sig, sig_dot, k1, k2 = _relu_arc_step(sig, k1, k2, spec.sigma_w2, spec.sigma_b2)
         theta_kernel = sig + sig_dot * theta_kernel
-    return KernelMatrix(spec.d_out, ANALYTIC, sigma=theta_kernel)
+    return KernelMatrix(spec.d_out, sigma=theta_kernel)
 
 
 # --------------------------------------------------------------------------
@@ -147,13 +147,9 @@ def require_converged(state: FunctionState, tol: float) -> None:
         )
 
 
-def infinite_predict(k_test_train: KernelMatrix, alpha: np.ndarray,
-                     f0_test: np.ndarray | None = None) -> np.ndarray:
-    """Converged outputs at test points: K(x_t, X) alpha + f0(x_t)."""
-    out = k_test_train.matvec(alpha)
-    if f0_test is not None:
-        out = out + np.asarray(f0_test, dtype=np.float64)
-    return out.reshape(-1, k_test_train.d_out)
+def infinite_predict(k_test_train: KernelMatrix, alpha: np.ndarray) -> np.ndarray:
+    """Converged outputs at test points: K(x_t, X) alpha (training starts at f = 0)."""
+    return k_test_train.matvec(alpha).reshape(-1, k_test_train.d_out)
 
 
 @dataclass
@@ -178,8 +174,6 @@ def infinite_influence(spec: AnalyticNtkSpec, split: SplitDataset, test_ds: Labe
     the retain set, with both models evaluated at the test points through
     their kernel expansions.
     """
-    if split.n_forget < 1 or split.n_retain < 1:
-        raise DegenerateSplit("both partitions must be nonempty")
     full = split.full
     kernel = analytic_ntk(spec, full.features)
     state = kgd_train(kernel, full, cfg, lr=lr, epochs=epochs, tol=tol)

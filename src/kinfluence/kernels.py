@@ -21,9 +21,6 @@ from .errors import (BadHeader, BadMagic, CheckpointMismatch, DimensionMismatch,
                      PartitionOverlap, TruncatedFile)
 from .models import ModelSpec, activations_and_deltas
 
-EMPIRICAL = "empirical"
-ANALYTIC = "analytic"
-
 CACHE_MAGIC = b"KINFKER1"
 _FORM_DENSE, _FORM_KRON = 0, 1
 _CACHE_HEADER = 58  # magic 8, N and d_out 8 each, source tag 1, form 1, spec hash 32
@@ -39,7 +36,6 @@ class KernelMatrix:
     """
 
     d_out: int
-    source: str
     dense: np.ndarray | None = None
     sigma: np.ndarray | None = None
     spec_hash: bytes = b"\x00" * 32
@@ -78,12 +74,12 @@ class KernelMatrix:
         """Point-index slicing; keeps the Kronecker form when present."""
         rows, cols = np.asarray(rows), np.asarray(cols)
         if self.sigma is not None:
-            return KernelMatrix(self.d_out, self.source, sigma=self.sigma[np.ix_(rows, cols)],
+            return KernelMatrix(self.d_out, sigma=self.sigma[np.ix_(rows, cols)],
                                 spec_hash=self.spec_hash)
         d = self.d_out
         r = (rows[:, None] * d + np.arange(d)).ravel()
         c = (cols[:, None] * d + np.arange(d)).ravel()
-        return KernelMatrix(self.d_out, self.source, dense=self.dense[np.ix_(r, c)],
+        return KernelMatrix(self.d_out, dense=self.dense[np.ix_(r, c)],
                             spec_hash=self.spec_hash)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
@@ -121,7 +117,7 @@ def empirical_ntk(spec: ModelSpec, theta_ref: np.ndarray, X1: np.ndarray,
             dd = d1[layer][r0:r1].reshape((r1 - r0) * d, -1) @ d2[layer].reshape(n2 * d, -1).T
             acc += np.repeat(np.repeat(gram, d, axis=0), d, axis=1) * dd
         out[r0 * d:r1 * d] = acc
-    return KernelMatrix(d, EMPIRICAL, dense=out, spec_hash=spec.spec_hash())
+    return KernelMatrix(d, dense=out, spec_hash=spec.spec_hash())
 
 
 # --------------------------------------------------------------------------
@@ -198,15 +194,17 @@ def even_shards(n_rows: int, count: int):
 # --------------------------------------------------------------------------
 
 def write_kernel_cache(path: str, kernel: KernelMatrix) -> None:
-    """Header (magic, N, d_out, source tag, form, spec hash) + f64 LE payload."""
+    """Header (magic, N, d_out, source tag, form, spec hash) + f64 LE payload.
+
+    The source tag repeats the form (0 empirical and dense, 1 analytic and
+    Kronecker), the only pairs the assemblers produce."""
     if kernel.n_rows != kernel.n_cols:
         raise DimensionMismatch("cache stores square train kernels only")
-    source_tag = 0 if kernel.source == EMPIRICAL else 1
     form = _FORM_DENSE if kernel.dense is not None else _FORM_KRON
     payload = kernel.dense if kernel.dense is not None else kernel.sigma
     with open(path, "wb") as f:
         f.write(CACHE_MAGIC)
-        f.write(struct.pack("<QQBB", kernel.n_rows, kernel.d_out, source_tag, form))
+        f.write(struct.pack("<QQBB", kernel.n_rows, kernel.d_out, form, form))
         f.write(kernel.spec_hash)
         f.write(np.ascontiguousarray(payload, dtype="<f8").tobytes())
 
@@ -234,7 +232,6 @@ def read_kernel_cache(path: str, expect_hash: bytes | None = None) -> KernelMatr
             raise TruncatedFile(f"{path}: payload {body} bytes != {8 * side * side}")
         mat = np.fromfile(f, dtype="<f8", count=side * side)
     mat = mat.astype(np.float64, copy=False).reshape(side, side)
-    source = EMPIRICAL if source_tag == 0 else ANALYTIC
     if form == _FORM_DENSE:
-        return KernelMatrix(d_out, source, dense=mat, spec_hash=spec_hash)
-    return KernelMatrix(d_out, source, sigma=mat, spec_hash=spec_hash)
+        return KernelMatrix(d_out, dense=mat, spec_hash=spec_hash)
+    return KernelMatrix(d_out, sigma=mat, spec_hash=spec_hash)

@@ -108,6 +108,14 @@ class ModelSpec:
                     theta[b_sl] = rng.standard_normal(w_out)
         return theta
 
+    @cached_property
+    def theta_init(self) -> np.ndarray:
+        """``init_params()``, drawn once and read-only: where a raw network
+        starts training and the center its risk regularizes toward."""
+        theta = self.init_params()
+        theta.flags.writeable = False
+        return theta
+
     def spec_hash(self) -> bytes:
         payload = json.dumps({
             "layer_widths": list(self.layer_widths),
@@ -173,16 +181,6 @@ def _forward_cache(spec: ModelSpec, theta: np.ndarray, X: np.ndarray):
         if layer < spec.n_layers - 1:
             a = np.maximum(z, 0.0) if spec.activation == "relu" else z
     return acts, pres
-
-
-def batch_forward(spec: ModelSpec, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Network outputs for a batch, shape (N, d_out)."""
-    _, pres = _forward_cache(spec, theta, X)
-    return pres[-1]
-
-
-def forward(spec: ModelSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return batch_forward(spec, theta, np.asarray(x)[None, :])[0]
 
 
 class Linearization:
@@ -275,13 +273,8 @@ def stacked_jacobian(spec: ModelSpec, theta: np.ndarray, X: np.ndarray) -> np.nd
     return jac
 
 
-def jacobian(spec: ModelSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Jacobian of a single point, shape (d_out, d_theta)."""
-    return stacked_jacobian(spec, theta, np.asarray(x)[None, :]).reshape(spec.d_out, spec.num_params)
-
-
 # --------------------------------------------------------------------------
-# Linearized-model evaluation
+# Model outputs
 # --------------------------------------------------------------------------
 
 def linearize(model: Model, theta: np.ndarray, X: np.ndarray) -> tuple[Linearization, np.ndarray]:
@@ -300,16 +293,12 @@ def linearize(model: Model, theta: np.ndarray, X: np.ndarray) -> tuple[Lineariza
     return lz, lz.outputs + lz.jvp(theta - model.theta_ref).reshape(lz.outputs.shape)
 
 
-def linear_batch_forward(lin: LinearizedModel, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """f(X, theta_ref) + J(theta_ref) (theta - theta_ref), shape (N, d_out)."""
-    return linearize(lin, theta, X)[1]
-
-
 def model_outputs(model: Model, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Batch outputs of either a raw network or its linearization."""
+    """Batch outputs, shape (N, d_out): the raw network at ``theta``, or the
+    linearization f(X, theta_ref) + J(theta_ref) (theta - theta_ref)."""
     if isinstance(model, LinearizedModel):
-        return linear_batch_forward(model, theta, X)
-    return batch_forward(model, theta, X)
+        return linearize(model, theta, X)[1]
+    return _forward_cache(model, theta, X)[1][-1]
 
 
 # --------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from .datasets import SplitDataset
-from .errors import DegenerateSplit
 from .losses import loss_grad_batch
 from .models import Model, linearize
 from .report import InfluenceReport, PerTestChange, max_iters_note
@@ -26,19 +25,16 @@ HESSIAN_FULL = "full"
 
 
 def removal_system(model: Model, theta_star: np.ndarray, split: SplitDataset,
-                   cfg: RiskConfig, variant: str = HESSIAN_UPWEIGHTED,
-                   center: np.ndarray | None = None):
+                   cfg: RiskConfig, variant: str = HESSIAN_UPWEIGHTED):
     """(H, g): the risk-Hessian operator on the retain set (``upweighted``)
     or the full set (``full``), and (|Df|/|set|) grad of the forget-set risk.
 
     The scale rides on g, not on H, so each CG iteration is one bare HVP.
     """
-    if split.n_forget < 1 or split.n_retain < 1:
-        raise DegenerateSplit("both partitions must be nonempty")
     if variant not in (HESSIAN_UPWEIGHTED, HESSIAN_FULL):
         raise ValueError(f"unknown hessian variant {variant!r}")
     ds = split.retain if variant == HESSIAN_UPWEIGHTED else split.full
-    g = risk_grad(model, theta_star, split.forget, cfg, center)
+    g = risk_grad(model, theta_star, split.forget, cfg)
     return risk_hessian_op(model, theta_star, ds, cfg), (split.n_forget / ds.n) * g
 
 
@@ -52,25 +48,23 @@ class PrimalUnlearner:
 
     def __init__(self, model: Model, theta_star: np.ndarray, split: SplitDataset,
                  cfg: RiskConfig, opts: CgOptions = CgOptions(),
-                 variant: str = HESSIAN_UPWEIGHTED, center: np.ndarray | None = None):
+                 variant: str = HESSIAN_UPWEIGHTED):
         self.model = model
         self.theta_star = np.asarray(theta_star, dtype=np.float64)
         self.split = split
         self.cfg = cfg
         self.opts = opts
         self.variant = variant
-        self.center = center
         self.notes: list[str] = []
         self._op = None
         self._rhs = None
 
     def prepare(self) -> None:
-        gap = stationarity_gap(self.model, self.theta_star, self.split.full, self.cfg,
-                               self.center)
+        gap = stationarity_gap(self.model, self.theta_star, self.split.full, self.cfg)
         if gap is not None:
             self.notes.append(f"NotAtOptimum: {gap}")
         self._op, self._rhs = removal_system(self.model, self.theta_star, self.split,
-                                             self.cfg, self.variant, self.center)
+                                             self.cfg, self.variant)
 
     def solve(self) -> CgResult:
         if self._op is None:
@@ -86,13 +80,12 @@ class PrimalUnlearner:
         report = InfluenceReport(delta_theta=res.x, residual=res.residual, iters=res.iters,
                                  converged=res.converged, notes=notes)
         if test_ds is not None:
-            attach_test_predictions(report, self.model, self.theta_star, test_ds, self.cfg,
-                                    self.center)
+            attach_test_predictions(report, self.model, self.theta_star, test_ds, self.cfg)
         return report
 
 
 def predict_changes_primal(model: Model, theta_star: np.ndarray, delta_theta: np.ndarray,
-                           test_ds, cfg: RiskConfig, center: np.ndarray | None = None):
+                           test_ds, cfg: RiskConfig):
     """First-order output/loss changes at every test point in one batch.
 
     Output changes are J(X_t) delta; the raw loss change of a point is
@@ -103,13 +96,12 @@ def predict_changes_primal(model: Model, theta_star: np.ndarray, delta_theta: np
     df = lz.jvp(delta_theta).reshape(test_ds.n, test_ds.d_out)
     g_t = loss_grad_batch(cfg.loss, f_t, test_ds.targets)
     raw = np.einsum("td,td->t", g_t, df)
-    c = resolve_center(model, cfg, center)
+    c = resolve_center(model, cfg)
     return df, raw, raw + float(cfg.lam * (theta_star - c) @ delta_theta)
 
 
 def attach_test_predictions(report: InfluenceReport, model: Model, theta_star: np.ndarray,
-                            test_ds, cfg: RiskConfig, center: np.ndarray | None = None) -> None:
-    df, raw, reg = predict_changes_primal(model, theta_star, report.delta_theta, test_ds,
-                                          cfg, center)
+                            test_ds, cfg: RiskConfig) -> None:
+    df, raw, reg = predict_changes_primal(model, theta_star, report.delta_theta, test_ds, cfg)
     report.per_test.extend(PerTestChange(df[i], float(raw[i]), float(reg[i]))
                            for i in range(test_ds.n))

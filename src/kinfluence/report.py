@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -52,13 +52,6 @@ def write_influence_csv(path: str, report: InfluenceReport, d_out: int) -> None:
                        + [repr(float(pt.loss_change_raw)), repr(float(pt.loss_change_reg))])
 
 
-METRICS_HEADER = [
-    "seed", "percent", "space",
-    "cold_runtime_s", "warm_runtime_mean_s", "warm_runtime_std_s",
-    "rel_l2", "forget_acc_unlearned", "forget_acc_retrained", "baseline_rel_l2",
-]
-
-
 @dataclass
 class MetricsRow:
     seed: int
@@ -73,11 +66,10 @@ class MetricsRow:
     baseline_rel_l2: float
 
     def as_list(self) -> list:
-        return [self.seed, self.percent, self.space,
-                repr(self.cold_runtime_s), repr(self.warm_runtime_mean_s),
-                repr(self.warm_runtime_std_s), repr(self.rel_l2),
-                repr(self.forget_acc_unlearned), repr(self.forget_acc_retrained),
-                repr(self.baseline_rel_l2)]
+        return [repr(float(v)) if isinstance(v, float) else v for v in astuple(self)]
+
+
+METRICS_HEADER = [f.name for f in fields(MetricsRow)]
 
 
 def write_metrics_csv(path: str, rows: list[MetricsRow]) -> None:

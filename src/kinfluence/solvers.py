@@ -31,7 +31,6 @@ class CgOptions:
 class CgResult:
     x: np.ndarray
     residual: float          # final ||A x - b||
-    rhs_norm: float
     iters: int
     converged: bool
 
@@ -47,7 +46,7 @@ def cg_solve(apply_a, rhs: np.ndarray, opts: CgOptions = CgOptions()) -> CgResul
         raise NonFiniteEncountered("rhs contains non-finite entries")
     b_norm = float(np.linalg.norm(rhs))
     if b_norm == 0.0:
-        return CgResult(np.zeros_like(rhs), 0.0, 0.0, 0, True)
+        return CgResult(np.zeros_like(rhs), 0.0, 0, True)
 
     x = np.zeros_like(rhs)
     r = rhs.copy()
@@ -68,8 +67,8 @@ def cg_solve(apply_a, rhs: np.ndarray, opts: CgOptions = CgOptions()) -> CgResul
         iters = k
         res_norm = float(np.linalg.norm(r))
         if res_norm <= opts.rel_tol * b_norm:
-            return CgResult(x, res_norm, b_norm, iters, True)
+            return CgResult(x, res_norm, iters, True)
         rr_next = float(r @ r)
         p = r + (rr_next / rr) * p
         rr = rr_next
-    return CgResult(x, res_norm, b_norm, iters, False)
+    return CgResult(x, res_norm, iters, False)

@@ -1,15 +1,15 @@
 """Regularized empirical risk: value/gradient/HVP and full-batch training.
 
 The risk is mean per-point loss plus (lambda/2) ||theta - c||^2, where the
-center c is the linearization point in ``reference`` mode and 0 in ``origin``
-mode. For linearized models the risk is quadratic in theta whenever the loss
-is squared error, which is what makes the exact dense fit below a legitimate
+center c is 0 in ``origin`` mode and, in ``reference`` mode, the linearization
+point of a linearized model or the initialization of a raw network. For
+linearized models the risk is quadratic in theta whenever the loss is squared
+error, which is what makes the exact dense fit below a legitimate
 retrain-from-scratch oracle.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,22 +65,14 @@ class TrainReport:
     epochs_run: int
     grad_norm_history: np.ndarray
     loss_history: np.ndarray
-    wall_time: float = 0.0
 
 
-def resolve_center(model: Model, cfg: RiskConfig, center: np.ndarray | None = None) -> np.ndarray:
+def resolve_center(model: Model, cfg: RiskConfig) -> np.ndarray:
     """The vector c in the (lambda/2)||theta - c||^2 term."""
     spec = _spec_of(model)
     if cfg.center == CENTER_ORIGIN:
         return np.zeros(spec.num_params)
-    if isinstance(model, LinearizedModel):
-        return model.theta_ref
-    if center is None:
-        raise ValueError("reference-centered risk on a raw network needs an explicit center")
-    center = np.asarray(center, dtype=np.float64)
-    if center.shape != (spec.num_params,):
-        raise DimensionMismatch("center length mismatch")
-    return center
+    return model.theta_ref if isinstance(model, LinearizedModel) else spec.theta_init
 
 
 def _check_ds(ds: LabeledDataset, model: Model) -> None:
@@ -93,21 +85,20 @@ def _check_ds(ds: LabeledDataset, model: Model) -> None:
         )
 
 
-def risk_value(model: Model, theta: np.ndarray, ds: LabeledDataset, cfg: RiskConfig,
-               center: np.ndarray | None = None) -> float:
+def risk_value(model: Model, theta: np.ndarray, ds: LabeledDataset, cfg: RiskConfig) -> float:
     _check_ds(ds, model)
     f = model_outputs(model, theta, ds.features)
-    c = resolve_center(model, cfg, center)
+    c = resolve_center(model, cfg)
     return float(loss_value_batch(cfg.loss, f, ds.targets).mean()
                  + 0.5 * cfg.lam * np.sum((theta - c) ** 2))
 
 
-def risk_value_and_grad(model: Model, theta: np.ndarray, ds: LabeledDataset, cfg: RiskConfig,
-                        center: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+def risk_value_and_grad(model: Model, theta: np.ndarray, ds: LabeledDataset,
+                        cfg: RiskConfig) -> tuple[float, np.ndarray]:
     _check_ds(ds, model)
     theta = np.asarray(theta, dtype=np.float64)
     lz, f = linearize(model, theta, ds.features)
-    c = resolve_center(model, cfg, center)
+    c = resolve_center(model, cfg)
     value = float(loss_value_batch(cfg.loss, f, ds.targets).mean()
                   + 0.5 * cfg.lam * np.sum((theta - c) ** 2))
     g_out = loss_grad_batch(cfg.loss, f, ds.targets).ravel()
@@ -117,19 +108,18 @@ def risk_value_and_grad(model: Model, theta: np.ndarray, ds: LabeledDataset, cfg
     return value, grad
 
 
-def risk_grad(model: Model, theta: np.ndarray, ds: LabeledDataset, cfg: RiskConfig,
-              center: np.ndarray | None = None) -> np.ndarray:
-    return risk_value_and_grad(model, theta, ds, cfg, center)[1]
+def risk_grad(model: Model, theta: np.ndarray, ds: LabeledDataset, cfg: RiskConfig) -> np.ndarray:
+    return risk_value_and_grad(model, theta, ds, cfg)[1]
 
 
-def stationarity_gap(model: Model, theta: np.ndarray, ds: LabeledDataset, cfg: RiskConfig,
-                     center: np.ndarray | None = None) -> str | None:
+def stationarity_gap(model: Model, theta: np.ndarray, ds: LabeledDataset,
+                     cfg: RiskConfig) -> str | None:
     """Why ``theta`` is not a stationary point of the risk, or None if it is.
 
     Influence estimates assume a stationary theta; callers decide whether a
     gap is an error or a note on the report.
     """
-    gnorm = float(np.linalg.norm(risk_grad(model, theta, ds, cfg, center)))
+    gnorm = float(np.linalg.norm(risk_grad(model, theta, ds, cfg)))
     return f"||grad|| = {gnorm:.3e} exceeds {STATIONARITY_TOL}" if gnorm > STATIONARITY_TOL else None
 
 
@@ -158,7 +148,7 @@ def risk_hessian_op(model: Model, theta: np.ndarray, ds: LabeledDataset, cfg: Ri
 
 
 def risk_hvp(model: Model, theta: np.ndarray, ds: LabeledDataset, cfg: RiskConfig,
-             v: np.ndarray, center: np.ndarray | None = None) -> np.ndarray:
+             v: np.ndarray) -> np.ndarray:
     """One risk-Hessian vector product; see risk_hessian_op."""
     v = np.asarray(v, dtype=np.float64)
     if not np.all(np.isfinite(v)):
@@ -167,21 +157,19 @@ def risk_hvp(model: Model, theta: np.ndarray, ds: LabeledDataset, cfg: RiskConfi
 
 
 def train(model: Model, ds: LabeledDataset, cfg: RiskConfig, opt: Optimizer, stop: StopRule,
-          theta0: np.ndarray | None = None, center: np.ndarray | None = None) -> TrainReport:
-    """Deterministic full-batch gradient descent / heavy-ball training."""
-    spec = _spec_of(model)
+          theta0: np.ndarray | None = None) -> TrainReport:
+    """Deterministic full-batch gradient descent / heavy-ball training,
+    started at ``theta0`` (default: the linearization point or the
+    initialization)."""
     if theta0 is None:
-        theta0 = model.theta_ref.copy() if isinstance(model, LinearizedModel) else spec.init_params()
+        theta0 = model.theta_ref if isinstance(model, LinearizedModel) else model.theta_init
     theta = np.asarray(theta0, dtype=np.float64).copy()
-    if cfg.center == CENTER_REFERENCE and not isinstance(model, LinearizedModel) and center is None:
-        center = theta.copy()  # regularize toward the starting point
     velocity = np.zeros_like(theta)
     losses, gnorms = [], []
-    t0 = time.perf_counter()
     epochs = 0
     for epoch in range(stop.max_epochs):
         with np.errstate(over="ignore", invalid="ignore"):
-            value, grad = risk_value_and_grad(model, theta, ds, cfg, center)
+            value, grad = risk_value_and_grad(model, theta, ds, cfg)
         if not np.isfinite(value):
             raise DivergenceDetected(f"loss became non-finite at epoch {epoch}")
         gn = float(np.linalg.norm(grad))
@@ -197,8 +185,7 @@ def train(model: Model, ds: LabeledDataset, cfg: RiskConfig, opt: Optimizer, sto
             theta = theta - opt.lr * grad
     if not np.all(np.isfinite(theta)):
         raise DivergenceDetected("parameters became non-finite")
-    return TrainReport(theta, epochs, np.array(gnorms), np.array(losses),
-                       time.perf_counter() - t0)
+    return TrainReport(theta, epochs, np.array(gnorms), np.array(losses))
 
 
 def fit_linearized_exact(lin: LinearizedModel, ds: LabeledDataset, cfg: RiskConfig,

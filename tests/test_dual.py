@@ -19,7 +19,6 @@ from kinfluence.losses import CROSS_ENTROPY, SQUARED, loss_grad_batch, loss_valu
 from kinfluence.models import (
     LinearizedModel,
     ModelSpec,
-    linear_batch_forward,
     model_outputs,
     stacked_jacobian,
 )
@@ -434,8 +433,8 @@ class TestMapAndPredict:
         f_t = model_outputs(lin, theta_hat, test.features).ravel()
         df, raw, reg = predict_changes_dual(k_t, kernel, coeffs, f_t, test.targets, cfg)
         retrained = fit_linearized_exact(lin, split.retain, cfg)
-        exact = (linear_batch_forward(lin, retrained, test.features)
-                 - linear_batch_forward(lin, theta_hat, test.features))
+        exact = (model_outputs(lin, retrained, test.features)
+                 - model_outputs(lin, theta_hat, test.features))
         np.testing.assert_allclose(df, exact, rtol=1e-6, atol=1e-10)
 
 

@@ -277,9 +277,9 @@ class TestSweep:
         assert os.path.exists(os.path.join(str(tmp_path), "sweep_lambda_0.001.csv"))
 
     def test_needs_two_lambdas(self, tmp_path):
-        cfg = config_from_values(tiny_values(str(tmp_path)))
+        cfg = config_from_values(tiny_values(str(tmp_path), **{"sweep.lambdas": "0.1"}))
         with pytest.raises(ConfigError):
-            run_lambda_sweep(cfg, lambdas=[0.1])
+            run_lambda_sweep(cfg)
 
 
 class TestInfiniteExperiment:
@@ -386,6 +386,14 @@ class TestCli:
                          "--space", "dual", "--out", out]) == 0
         assert json.load(open(out))["cold_runtime_s"] > 0
         assert not os.path.exists(os.path.join(os.path.dirname(path), "metrics.csv"))
+
+    @pytest.mark.parametrize("percent, code", [("50", 0), ("10,30", 2), ("x", 2)])
+    def test_ntk_infinite_percent_flag(self, tmp_path, capsys, percent, code):
+        cfgp = write_cfg(tmp_path, **{"dataset.targets": "pm1", "bench.test_size": "4",
+                                      "ntk.tol": "1e-8"})
+        assert cli.main(["ntk-infinite", "--config", cfgp, "--percent", percent]) == code
+        if code == 2:
+            assert "configuration error" in capsys.readouterr().err
 
     def test_missing_config_exit_code(self, tmp_path):
         proc = subprocess.run(CLI + ["unlearn", "--config", "/does/not/exist.cfg"],

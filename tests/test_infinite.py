@@ -88,7 +88,7 @@ class TestAnalyticKernel:
 class TestKgd:
     def test_zero_targets_fixed_point(self):
         ds = raw_targets_ds(np.zeros((4, 1)))
-        k = KernelMatrix(1, "analytic", sigma=np.eye(4) + 0.3)
+        k = KernelMatrix(1, sigma=np.eye(4) + 0.3)
         cfg = RiskConfig(lam=0.2, loss=SQUARED)
         state = kgd_train(k, ds, cfg, lr=0.1, epochs=50, tol=None)
         np.testing.assert_array_equal(state.f_train, np.zeros(4))
@@ -98,7 +98,7 @@ class TestKgd:
         rng = np.random.default_rng(3)
         sigma = rng.standard_normal((8, 8))
         sigma = sigma @ sigma.T / 8 + np.eye(8)
-        k = KernelMatrix(1, "analytic", sigma=sigma)
+        k = KernelMatrix(1, sigma=sigma)
         y = rng.choice([-1.0, 1.0], size=(8, 1))
         ds = raw_targets_ds(y)
         cfg = RiskConfig(lam=0.3, loss=SQUARED)
@@ -112,7 +112,7 @@ class TestKgd:
         y = np.array([[1.0], [-1.0], [1.0]])
         cfg = RiskConfig(lam=0.4, loss=SQUARED)
         lr = 0.05
-        state = kgd_train(KernelMatrix(1, "analytic", sigma=sigma), raw_targets_ds(y),
+        state = kgd_train(KernelMatrix(1, sigma=sigma), raw_targets_ds(y),
                           cfg, lr=lr, epochs=1, tol=None)
         f_hand = np.zeros(3)
         for i in range(3):
@@ -127,7 +127,7 @@ class TestKgd:
         rng = np.random.default_rng(4)
         sigma = rng.standard_normal((10, 10))
         sigma = sigma @ sigma.T / 10 + 0.5 * np.eye(10)
-        k = KernelMatrix(1, "analytic", sigma=sigma)
+        k = KernelMatrix(1, sigma=sigma)
         y = rng.choice([-1.0, 1.0], size=(10, 1))
         cfg = RiskConfig(lam=0.2, loss=SQUARED)
         state = kgd_train(k, raw_targets_ds(y), cfg, epochs=500, tol=None)
@@ -135,7 +135,7 @@ class TestKgd:
 
     def test_divergence_detected_above_bound(self):
         sigma = 5.0 * np.eye(4)
-        k = KernelMatrix(1, "analytic", sigma=sigma)
+        k = KernelMatrix(1, sigma=sigma)
         y = np.ones((4, 1))
         cfg = RiskConfig(lam=1.0, loss=SQUARED)
         unstable = 2.5 * stable_kgd_lr(k, 4, cfg, safety=2.0)
@@ -145,13 +145,13 @@ class TestKgd:
 
 class TestInfinitePredict:
     def test_zero_alpha(self):
-        k = KernelMatrix(2, "analytic", sigma=np.ones((3, 5)))
+        k = KernelMatrix(2, sigma=np.ones((3, 5)))
         np.testing.assert_array_equal(infinite_predict(k, np.zeros(10)), np.zeros((3, 2)))
 
     def test_single_point_closed_form(self):
         # one training point, squared loss: f = k y / (k + lam), a = y/(k + lam)
         sigma = np.array([[1.7]])
-        k = KernelMatrix(1, "analytic", sigma=sigma)
+        k = KernelMatrix(1, sigma=sigma)
         y = np.array([[1.0]])
         cfg = RiskConfig(lam=0.3, loss=SQUARED)
         state = kgd_train(k, raw_targets_ds(y), cfg, epochs=100000, tol=1e-13)
@@ -260,7 +260,7 @@ class TestInfiniteInfluence:
         split = split_forget(ds, 33.0, scope="all", seed=1)
         cfg = RiskConfig(lam=0.2, loss=SQUARED)
         kron = analytic_ntk(spec, split.full.features)
-        dense = KernelMatrix(3, "analytic", dense=kron.to_dense())
+        dense = KernelMatrix(3, dense=kron.to_dense())
         from kinfluence.dual import DualUnlearner
         f = np.zeros(27)
         state = kgd_train(kron, split.full, cfg, epochs=100000, tol=1e-12)

@@ -7,8 +7,6 @@ from kinfluence.datasets import make_blobs
 from kinfluence.errors import (BadHeader, BadMagic, ConfigError, PartitionGap, PartitionOverlap,
                               TruncatedFile)
 from kinfluence.kernels import (
-    ANALYTIC,
-    EMPIRICAL,
     KernelMatrix,
     empirical_ntk,
     even_shards,
@@ -17,7 +15,7 @@ from kinfluence.kernels import (
     validate_shards,
     write_kernel_cache,
 )
-from kinfluence.models import ModelSpec, jacobian, stacked_jacobian
+from kinfluence.models import ModelSpec, stacked_jacobian
 
 
 class TestEmpirical:
@@ -32,7 +30,7 @@ class TestEmpirical:
         theta = spec.init_params()
         x = np.array([[0.2, 0.8, 0.1, 0.5]])
         k = empirical_ntk(spec, theta, x)
-        j = jacobian(spec, theta, x[0])
+        j = stacked_jacobian(spec, theta, x)
         assert k.dense[0, 0] == pytest.approx((j @ j.T).item(), rel=1e-12)
 
     def test_matches_explicit_jacobian_product(self):
@@ -67,7 +65,7 @@ class TestKron:
         rng = np.random.default_rng(2)
         sigma = rng.standard_normal((5, 5))
         sigma = sigma @ sigma.T
-        k = KernelMatrix(3, ANALYTIC, sigma=sigma)
+        k = KernelMatrix(3, sigma=sigma)
         v = rng.standard_normal(15)
         np.testing.assert_allclose(k.matvec(v), np.kron(sigma, np.eye(3)) @ v, atol=1e-12)
         np.testing.assert_allclose(k.to_dense(), np.kron(sigma, np.eye(3)), atol=1e-15)
@@ -75,7 +73,7 @@ class TestKron:
     def test_submatrix_keeps_structure(self):
         rng = np.random.default_rng(3)
         sigma = rng.standard_normal((6, 6))
-        k = KernelMatrix(2, ANALYTIC, sigma=sigma)
+        k = KernelMatrix(2, sigma=sigma)
         sub = k.submatrix(np.array([1, 4]), np.array([0, 2, 5]))
         assert sub.sigma is not None
         full = np.kron(sigma, np.eye(2))
@@ -131,16 +129,19 @@ class TestCache:
         write_kernel_cache(p, k)
         k2 = read_kernel_cache(p, expect_hash=spec.spec_hash())
         np.testing.assert_array_equal(k.dense, k2.dense)
-        assert k2.source == EMPIRICAL and k2.d_out == 2
+        assert k2.sigma is None and k2.d_out == 2
+        # the source tag (byte 24) follows the form byte (25)
+        assert (tmp_path / "k.bin").read_bytes()[24:26] == bytes([0, 0])
 
     def test_round_trip_kron(self, tmp_path):
         sigma = np.random.default_rng(6).standard_normal((4, 4))
-        k = KernelMatrix(3, ANALYTIC, sigma=sigma)
+        k = KernelMatrix(3, sigma=sigma)
         p = str(tmp_path / "k.bin")
         write_kernel_cache(p, k)
         k2 = read_kernel_cache(p)
         np.testing.assert_array_equal(sigma, k2.sigma)
-        assert k2.source == ANALYTIC
+        assert k2.dense is None
+        assert (tmp_path / "k.bin").read_bytes()[24:26] == bytes([1, 1])
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk.bin"
@@ -152,7 +153,7 @@ class TestCache:
     @pytest.mark.parametrize("offset, value", [(25, 2), (24, 7)], ids=["form", "source"])
     def test_unknown_header_byte_rejected(self, tmp_path, offset, value):
         p = tmp_path / "k.bin"
-        write_kernel_cache(str(p), KernelMatrix(2, ANALYTIC, sigma=np.eye(3)))
+        write_kernel_cache(str(p), KernelMatrix(2, sigma=np.eye(3)))
         raw = bytearray(p.read_bytes())
         raw[offset] = value
         p.write_bytes(bytes(raw))
@@ -163,8 +164,8 @@ class TestCache:
     @pytest.mark.parametrize("form", ["dense", "kron"])
     @pytest.mark.parametrize("change", [-8, 8], ids=["truncated", "overlong"])
     def test_payload_length_checked(self, tmp_path, form, change):
-        k = (KernelMatrix(2, EMPIRICAL, dense=np.eye(6)) if form == "dense" else
-             KernelMatrix(2, ANALYTIC, sigma=np.eye(3)))
+        k = (KernelMatrix(2, dense=np.eye(6)) if form == "dense" else
+             KernelMatrix(2, sigma=np.eye(3)))
         p = tmp_path / "k.bin"
         write_kernel_cache(str(p), k)
         raw = p.read_bytes()
@@ -175,7 +176,7 @@ class TestCache:
 
     def test_short_header_rejected(self, tmp_path):
         p = tmp_path / "k.bin"
-        write_kernel_cache(str(p), KernelMatrix(2, ANALYTIC, sigma=np.eye(3)))
+        write_kernel_cache(str(p), KernelMatrix(2, sigma=np.eye(3)))
         p.write_bytes(p.read_bytes()[:20])
         with pytest.raises(TruncatedFile):
             read_kernel_cache(str(p))

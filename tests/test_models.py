@@ -15,11 +15,8 @@ from kinfluence.models import (
     Linearization,
     LinearizedModel,
     ModelSpec,
-    batch_forward,
-    forward,
-    jacobian,
-    linear_batch_forward,
     load_params,
+    model_outputs,
     save_params,
     stacked_jacobian,
 )
@@ -67,12 +64,12 @@ class TestForward:
         spec = ModelSpec((3, 3), activation="identity", bias=False)
         theta = np.eye(3).ravel()
         x = np.array([0.3, -1.2, 2.0])
-        np.testing.assert_array_equal(forward(spec, theta, x), x)
+        np.testing.assert_array_equal(model_outputs(spec, theta, x[None])[0], x)
 
     def test_zero_weights_relu_output_zero(self):
         spec = ModelSpec((4, 8, 8, 2))
         theta = np.zeros(spec.num_params)
-        np.testing.assert_array_equal(forward(spec, theta, np.ones(4)), np.zeros(2))
+        np.testing.assert_array_equal(model_outputs(spec, theta, np.ones((1, 4)))[0], np.zeros(2))
 
     @pytest.mark.parametrize("param", ["standard", "ntk"])
     @pytest.mark.parametrize("act", ["relu", "identity"])
@@ -81,16 +78,16 @@ class TestForward:
         theta = spec.init_params() + 0.1 * seeded_theta(spec, 3)
         x = np.random.default_rng(4).standard_normal(5)
         np.testing.assert_allclose(
-            forward(spec, theta, x), straight_line_forward(spec, theta, x),
+            model_outputs(spec, theta, x[None])[0], straight_line_forward(spec, theta, x),
             rtol=1e-13, atol=1e-13,
         )
 
     def test_dimension_mismatch(self):
         spec = ModelSpec((4, 2))
         with pytest.raises(DimensionMismatch):
-            forward(spec, np.zeros(spec.num_params), np.zeros(5))
+            model_outputs(spec, np.zeros(spec.num_params), np.zeros((1, 5)))
         with pytest.raises(DimensionMismatch):
-            forward(spec, np.zeros(3), np.zeros(4))
+            model_outputs(spec, np.zeros(3), np.zeros((1, 4)))
 
     def test_param_count_formula(self):
         spec = ModelSpec((7, 5, 3))
@@ -101,7 +98,7 @@ class TestJacobian:
     def test_linear_model_jacobian_is_input(self):
         spec = ModelSpec((4, 1), activation="identity", bias=False)
         x = np.array([1.0, -2.0, 0.5, 3.0])
-        np.testing.assert_array_equal(jacobian(spec, np.zeros(4), x), x[None, :])
+        np.testing.assert_array_equal(stacked_jacobian(spec, np.zeros(4), x[None]), x[None, :])
 
     def test_directional_finite_difference(self):
         rng = np.random.default_rng(0)
@@ -112,8 +109,9 @@ class TestJacobian:
             d = rng.standard_normal(spec.num_params)
             d /= np.linalg.norm(d)
             h = 1e-6
-            fd = (forward(spec, theta + h * d, x) - forward(spec, theta - h * d, x)) / (2 * h)
-            jd = jacobian(spec, theta, x) @ d
+            fd = (model_outputs(spec, theta + h * d, x[None])[0]
+                  - model_outputs(spec, theta - h * d, x[None])[0]) / (2 * h)
+            jd = stacked_jacobian(spec, theta, x[None]) @ d
             assert np.linalg.norm(jd - fd) / max(np.linalg.norm(fd), 1e-12) < 1e-6
 
     def test_relu_kink_uses_zero_subgradient(self):
@@ -121,7 +119,7 @@ class TestJacobian:
         spec = ModelSpec((1, 1, 1), activation="relu", bias=True)
         theta = np.array([1.0, 0.0, 2.0, 0.5])  # W1=1, b1=0, W2=2, b2=0.5
         x = np.array([0.0])
-        jac = jacobian(spec, theta, x)
+        jac = stacked_jacobian(spec, theta, x[None])
         assert np.all(np.isfinite(jac))
         # d f / d b1 = W2 * relu'(0) = 0 under the fixed convention
         assert jac[0, 1] == 0.0
@@ -134,7 +132,7 @@ class TestJacobian:
         assert stack.shape == (8, spec.num_params)
         for i in range(4):
             np.testing.assert_allclose(
-                stack[i * 2:(i + 1) * 2], jacobian(spec, theta, X[i]), atol=1e-14
+                stack[i * 2:(i + 1) * 2], stacked_jacobian(spec, theta, X[i][None]), atol=1e-14
             )
 
 
@@ -170,8 +168,8 @@ class TestLinearized:
         theta = spec.init_params()
         lin = LinearizedModel(spec, theta)
         X = np.random.default_rng(0).standard_normal((7, 4))
-        a = linear_batch_forward(lin, theta, X)
-        b = batch_forward(spec, theta, X)
+        a = model_outputs(lin, theta, X)
+        b = model_outputs(spec, theta, X)
         assert np.array_equal(a, b)
 
     def test_linear_base_model_equals_own_linearization(self):
@@ -181,7 +179,8 @@ class TestLinearized:
         theta = theta0 + np.random.default_rng(1).standard_normal(spec.num_params)
         x = np.array([0.1, 0.7, -0.3])
         np.testing.assert_allclose(
-            linear_batch_forward(lin, theta, x[None])[0], forward(spec, theta, x), rtol=1e-12
+            model_outputs(lin, theta, x[None])[0], model_outputs(spec, theta, x[None])[0],
+            rtol=1e-12
         )
 
     def test_perturbation_matches_jacobian_product(self):
@@ -190,8 +189,9 @@ class TestLinearized:
         lin = LinearizedModel(spec, theta0)
         delta = np.random.default_rng(2).standard_normal(spec.num_params)
         x = np.random.default_rng(3).standard_normal(5)
-        expected = forward(spec, theta0, x) + jacobian(spec, theta0, x) @ delta
-        np.testing.assert_allclose(linear_batch_forward(lin, theta0 + delta, x[None])[0], expected,
+        expected = (model_outputs(spec, theta0, x[None])[0]
+                    + stacked_jacobian(spec, theta0, x[None]) @ delta)
+        np.testing.assert_allclose(model_outputs(lin, theta0 + delta, x[None])[0], expected,
                                    rtol=1e-13)
 
 

@@ -6,8 +6,7 @@ import pytest
 from kinfluence.datasets import LabeledDataset, make_blobs, split_forget
 from kinfluence.errors import DegenerateSplit
 from kinfluence.losses import CROSS_ENTROPY, SQUARED, loss_grad_batch
-from kinfluence.models import (LinearizedModel, ModelSpec, batch_forward, model_outputs,
-                               stacked_jacobian)
+from kinfluence.models import LinearizedModel, ModelSpec, model_outputs, stacked_jacobian
 from kinfluence.primal import (
     HESSIAN_FULL,
     HESSIAN_UPWEIGHTED,
@@ -60,8 +59,8 @@ class TestHessianOperator:
         spec, lin, split, cfg, theta = quadratic_instance(seed=2)
         _, g = removal_system(lin, theta, split, cfg, variant)
         jac_f = stacked_jacobian(spec, lin.theta_ref, split.forget.features)
-        f_f = jac_f @ (theta - lin.theta_ref) + batch_forward(spec, lin.theta_ref,
-                                                              split.forget.features).ravel()
+        f_f = jac_f @ (theta - lin.theta_ref) + model_outputs(spec, lin.theta_ref,
+                                                             split.forget.features).ravel()
         grad_f = (jac_f.T @ (f_f - split.forget.targets.ravel()) / split.n_forget
                   + cfg.lam * (theta - lin.theta_ref))
         n_set = split.n_retain if variant == HESSIAN_UPWEIGHTED else split.n
@@ -114,7 +113,7 @@ class TestInfluence:
         targets = np.array([[1.0], [-1.0]] * 6)
         labels = (targets[:, 0] > 0).astype(int)
         ds = LabeledDataset(feats, targets, labels)
-        np.testing.assert_allclose(batch_forward(spec, theta_ref, feats), targets)
+        np.testing.assert_allclose(model_outputs(spec, theta_ref, feats), targets)
         cfg = RiskConfig(lam=0.2, loss=SQUARED)  # reference-centered: reg term 0 at theta_ref
         split = split_forget(ds, 25.0, scope="all", seed=1)
         res = PrimalUnlearner(lin, theta_ref, split, cfg).solve()
@@ -194,11 +193,10 @@ class TestPredictors:
         spec, lin, split, cfg, theta_star = quadratic_instance(seed=13)
         delta = PrimalUnlearner(lin, theta_star, split, cfg,
                                 CgOptions(rel_tol=1e-12, max_iters=4000)).solve().x
-        from kinfluence.models import linear_batch_forward
         test = held_out(5, 2, seed=31)
         df, _, _ = predict_changes_primal(lin, theta_star, delta, test, cfg)
-        exact = (linear_batch_forward(lin, theta_star + delta, test.features)
-                 - linear_batch_forward(lin, theta_star, test.features))
+        exact = (model_outputs(lin, theta_star + delta, test.features)
+                 - model_outputs(lin, theta_star, test.features))
         np.testing.assert_allclose(df, exact, rtol=1e-9, atol=1e-12)
 
     def test_first_order_shrinkage_nonlinear(self):
@@ -212,8 +210,8 @@ class TestPredictors:
         errs = []
         for scale in (1e-2, 1e-3):
             pred, _, _ = predict_changes_primal(spec, theta, scale * delta, test, cfg)
-            actual = (batch_forward(spec, theta + scale * delta, test.features)
-                      - batch_forward(spec, theta, test.features))
+            actual = (model_outputs(spec, theta + scale * delta, test.features)
+                      - model_outputs(spec, theta, test.features))
             errs.append(np.linalg.norm(pred - actual) / np.linalg.norm(actual))
         assert errs[1] < errs[0]  # relative error shrinks with the step
 
@@ -229,8 +227,7 @@ class TestPredictors:
         cfg = RiskConfig(lam=0.3, loss=loss)
         test = held_out(5, 3, seed=33, n=6)
         assert test.n >= 5
-        center = None if linearized else theta_ref
-        df, raw, reg = predict_changes_primal(model, theta_star, delta, test, cfg, center)
+        df, raw, reg = predict_changes_primal(model, theta_star, delta, test, cfg)
 
         at = theta_ref if linearized else theta_star
         df_oracle = (stacked_jacobian(spec, at, test.features) @ delta).reshape(test.n, 3)

@@ -9,12 +9,11 @@ import scipy.linalg
 from kinfluence import models
 from kinfluence.datasets import make_blobs, split_forget
 from kinfluence.errors import DivergenceDetected
-from kinfluence.losses import CROSS_ENTROPY, SQUARED, loss_hess_batch
+from kinfluence.losses import CROSS_ENTROPY, SQUARED, loss_grad_batch, loss_hess_batch
 from kinfluence.models import (
     LinearizedModel,
     ModelSpec,
-    batch_forward,
-    linear_batch_forward,
+    model_outputs,
     stacked_jacobian,
 )
 from kinfluence.primal import PrimalUnlearner
@@ -87,6 +86,42 @@ class TestRiskValue:
         assert np.linalg.norm(risk_grad(lin, theta, ds, cfg)) < 1e-9
 
 
+class TestRawNetworkCenter:
+    def test_grad_regularizes_toward_initialization(self):
+        # oracle: materialized J at theta; the raw risk's center is the
+        # spec's own initialization, so the regularizer gradient is lam * v
+        spec = ModelSpec((4, 12, 3), init_seed=3)
+        ds = make_blobs(5, 3, d_in=4, seed=3)
+        cfg = RiskConfig(lam=0.3, loss=CROSS_ENTROPY)
+        v = 0.1 * np.random.default_rng(0).standard_normal(spec.num_params)
+        theta = spec.init_params() + v
+        jac = stacked_jacobian(spec, theta, ds.features)
+        g_out = loss_grad_batch(cfg.loss, model_outputs(spec, theta, ds.features), ds.targets)
+        oracle = jac.T @ g_out.ravel() / ds.n + cfg.lam * v
+        grad = risk_grad(spec, theta, ds, cfg)
+        assert np.linalg.norm(grad - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+    def test_training_draws_the_initialization_once(self, monkeypatch):
+        calls = []
+        real = ModelSpec.init_params
+
+        def counting(self):
+            calls.append(1)
+            return real(self)
+        monkeypatch.setattr(ModelSpec, "init_params", counting)
+        ds = make_blobs(4, 2, d_in=3, seed=0)
+        counts = []
+        for epochs in (5, 50):
+            calls.clear()
+            spec = ModelSpec((3, 8, 2), init_seed=1)
+            rep = train(spec, ds, RiskConfig(lam=0.1), Optimizer("gd", lr=0.05),
+                        StopRule(epochs, 0.0))
+            assert rep.epochs_run == epochs
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == 1
+        assert not spec.theta_init.flags.writeable
+
+
 class TestHvp:
     def test_zero_direction(self):
         spec, lin, ds = small_lin(5)
@@ -115,7 +150,7 @@ class TestHvp:
         linearized = model_kind == "linearized"
         at = theta_ref if linearized else theta
         jac = stacked_jacobian(spec, at, ds.features)
-        f = batch_forward(spec, at, ds.features).ravel()
+        f = model_outputs(spec, at, ds.features).ravel()
         if linearized:
             f += jac @ (theta - theta_ref)
         b = scipy.linalg.block_diag(*loss_hess_batch(loss, f.reshape(ds.n, 3), ds.targets))
@@ -198,7 +233,7 @@ class TestForwardPassOnce:
     def test_linear_forward_and_risk_gradient(self, forward_calls):
         spec, lin, ds = small_lin(12)
         theta = lin.theta_ref + 0.01
-        linear_batch_forward(lin, theta, ds.features)
+        model_outputs(lin, theta, ds.features)
         assert len(forward_calls) == 1
         forward_calls.clear()
         risk_value_and_grad(lin, theta, ds, RiskConfig(lam=0.1))
@@ -273,7 +308,7 @@ class TestExactFit:
         theta = fit_linearized_exact(lin, ds, cfg)
         # oracle: dense primal normal equations on materialized J
         jac = stacked_jacobian(spec, lin.theta_ref, ds.features)
-        f0 = batch_forward(spec, lin.theta_ref, ds.features).ravel()
+        f0 = model_outputs(spec, lin.theta_ref, ds.features).ravel()
         lhs = jac.T @ jac / ds.n + cfg.lam * np.eye(spec.num_params)
         rhs = -jac.T @ (f0 - ds.targets_vec) / ds.n
         u = np.linalg.solve(lhs, rhs)
