@@ -139,7 +139,8 @@ class DualUnlearner:
         self.alpha = alpha_star_from_outputs(self.f_vec, split.full, cfg)
         self.delta_f = -self.alpha[:n_f]
         self.c = _psd_sqrt_blocks(retain_hessian_blocks(self.f_vec, split, cfg))
-        fi, ri = np.arange(split.n_forget), np.arange(split.n_forget, split.n)
+        # views: the kernel is forget block first
+        fi, ri = slice(0, split.n_forget), slice(split.n_forget, split.n)
         k_rr = self.kernel.submatrix(ri, ri)
         self.a = (split.n_forget / split.n_retain) * self.alpha[n_f:]
         self.b = _apply_sqrt(self.c, self.kernel.submatrix(ri, fi).matvec(self.alpha[:n_f])
@@ -148,7 +149,7 @@ class DualUnlearner:
         self.use_dense = split.n_retain * (1 if kron else d) <= self.dense_threshold
         if self.use_dense:
             # the factorization is part of operator construction (cold work);
-            # warm solves reuse it
+            # warm solves reuse it. M is built once, in one new buffer.
             if self.c.ndim == 1:
                 mat, cf = ((k_rr.sigma, self.c) if kron else
                            (k_rr.to_dense(), np.repeat(self.c, d)))
@@ -157,7 +158,9 @@ class DualUnlearner:
             else:
                 m = _apply_blockdiag(self.c, _apply_blockdiag(self.c, k_rr.to_dense()).T)
             m[np.diag_indices_from(m)] += cfg.lam
-            self._factor = scipy.linalg.cho_factor(m, overwrite_a=True)
+            # m.T is M in Fortran order, so LAPACK factors it where it lies;
+            # its lower triangle is M's upper one
+            self._factor = scipy.linalg.cho_factor(m.T, lower=True, overwrite_a=True)
         else:
             self.k_rr = k_rr
         self._prepared = True

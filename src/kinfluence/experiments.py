@@ -339,7 +339,6 @@ class _SeedContext:
     cfg: ExperimentConfig
     seed: int
     model: object
-    theta_ref: np.ndarray
     theta_hat: np.ndarray
     train_ds: LabeledDataset
     test_ds: LabeledDataset
@@ -371,10 +370,9 @@ def _build_seed_context(cfg: ExperimentConfig, seed: int, stored: bool = False) 
     if theta_hat is None and cfg.trainer == "direct":
         theta_hat = fit_linearized_exact(model, train_ds, cfg.risk, kernel=kernel)
     elif theta_hat is None:
-        trained = train(model, train_ds, cfg.risk, cfg.opt, cfg.stop, theta0=theta_ref.copy())
+        trained = train(model, train_ds, cfg.risk, cfg.opt, cfg.stop)
         theta_hat = trained.final_params
-    return _SeedContext(cfg, seed, model, theta_ref, theta_hat, train_ds, test_ds, kernel,
-                        trained)
+    return _SeedContext(cfg, seed, model, theta_hat, train_ds, test_ds, kernel, trained)
 
 
 def _retrain_oracle(ctx: _SeedContext, split) -> np.ndarray:
@@ -383,9 +381,7 @@ def _retrain_oracle(ctx: _SeedContext, split) -> np.ndarray:
         sub = ctx.kernel.submatrix(split.permutation[split.n_forget:],
                                    split.permutation[split.n_forget:])
         return fit_linearized_exact(ctx.model, split.retain, cfg.risk, kernel=sub)
-    rep = train(ctx.model, split.retain, cfg.risk, cfg.opt, cfg.stop,
-                theta0=ctx.theta_ref.copy())
-    return rep.final_params
+    return train(ctx.model, split.retain, cfg.risk, cfg.opt, cfg.stop).final_params
 
 
 def _make_unlearner(ctx: _SeedContext, split, space: str):
@@ -509,6 +505,9 @@ def run_unlearning_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
                 if space == SPACE_DUAL:
                     diag.update(unlearner.diagnostics)
                 append_diagnostics(os.path.join(case_dir, "diagnostics.jsonl"), diag)
+                # frees this case's kernel copy and factor before the next
+                # case's oracle fit and unlearner are built
+                del unlearner
         write_metrics_csv(os.path.join(seed_dir, "metrics.csv"), rows)
         all_rows.extend(rows)
     write_metrics_csv(os.path.join(cfg.out_dir, "metrics.csv"), all_rows)

@@ -70,16 +70,21 @@ class KernelMatrix:
             return self.dense
         return np.kron(self.sigma, np.eye(self.d_out))
 
-    def submatrix(self, rows: np.ndarray, cols: np.ndarray) -> "KernelMatrix":
-        """Point-index slicing; keeps the Kronecker form when present."""
-        rows, cols = np.asarray(rows), np.asarray(cols)
-        if self.sigma is not None:
-            return KernelMatrix(self.d_out, sigma=self.sigma[np.ix_(rows, cols)],
-                                spec_hash=self.spec_hash)
-        d = self.d_out
-        r = (rows[:, None] * d + np.arange(d)).ravel()
-        c = (cols[:, None] * d + np.arange(d)).ravel()
-        return KernelMatrix(self.d_out, dense=self.dense[np.ix_(r, c)],
+    def submatrix(self, rows, cols) -> "KernelMatrix":
+        """Point-index slicing; keeps the Kronecker form when present.
+
+        Two step-1 slices give a read-only view of this kernel; index arrays
+        (or strided slices) give a copy."""
+        rows, cols = _points(rows, self.n_rows), _points(cols, self.n_cols)
+        kron = self.sigma is not None
+        mat, d = (self.sigma, 1) if kron else (self.dense, self.d_out)
+        if isinstance(rows, range) and isinstance(cols, range):
+            sub = mat[rows.start * d:rows.stop * d, cols.start * d:cols.stop * d]
+            sub.flags.writeable = False
+        else:
+            r, c = ((np.asarray(i)[:, None] * d + np.arange(d)).ravel() for i in (rows, cols))
+            sub = mat[np.ix_(r, c)]
+        return KernelMatrix(self.d_out, **{"sigma" if kron else "dense": sub},
                             spec_hash=self.spec_hash)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
@@ -89,6 +94,14 @@ class KernelMatrix:
         if self.dense is not None:
             return self.dense @ v
         return (self.sigma @ v.reshape(self.n_cols, self.d_out)).ravel()
+
+
+def _points(idx, n: int):
+    """A step-1 slice of n points as a range, anything else as an index array."""
+    if isinstance(idx, slice):
+        span = range(n)[idx]
+        return span if span.step == 1 else np.asarray(span)
+    return np.asarray(idx)
 
 
 def empirical_ntk(spec: ModelSpec, theta_ref: np.ndarray, X1: np.ndarray,

@@ -211,7 +211,8 @@ class Linearization:
         for layer, (dw, db) in enumerate(_unpack(spec, v)):
             s_w, s_b = spec.layer_scales(layer)
             t = self.acts[layer] @ dw.T
-            t *= s_w
+            if s_w != 1.0:  # 1.0 in the standard parameterization
+                t *= s_w
             if tangent is not None:
                 t += s_w * (tangent @ self.weights[layer].T)
             if db is not None:
@@ -231,12 +232,14 @@ class Linearization:
             s_w, s_b = spec.layer_scales(layer)
             block = grad[w_sl].reshape(shape)
             np.matmul(delta.T, self.acts[layer], out=block)
-            block *= s_w
+            if s_w != 1.0:
+                block *= s_w
             if b_sl is not None:
                 grad[b_sl] = s_b * delta.sum(axis=0)
             if layer > 0:
                 delta = delta @ self.weights[layer]
-                delta *= s_w
+                if s_w != 1.0:
+                    delta *= s_w
                 delta *= self.masks[layer - 1]
         return grad
 

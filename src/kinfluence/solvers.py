@@ -51,24 +51,28 @@ def cg_solve(apply_a, rhs: np.ndarray, opts: CgOptions = CgOptions()) -> CgResul
     x = np.zeros_like(rhs)
     r = rhs.copy()
     p = r.copy()
+    step = np.empty_like(rhs)  # scratch for alpha p, alpha Ap
     rr = float(r @ r)
     res_norm = b_norm
     iters = 0
     for k in range(1, opts.max_iters + 1):
         ap = np.asarray(apply_a(p))
-        if not np.all(np.isfinite(ap)):
-            raise NonFiniteEncountered(f"operator output non-finite at iteration {k}")
         pap = float(p @ ap)
+        # a non-finite entry of Ap makes p'Ap non-finite, so Ap is scanned
+        # only then
+        if not np.isfinite(pap) and not np.all(np.isfinite(ap)):
+            raise NonFiniteEncountered(f"operator output non-finite at iteration {k}")
         if pap <= 0.0:
             raise SpdViolation(f"p'Ap = {pap:.3e} <= 0 at iteration {k}: operator not SPD")
         alpha = rr / pap
-        x += alpha * p
-        r -= alpha * ap
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, ap, out=step)
         iters = k
-        res_norm = float(np.linalg.norm(r))
+        rr_next = float(r @ r)
+        res_norm = float(np.sqrt(rr_next))  # what np.linalg.norm(r) computes
         if res_norm <= opts.rel_tol * b_norm:
             return CgResult(x, res_norm, iters, True)
-        rr_next = float(r @ r)
-        p = r + (rr_next / rr) * p
+        p *= rr_next / rr
+        p += r
         rr = rr_next
     return CgResult(x, res_norm, iters, False)

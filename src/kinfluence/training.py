@@ -136,12 +136,13 @@ def risk_hessian_op(model: Model, theta: np.ndarray, ds: LabeledDataset, cfg: Ri
     _check_ds(ds, model)
     lz, f = linearize(model, theta, ds.features)
     blocks = loss_hess_batch(cfg.loss, f, ds.targets)
+    lam_v = np.empty(_spec_of(model).num_params)  # scratch for lambda v
 
     def apply_h(v: np.ndarray) -> np.ndarray:
         u = lz.jvp(v).reshape(ds.n, ds.d_out)
         hv = lz.vjp(np.einsum("nij,nj->ni", blocks, u).ravel())
         hv /= ds.n
-        hv += cfg.lam * v
+        hv += np.multiply(cfg.lam, v, out=lam_v)
         return hv
 
     return apply_h
@@ -208,6 +209,9 @@ def fit_linearized_exact(lin: LinearizedModel, ds: LabeledDataset, cfg: RiskConf
         raise DimensionMismatch("kernel does not match dataset size")
     lz = Linearization(lin.spec, lin.theta_ref, ds.features)
     rhs = ds.targets_vec - lz.outputs.ravel()
-    sys = k + cfg.lam * ds.n * np.eye(k.shape[0])
-    beta = scipy.linalg.solve(sys, rhs, assume_a="pos")
+    # one copy, factored where it lies: sys.T is the system in Fortran order,
+    # its lower triangle the upper one of sys; the caller's kernel is not written
+    sys = k.copy()
+    sys[np.diag_indices_from(sys)] += cfg.lam * ds.n
+    beta = scipy.linalg.solve(sys.T, rhs, assume_a="pos", lower=True, overwrite_a=True)
     return lin.theta_ref + lz.vjp(beta)

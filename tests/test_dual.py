@@ -6,6 +6,7 @@ unreduced coefficient system solved densely, finite differences of the
 reparameterized risk, and exact retraining fits.
 """
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -360,6 +361,40 @@ class TestFactoredSolve:
         solver = DualUnlearner(kernel, f_vec, split, cfg, opts)
         solver.prepare()
         assert solver._factor[0].shape == (split.n_retain, split.n_retain)
+
+
+class TestPrepareMemory:
+    """The dense reduced solve materializes M once and factors it in place."""
+
+    def test_dense_prepare_peak_is_one_matrix(self):
+        d = 4
+        ds = make_blobs(75, d, d_in=5, seed=3)
+        split = split_forget(ds, 10.0, scope="all", seed=4)
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((split.n * d, 60))
+        kernel = KernelMatrix(d, dense=a @ a.T)
+        f_vec = rng.normal(scale=0.5, size=split.n * d)
+        solver = DualUnlearner(kernel, f_vec, split, RiskConfig(lam=0.1), dense_threshold=4096)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            solver.prepare()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert solver.use_dense
+        side = split.n_retain * d
+        assert peak <= 1.25 * side * side * 8
+
+    @pytest.mark.parametrize("threshold", [DENSE_SOLVE_MAX, 0], ids=["cholesky", "cg"])
+    @pytest.mark.parametrize("kron", [False, True], ids=["dense", "kron"])
+    @pytest.mark.parametrize("loss", [SQUARED, CROSS_ENTROPY])
+    def test_leaves_kernel_unchanged(self, loss, kron, threshold):
+        split, cfg, kernel, f_vec = reduced_instance(loss, kron, 30.0)
+        mat = kernel.sigma if kron else kernel.dense
+        before = mat.copy()
+        DualUnlearner(kernel, f_vec, split, cfg, dense_threshold=threshold).solve()
+        np.testing.assert_array_equal(mat, before)
 
 
 class TestMapAndPredict:

@@ -32,7 +32,8 @@ from kinfluence.experiments import (
     stored_paths,
 )
 from kinfluence.kernels import empirical_ntk, write_kernel_cache
-from kinfluence.models import LinearizedModel, ModelSpec, save_params
+from kinfluence.losses import SQUARED, loss_value_batch
+from kinfluence.models import LinearizedModel, ModelSpec, model_outputs, save_params
 from kinfluence.primal import PrimalUnlearner
 from kinfluence.report import METRICS_HEADER, influence_csv_header
 from kinfluence.training import RiskConfig, fit_linearized_exact
@@ -246,6 +247,25 @@ class TestUnlearningProtocol:
         rows = run_unlearning_experiment(cfg)
         for r in rows:
             assert r.rel_l2 < 1e-4  # iterative optimum, looser than the exact fit
+
+
+class TestRawNetworkOrigin:
+    def test_origin_centered_raw_network_trains(self, tmp_path):
+        # training starts at the initialization, not at the center 0, where
+        # every weight gradient of a ReLU network vanishes
+        cfg = config_from_values(tiny_values(
+            str(tmp_path), **{"model.linearized": "false", "train.kind": "gd",
+                              "risk.center": "origin", "opt.lr": "0.1",
+                              "stop.max_epochs": "200", "unlearn.space": "theta"}))
+        ctx = experiments._build_seed_context(cfg, 0)
+        spec = ctx.model
+        for w_sl, _shape, _b_sl in spec.param_slices:
+            assert np.any(ctx.theta_hat[w_sl] != 0.0)
+        y = ctx.train_ds.targets
+        fitted = loss_value_batch(SQUARED, model_outputs(spec, ctx.theta_hat,
+                                                         ctx.train_ds.features), y).mean()
+        constant = loss_value_batch(SQUARED, np.broadcast_to(y.mean(axis=0), y.shape), y).mean()
+        assert fitted < constant
 
 
 class TestSweep:

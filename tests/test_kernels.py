@@ -82,6 +82,34 @@ class TestKron:
         np.testing.assert_array_equal(sub.to_dense(), full[np.ix_(rows, cols)])
 
 
+class TestSubmatrixViews:
+    @pytest.mark.parametrize("kron", [False, True], ids=["dense", "kron"])
+    def test_slices_share_memory_and_match_index_arrays(self, kron):
+        rng = np.random.default_rng(4)
+        if kron:
+            k = KernelMatrix(3, sigma=rng.standard_normal((7, 7)))
+            base = k.sigma
+        else:
+            k = KernelMatrix(3, dense=rng.standard_normal((21, 21)))
+            base = k.dense
+        for rows, cols in [(slice(2, 7), slice(0, 2)), (slice(0, 7), slice(3, None)),
+                           (slice(-2, None), slice(1, 6))]:
+            view = k.submatrix(rows, cols)
+            copy = k.submatrix(np.arange(7)[rows], np.arange(7)[cols])
+            got, want = (view.sigma, copy.sigma) if kron else (view.dense, copy.dense)
+            assert np.shares_memory(got, base)
+            assert not np.shares_memory(want, base)
+            np.testing.assert_array_equal(got, want)
+            with pytest.raises(ValueError):  # nothing writes through a view
+                got[0, 0] = 0.0
+
+    def test_strided_slice_copies(self):
+        k = KernelMatrix(2, dense=np.arange(64.0).reshape(8, 8))
+        sub = k.submatrix(slice(0, 4, 2), slice(None))
+        assert not np.shares_memory(sub.dense, k.dense)
+        np.testing.assert_array_equal(sub.dense, k.dense[[0, 1, 4, 5]])
+
+
 class TestShardedMatvec:
     def setup_method(self):
         rng = np.random.default_rng(5)

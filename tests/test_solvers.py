@@ -55,6 +55,11 @@ class TestCg:
         with pytest.raises(NonFiniteEncountered):
             cg_solve(lambda v: v * np.nan, np.array([1.0]))
 
+    def test_non_finite_output_where_direction_is_zero(self):
+        # p = (1, 0) and Ap = (1, inf): p'Ap = 0 * inf is NaN, so Ap is scanned
+        with pytest.raises(NonFiniteEncountered):
+            cg_solve(lambda v: np.array([v[0], np.inf]), np.array([1.0, 0.0]))
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=10 ** 6))
     def test_property_matches_dense(self, n, seed):

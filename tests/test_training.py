@@ -9,6 +9,7 @@ import scipy.linalg
 from kinfluence import models
 from kinfluence.datasets import make_blobs, split_forget
 from kinfluence.errors import DivergenceDetected
+from kinfluence.kernels import empirical_ntk
 from kinfluence.losses import CROSS_ENTROPY, SQUARED, loss_grad_batch, loss_hess_batch
 from kinfluence.models import (
     LinearizedModel,
@@ -313,6 +314,15 @@ class TestExactFit:
         rhs = -jac.T @ (f0 - ds.targets_vec) / ds.n
         u = np.linalg.solve(lhs, rhs)
         np.testing.assert_allclose(theta, lin.theta_ref + u, rtol=1e-8, atol=1e-10)
+
+    def test_leaves_callers_kernel_unchanged(self):
+        spec, lin, ds = small_lin(15)
+        cfg = RiskConfig(lam=0.3, loss=SQUARED)
+        kernel = empirical_ntk(spec, lin.theta_ref, ds.features)
+        before = kernel.dense.copy()
+        theta = fit_linearized_exact(lin, ds, cfg, kernel=kernel)
+        np.testing.assert_array_equal(kernel.dense, before)
+        np.testing.assert_allclose(theta, fit_linearized_exact(lin, ds, cfg), rtol=1e-12)
 
     def test_train_to_convergence_agrees(self):
         spec, lin, ds = small_lin(13, widths=(3, 8, 2), n=10)
