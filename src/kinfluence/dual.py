@@ -26,7 +26,7 @@ from .kernels import KernelMatrix, empirical_ntk
 from .losses import loss_grad_batch, loss_hess_batch
 from .models import Linearization, LinearizedModel, model_outputs
 from .report import InfluenceReport, PerTestChange, max_iters_note
-from .solvers import CgOptions, cg_solve
+from .solvers import CgOptions, cg_solve, cholesky_in_place
 from .training import RiskConfig, stationarity_gap
 
 DENSE_SOLVE_MAX = 512
@@ -158,9 +158,7 @@ class DualUnlearner:
             else:
                 m = _apply_blockdiag(self.c, _apply_blockdiag(self.c, k_rr.to_dense()).T)
             m[np.diag_indices_from(m)] += cfg.lam
-            # m.T is M in Fortran order, so LAPACK factors it where it lies;
-            # its lower triangle is M's upper one
-            self._factor = scipy.linalg.cho_factor(m.T, lower=True, overwrite_a=True)
+            self._factor = cholesky_in_place(m)
         else:
             self.k_rr = k_rr
         self._prepared = True

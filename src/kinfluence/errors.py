@@ -66,7 +66,8 @@ class NonFiniteEncountered(NumericalError):
 
 
 class SpdViolation(NumericalError):
-    """CG observed p'Ap <= 0: the operator is not positive definite."""
+    """A system that must be positive definite is not: CG observed p'Ap <= 0,
+    or a dense Cholesky factorization failed."""
 
 
 class NotAtOptimum(NumericalError):

@@ -109,8 +109,14 @@ def empirical_ntk(spec: ModelSpec, theta_ref: np.ndarray, X1: np.ndarray,
     """Gram matrix of parameter Jacobians at ``theta_ref``.
 
     Equal to stacked_jacobian(X1) @ stacked_jacobian(X2).T, assembled without
-    the Jacobians via the layerwise identity
-    K[(i,k),(j,l)] = sum_l (s_w^2 a_i'a_j + s_b^2) * (delta_ik' delta_jl).
+    the Jacobians, layer by layer, as
+    K[(i,k),(j,l)] = sum_layers (s_w^2 a_i'a_j + s_b^2) * (D_i D_j')[k,l],
+    where a are the layer's inputs and D its backprop signals. The output
+    layer's signal is the identity, so its term is gram (x) I_{d_out}.
+
+    Without ``X2`` the kernel is symmetric: each row block of points computes
+    only the columns from its own first point on, and the rows below the
+    diagonal are copied from the transposed upper blocks, so K == K.T exactly.
     """
     symmetric = X2 is None
     a1, d1 = activations_and_deltas(spec, theta_ref, X1)
@@ -118,18 +124,38 @@ def empirical_ntk(spec: ModelSpec, theta_ref: np.ndarray, X1: np.ndarray,
     n1, n2 = a1[0].shape[0], a2[0].shape[0]
     d = spec.d_out
     out = np.zeros((n1 * d, n2 * d))
-    # row blocks of _ASSEMBLY_BLOCK points bound the scratch memory
+    out4 = out.reshape(n1, d, n2, d)
+    # row blocks of _ASSEMBLY_BLOCK points bound the scratch memory: one
+    # buffer, reused by every hidden layer's signal product
+    scratch = np.empty(min(_ASSEMBLY_BLOCK, n1) * d * n2 * d)
     for r0 in range(0, n1, _ASSEMBLY_BLOCK):
         r1 = min(r0 + _ASSEMBLY_BLOCK, n1)
-        acc = np.zeros(((r1 - r0) * d, n2 * d))
+        c0 = r0 if symmetric else 0
+        rb, nc = r1 - r0, n2 - c0
+        blk = out4[r0:r1, :, c0:]
         for layer in range(spec.n_layers):
             s_w, s_b = spec.layer_scales(layer)
-            gram = (s_w ** 2) * (a1[layer][r0:r1] @ a2[layer].T)
+            gram = (s_w ** 2) * (a1[layer][r0:r1] @ a2[layer][c0:].T)
             if spec.bias:
-                gram = gram + s_b ** 2
-            dd = d1[layer][r0:r1].reshape((r1 - r0) * d, -1) @ d2[layer].reshape(n2 * d, -1).T
-            acc += np.repeat(np.repeat(gram, d, axis=0), d, axis=1) * dd
-        out[r0 * d:r1 * d] = acc
+                gram += s_b ** 2
+            if layer == spec.n_layers - 1:
+                for k in range(d):
+                    blk[:, k, :, k] += gram
+                continue
+            dd = scratch[:rb * d * nc * d].reshape(rb * d, nc * d)
+            np.matmul(d1[layer][r0:r1].reshape(rb * d, -1), d2[layer][c0:].reshape(nc * d, -1).T,
+                      out=dd)
+            dd = dd.reshape(rb, d, nc, d)
+            dd *= gram[:, None, :, None]
+            blk += dd
+        if symmetric:
+            # square tiles keep the copies' temporaries small
+            rows = slice(r0 * d, r1 * d)
+            tile = out[rows, rows]
+            np.copyto(tile, tile.T, where=np.tri(len(tile), k=-1, dtype=bool))
+            for t0 in range(r1, n1, _ASSEMBLY_BLOCK):
+                cols = slice(t0 * d, min(t0 + _ASSEMBLY_BLOCK, n1) * d)
+                out[cols, rows] = out[rows, cols].T
     return KernelMatrix(d, dense=out, spec_hash=spec.spec_hash())
 
 
@@ -219,7 +245,7 @@ def write_kernel_cache(path: str, kernel: KernelMatrix) -> None:
         f.write(CACHE_MAGIC)
         f.write(struct.pack("<QQBB", kernel.n_rows, kernel.d_out, form, form))
         f.write(kernel.spec_hash)
-        f.write(np.ascontiguousarray(payload, dtype="<f8").tobytes())
+        f.write(memoryview(np.ascontiguousarray(payload, dtype="<f8")))
 
 
 def read_kernel_cache(path: str, expect_hash: bytes | None = None) -> KernelMatrix:

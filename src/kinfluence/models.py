@@ -318,7 +318,7 @@ def save_params(path: str, spec: ModelSpec, theta: np.ndarray) -> None:
     with open(path, "wb") as f:
         f.write(struct.pack("<Q", spec.num_params))
         f.write(spec.spec_hash())
-        f.write(theta.astype("<f8").tobytes())
+        f.write(memoryview(np.ascontiguousarray(theta, dtype="<f8")))
 
 
 def load_params(path: str, spec: ModelSpec) -> np.ndarray:

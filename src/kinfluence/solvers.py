@@ -1,9 +1,10 @@
-"""Conjugate-gradient solver for SPD operators given only a matvec.
+"""Solvers for SPD systems: conjugate gradients given only a matvec, and an
+in-place dense Cholesky factorization.
 
-Hand-rolled rather than scipy's so the influence paths get the diagnostics
-they are contracted to report: exact iteration counts, the p'Ap positivity
-abort, non-finite detection, and soft max-iteration behavior that returns the
-best iterate flagged instead of raising.
+CG is hand-rolled rather than scipy's so the influence paths get the
+diagnostics they are contracted to report: exact iteration counts, the p'Ap
+positivity abort, non-finite detection, and soft max-iteration behavior that
+returns the best iterate flagged instead of raising.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import NonFiniteEncountered, SpdViolation
 
@@ -76,3 +78,19 @@ def cg_solve(apply_a, rhs: np.ndarray, opts: CgOptions = CgOptions()) -> CgResul
         p += r
         rr = rr_next
     return CgResult(x, res_norm, iters, False)
+
+
+def cholesky_in_place(m: np.ndarray):
+    """Cholesky factor of the symmetric C-ordered matrix ``m``, for cho_solve.
+
+    m.T is m in Fortran order, so LAPACK factors it where it lies, reading
+    its lower triangle (m's upper one); m's buffer is overwritten. Raises
+    NonFiniteEncountered for non-finite entries and SpdViolation when m is
+    not positive definite.
+    """
+    try:
+        return scipy.linalg.cho_factor(m.T, lower=True, overwrite_a=True)
+    except np.linalg.LinAlgError as e:  # a subclass of ValueError, so caught first
+        raise SpdViolation(f"Cholesky factorization failed: {e}") from e
+    except ValueError as e:  # check_finite found a NaN or Inf
+        raise NonFiniteEncountered("matrix to factor has non-finite entries") from e

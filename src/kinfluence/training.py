@@ -16,10 +16,11 @@ import numpy as np
 import scipy.linalg
 
 from .datasets import LabeledDataset
-from .errors import DimensionMismatch, DivergenceDetected, EmptyDataset
+from .errors import DimensionMismatch, DivergenceDetected, EmptyDataset, NonFiniteEncountered
 from .kernels import KernelMatrix, empirical_ntk
 from .losses import SQUARED, loss_grad_batch, loss_hess_batch, loss_value_batch
 from .models import Linearization, LinearizedModel, Model, _spec_of, linearize, model_outputs
+from .solvers import cholesky_in_place
 
 CENTER_REFERENCE = "reference"
 CENTER_ORIGIN = "origin"
@@ -209,9 +210,11 @@ def fit_linearized_exact(lin: LinearizedModel, ds: LabeledDataset, cfg: RiskConf
         raise DimensionMismatch("kernel does not match dataset size")
     lz = Linearization(lin.spec, lin.theta_ref, ds.features)
     rhs = ds.targets_vec - lz.outputs.ravel()
-    # one copy, factored where it lies: sys.T is the system in Fortran order,
-    # its lower triangle the upper one of sys; the caller's kernel is not written
+    if not np.all(np.isfinite(rhs)):
+        raise NonFiniteEncountered("reference outputs are non-finite")
+    # one copy, factored where it lies; the caller's kernel is not written
     sys = k.copy()
     sys[np.diag_indices_from(sys)] += cfg.lam * ds.n
-    beta = scipy.linalg.solve(sys.T, rhs, assume_a="pos", lower=True, overwrite_a=True)
+    # the factor of a checked finite matrix is finite: no second scan
+    beta = scipy.linalg.cho_solve(cholesky_in_place(sys), rhs, check_finite=False)
     return lin.theta_ref + lz.vjp(beta)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from kinfluence.datasets import LabeledDataset, SplitDataset, make_blobs, split_forget
-from kinfluence.errors import DegenerateSplit, NotAtOptimum
+from kinfluence.errors import DegenerateSplit, NonFiniteEncountered, NotAtOptimum, SpdViolation
 from kinfluence.infinite import AnalyticNtkSpec, analytic_ntk
 from kinfluence.kernels import KernelMatrix, empirical_ntk
 from kinfluence.losses import CROSS_ENTROPY, SQUARED, loss_grad_batch, loss_value_batch
@@ -533,3 +533,13 @@ class TestRobustness:
         retrained = fit_linearized_exact(lin, split.retain, cfg)
         rel = np.linalg.norm(theta_u - retrained) / np.linalg.norm(retrained)
         assert rel < 1e-12
+
+    @pytest.mark.parametrize("fill, error", [(np.nan, NonFiniteEncountered),
+                                             (-10.0, SpdViolation)], ids=["nan", "negative"])
+    def test_failed_factorization_raises_numerical_error(self, fill, error):
+        split, cfg, kernel, f_vec = reduced_instance(SQUARED, False, 50.0)
+        side = kernel.shape[0]
+        dense = np.full((side, side), np.nan) if np.isnan(fill) else fill * np.eye(side)
+        solver = DualUnlearner(KernelMatrix(kernel.d_out, dense=dense), f_vec, split, cfg)
+        with pytest.raises(error):
+            solver.prepare()

@@ -31,7 +31,7 @@ from kinfluence.experiments import (
     run_unlearning_experiment,
     stored_paths,
 )
-from kinfluence.kernels import empirical_ntk, write_kernel_cache
+from kinfluence.kernels import KernelMatrix, empirical_ntk, write_kernel_cache
 from kinfluence.losses import SQUARED, loss_value_batch
 from kinfluence.models import LinearizedModel, ModelSpec, model_outputs, save_params
 from kinfluence.primal import PrimalUnlearner
@@ -406,6 +406,25 @@ class TestCli:
                          "--space", "dual", "--out", out]) == 0
         assert json.load(open(out))["cold_runtime_s"] > 0
         assert not os.path.exists(os.path.join(os.path.dirname(path), "metrics.csv"))
+
+    def test_cold_child_non_finite_kernel_exit_code(self, tmp_path, capsys):
+        # a kernel.bin with a valid header and a NaN payload reaches the
+        # dense factorization, which reports a numerical failure
+        cfgp = write_cfg(tmp_path)
+        cfg = experiments.load_config(cfgp)
+        train_ds, _ = make_experiment_data(cfg)
+        spec = ModelSpec(cfg.widths, init_seed=cfg.init_seed)
+        lin = LinearizedModel(spec, spec.init_params())
+        path, theta_path = stored_paths(cfg, 0)
+        os.makedirs(os.path.dirname(path))
+        side = train_ds.n * train_ds.d_out
+        write_kernel_cache(path, KernelMatrix(train_ds.d_out, dense=np.full((side, side), np.nan),
+                                              spec_hash=spec.spec_hash()))
+        save_params(theta_path, spec, fit_linearized_exact(lin, train_ds, cfg.risk))
+        out = os.path.join(str(tmp_path), "cold.json")
+        assert cli.main(["unlearn", "--config", cfgp, "--cold", "--percent", "50",
+                         "--space", "dual", "--out", out]) == 3
+        assert "numerical failure" in capsys.readouterr().err
 
     @pytest.mark.parametrize("percent, code", [("50", 0), ("10,30", 2), ("x", 2)])
     def test_ntk_infinite_percent_flag(self, tmp_path, capsys, percent, code):

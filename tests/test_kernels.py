@@ -1,5 +1,7 @@
 """Kernel assembly, Kronecker structure, sharded matvec, cache format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from kinfluence.kernels import (
     validate_shards,
     write_kernel_cache,
 )
-from kinfluence.models import ModelSpec, stacked_jacobian
+from kinfluence.models import ModelSpec, activations_and_deltas, save_params, stacked_jacobian
 
 
 class TestEmpirical:
@@ -58,6 +60,101 @@ class TestEmpirical:
         np.testing.assert_allclose(k.dense, k.dense.T, atol=1e-12)
         min_eig = np.linalg.eigvalsh((k.dense + k.dense.T) / 2.0).min()
         assert min_eig >= -1e-8 * np.trace(k.dense) / k.n_rows
+
+
+def repeat_reference(spec, theta, X1, X2=None):
+    """Every layer's full (point, point) gram expanded with np.repeat and
+    multiplied into the full signal product: the block formula in its
+    plainest form, with no symmetry and no identity shortcut."""
+    a1, d1 = activations_and_deltas(spec, theta, X1)
+    a2, d2 = (a1, d1) if X2 is None else activations_and_deltas(spec, theta, X2)
+    n1, n2, d = a1[0].shape[0], a2[0].shape[0], spec.d_out
+    out = np.zeros((n1 * d, n2 * d))
+    for layer in range(spec.n_layers):
+        s_w, s_b = spec.layer_scales(layer)
+        gram = (s_w ** 2) * (a1[layer] @ a2[layer].T)
+        if spec.bias:
+            gram = gram + s_b ** 2
+        dd = d1[layer].reshape(n1 * d, -1) @ d2[layer].reshape(n2 * d, -1).T
+        out += np.repeat(np.repeat(gram, d, axis=0), d, axis=1) * dd
+    return out
+
+
+ASSEMBLY_SPECS = {
+    "output_layer_only": ModelSpec((5, 3), init_seed=1),
+    "relu_2_layers": ModelSpec((5, 16, 3), init_seed=2),
+    "relu_3_layers": ModelSpec((5, 12, 8, 3), init_seed=3),
+    "identity": ModelSpec((5, 16, 3), activation="identity", init_seed=4),
+    "no_bias": ModelSpec((5, 12, 8, 3), bias=False, init_seed=5),
+    "ntk_parameterization": ModelSpec((5, 12, 8, 3), parameterization="ntk", init_seed=6),
+}
+
+
+class TestAssembly:
+    """Upper row blocks mirrored, the output layer as gram (x) I."""
+
+    @pytest.mark.parametrize("n", [1, 64, 65, 130])
+    @pytest.mark.parametrize("name", sorted(ASSEMBLY_SPECS))
+    def test_symmetric_and_matches_repeat_formula(self, name, n):
+        spec = ASSEMBLY_SPECS[name]
+        theta = spec.init_params()
+        x = np.random.default_rng(n).uniform(-1, 1, size=(n, spec.d_in))
+        k = empirical_ntk(spec, theta, x).dense
+        assert np.array_equal(k, k.T)
+        ref = repeat_reference(spec, theta, x)
+        assert np.max(np.abs(k - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("name", sorted(ASSEMBLY_SPECS))
+    def test_cross_kernel_matches_symmetric_rows(self, name):
+        spec = ASSEMBLY_SPECS[name]
+        theta = spec.init_params()
+        x = np.random.default_rng(7).uniform(-1, 1, size=(130, spec.d_in))
+        full = empirical_ntk(spec, theta, x).dense
+        for k in (1, 65, 130):
+            cross = empirical_ntk(spec, theta, x[:k], x).dense
+            rows = full[:k * spec.d_out]
+            assert np.max(np.abs(cross - rows)) <= 1e-13 * np.max(np.abs(rows))
+            ref = repeat_reference(spec, theta, x[:k], x)
+            assert np.max(np.abs(cross - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def traced_peak(fn) -> int:
+    """Bytes allocated at the peak of ``fn()``, above what was live before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    @pytest.mark.parametrize("widths", [(4, 8, 4), (4, 8, 6, 4)], ids=["2_layers", "3_layers"])
+    def test_assembly_peak_is_output_plus_two_row_blocks(self, widths):
+        spec = ModelSpec(widths, init_seed=9)
+        theta = spec.init_params()
+        n, d = 200, spec.d_out
+        x = np.random.default_rng(9).uniform(0, 1, size=(n, spec.d_in))
+        peak = traced_peak(lambda: empirical_ntk(spec, theta, x))
+        output = (n * d) ** 2 * 8
+        row_block = 64 * d * n * d * 8  # one row block of points, every column
+        assert peak <= output + 2 * row_block
+
+    def test_cache_write_streams_from_the_array(self, tmp_path):
+        dense = np.random.default_rng(10).standard_normal((600, 600))
+        k = KernelMatrix(3, dense=dense)
+        path = str(tmp_path / "k.bin")
+        peak = traced_peak(lambda: write_kernel_cache(path, k))
+        assert peak < 0.1 * dense.nbytes
+        np.testing.assert_array_equal(read_kernel_cache(path).dense, dense)
+
+    def test_checkpoint_write_streams_from_the_array(self, tmp_path):
+        spec = ModelSpec((50, 400, 10), init_seed=11)
+        theta = spec.init_params()
+        peak = traced_peak(lambda: save_params(str(tmp_path / "t.bin"), spec, theta))
+        # the finiteness check's boolean mask is an eighth of the payload
+        assert peak < 0.25 * theta.nbytes
 
 
 class TestKron:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinfluence.errors import NonFiniteEncountered, SpdViolation
-from kinfluence.solvers import CgOptions, cg_solve
+from kinfluence.solvers import CgOptions, cg_solve, cholesky_in_place
 
 
 class TestCg:
@@ -69,3 +69,26 @@ class TestCg:
         b = rng.standard_normal(n)
         res = cg_solve(lambda v: a @ v, b, CgOptions(rel_tol=1e-13, max_iters=20 * n))
         assert np.linalg.norm(a @ res.x - b) <= 1e-10 * max(np.linalg.norm(b), 1e-12)
+
+
+class TestCholeskyInPlace:
+    def test_factors_where_the_matrix_lies(self):
+        rng = np.random.default_rng(3)
+        g = rng.standard_normal((6, 6))
+        a = g @ g.T + 6 * np.eye(6)
+        m = a.copy()
+        factor, lower = cholesky_in_place(m)
+        assert lower and np.shares_memory(factor, m)
+        low = np.tril(factor)
+        np.testing.assert_allclose(low @ low.T, a, rtol=1e-13)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries(self, bad):
+        m = np.eye(3)
+        m[1, 2] = m[2, 1] = bad
+        with pytest.raises(NonFiniteEncountered):
+            cholesky_in_place(m)
+
+    def test_not_positive_definite(self):
+        with pytest.raises(SpdViolation):
+            cholesky_in_place(-10.0 * np.eye(3))

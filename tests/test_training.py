@@ -8,8 +8,8 @@ import scipy.linalg
 
 from kinfluence import models
 from kinfluence.datasets import make_blobs, split_forget
-from kinfluence.errors import DivergenceDetected
-from kinfluence.kernels import empirical_ntk
+from kinfluence.errors import DivergenceDetected, NonFiniteEncountered, SpdViolation
+from kinfluence.kernels import KernelMatrix, empirical_ntk
 from kinfluence.losses import CROSS_ENTROPY, SQUARED, loss_grad_batch, loss_hess_batch
 from kinfluence.models import (
     LinearizedModel,
@@ -336,3 +336,20 @@ class TestExactFit:
         spec, lin, ds = small_lin(14)
         with pytest.raises(ValueError):
             fit_linearized_exact(lin, ds, RiskConfig(lam=0.1, loss=CROSS_ENTROPY))
+
+    @pytest.mark.parametrize("fill, error", [(np.nan, NonFiniteEncountered),
+                                             (-10.0, SpdViolation)], ids=["nan", "negative"])
+    def test_failed_factorization_raises_numerical_error(self, fill, error):
+        spec, lin, ds = small_lin(16)
+        side = ds.n * ds.d_out
+        dense = np.full((side, side), np.nan) if np.isnan(fill) else fill * np.eye(side)
+        with pytest.raises(error):
+            fit_linearized_exact(lin, ds, RiskConfig(lam=0.3, loss=SQUARED),
+                                 kernel=KernelMatrix(ds.d_out, dense=dense))
+
+    def test_non_finite_reference_outputs_raise(self):
+        spec, lin, ds = small_lin(17)
+        kernel = empirical_ntk(spec, lin.theta_ref, ds.features)
+        huge = LinearizedModel(spec, np.full(spec.num_params, 1e200))  # outputs overflow
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteEncountered):
+            fit_linearized_exact(huge, ds, RiskConfig(lam=0.3, loss=SQUARED), kernel=kernel)
