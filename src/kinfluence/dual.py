@@ -11,46 +11,36 @@ has to be solved, and every matrix in it is a slice of the precomputed kernel.
 Substituting the known forget coefficients turns it into a system in
 M = lambda I + B_r^{1/2} K_rr B_r^{1/2}, whose eigenvalues are at least
 lambda however singular K_rr is (see DualUnlearner).
-The same machinery runs against analytic infinite-width kernels, where model
-outputs come from function-space training instead of a parameter vector.
+At finite width the answer ends at delta_alpha and its parameter change
+J' delta_alpha (map_to_params); test-point changes are then those of parameter
+space. The same machinery runs against analytic infinite-width kernels, where
+model outputs come from function-space training instead of a parameter vector
+and predict_changes_dual forms the test-point changes from kernels.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
 from .datasets import SplitDataset
 from .errors import DimensionMismatch, NotAtOptimum
-from .kernels import KernelMatrix, empirical_ntk
+from .kernels import KernelMatrix
 from .losses import loss_grad_batch, loss_hess_batch
-from .models import Linearization, LinearizedModel, model_outputs
-from .report import InfluenceReport, PerTestChange, max_iters_note
+from .models import Linearization, LinearizedModel
 from .solvers import CgOptions, cg_solve, cholesky_in_place
 from .training import RiskConfig, stationarity_gap
 
 DENSE_SOLVE_MAX = 512
 
 
-class DualCoefficients:
+class DualCoefficients(NamedTuple):
     """alpha_star and delta_alpha over the whole dataset, forget block first."""
 
-    def __init__(self, alpha_star: np.ndarray, delta_alpha: np.ndarray,
-                 d_out: int, n_forget: int):
-        if alpha_star.shape != delta_alpha.shape:
-            raise DimensionMismatch("alpha/delta length mismatch")
-        self.alpha_star = alpha_star
-        self.delta_alpha = delta_alpha
-        self.d_out = d_out
-        self.n_forget = n_forget
-
-    @property
-    def delta_forget(self) -> np.ndarray:
-        return self.delta_alpha[: self.n_forget * self.d_out]
-
-    @property
-    def delta_retain(self) -> np.ndarray:
-        return self.delta_alpha[self.n_forget * self.d_out:]
+    alpha_star: np.ndarray
+    delta_alpha: np.ndarray
 
 
 def _require_stationary(lin: LinearizedModel, theta_hat: np.ndarray, ds, cfg: RiskConfig) -> None:
@@ -181,7 +171,7 @@ class DualUnlearner:
             self.diagnostics.update({"solver": "cg", "iters": res.iters,
                                      "residual": res.residual, "converged": res.converged})
         delta = np.concatenate([self.delta_f, self.a + _apply_sqrt(self.c, y)])
-        return DualCoefficients(self.alpha, delta, self.kernel.d_out, self.split.n_forget)
+        return DualCoefficients(self.alpha, delta)
 
 
 def map_to_params(lin: LinearizedModel, theta_hat: np.ndarray, delta_alpha: np.ndarray,
@@ -214,21 +204,3 @@ def predict_changes_dual(k_test: KernelMatrix, kernel: KernelMatrix,
     reg_term = cfg.lam * float(coeffs.alpha_star @ kernel.matvec(coeffs.delta_alpha))
     return df, raw, raw + reg_term
 
-
-def dual_report(solver: DualUnlearner, coeffs: DualCoefficients, lin: LinearizedModel,
-                theta_hat: np.ndarray, theta_u: np.ndarray, test_ds=None) -> InfluenceReport:
-    """The report of one reduced solve whose map to parameters is ``theta_u``:
-    solver health, and the test-point changes when ``test_ds`` is given."""
-    split, diag = solver.split, solver.diagnostics
-    report = InfluenceReport(delta_theta=theta_u - theta_hat, residual=diag["residual"],
-                             iters=diag["iters"], converged=diag["converged"])
-    if not report.converged:
-        report.notes.append(max_iters_note(report.residual, report.iters))
-    if test_ds is not None:
-        k_t = empirical_ntk(lin.spec, lin.theta_ref, test_ds.features, split.full.features)
-        f_t = model_outputs(lin, theta_hat, test_ds.features).ravel()
-        df, raw, reg = predict_changes_dual(k_t, solver.kernel, coeffs, f_t, test_ds.targets,
-                                            solver.cfg)
-        report.per_test = [PerTestChange(df[i], float(raw[i]), float(reg[i]))
-                           for i in range(test_ds.n)]
-    return report

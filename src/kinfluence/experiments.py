@@ -24,14 +24,15 @@ import numpy as np
 
 from .datasets import (LabeledDataset, data_dir, load_cifar_binary, load_idx, make_blobs,
                        split_forget, subset_per_class)
-from .dual import DENSE_SOLVE_MAX, DualUnlearner, _require_stationary, dual_report, map_to_params
-from .errors import ConfigError
+from .dual import DENSE_SOLVE_MAX, DualUnlearner, _require_stationary, map_to_params
+from .errors import CheckpointMismatch, ConfigError
 from .infinite import AnalyticNtkSpec, infinite_influence
 from .kernels import KernelMatrix, empirical_ntk, read_kernel_cache, write_kernel_cache
 from .losses import SQUARED
 from .models import LinearizedModel, ModelSpec, load_params, model_outputs, save_params
-from .primal import PrimalUnlearner
+from .primal import PrimalUnlearner, attach_test_predictions
 from .report import (
+    InfluenceReport,
     MetricsRow,
     append_diagnostics,
     write_influence_csv,
@@ -350,9 +351,20 @@ def _split_seed(seed: int, percent: float) -> int:
     return seed * 100003 + int(round(percent * 10))
 
 
+# config lines a seed's theta_hat and kernel do not depend on
+_RUN_SETTINGS = ("experiment.name ", "bench.cold ", "seeds ", "out ",
+                 "unlearn.", "cg.", "dual.", "ntk.", "sweep.")
+
+
+def _fit_settings(cfg: ExperimentConfig) -> list[str]:
+    return [line for line in dump_config(cfg).splitlines() if not line.startswith(_RUN_SETTINGS)]
+
+
 def _build_seed_context(cfg: ExperimentConfig, seed: int, stored: bool = False) -> _SeedContext:
-    """With ``stored``, the kernel and theta_hat the protocol run wrote are read
-    back when they exist, instead of being assembled and fitted again."""
+    """With ``stored``, the theta_hat and kernel the protocol run wrote are read
+    back when they exist, instead of being fitted and assembled again; the
+    kernel only when the dual needs it or theta_hat still has to be fitted.
+    A run whose config snapshot differs from ``cfg`` in a fit setting is rejected."""
     train_ds, test_ds = make_experiment_data(cfg)
     spec = ModelSpec(cfg.widths, activation=cfg.activation,
                      init_seed=cfg.init_seed + seed,
@@ -360,11 +372,17 @@ def _build_seed_context(cfg: ExperimentConfig, seed: int, stored: bool = False) 
     theta_ref = np.zeros(spec.num_params) if cfg.risk.center == "origin" else spec.init_params()
     model = LinearizedModel(spec, theta_ref) if cfg.linearized else spec
     kernel = theta_hat = trained = None
-    if cfg.linearized and (SPACE_DUAL in cfg.spaces() or cfg.trainer == "direct"):
-        kernel_path, theta_path = stored_paths(cfg, seed)
+    kernel_path, theta_path = stored_paths(cfg, seed)
+    snapshot = os.path.join(cfg.out_dir, "config.cfg")
+    if (stored and os.path.exists(snapshot)
+            and _fit_settings(load_config(snapshot)) != _fit_settings(cfg)):
+        raise CheckpointMismatch(f"{cfg.out_dir} holds the fit of another config")
+    if stored and os.path.exists(theta_path):
+        theta_hat = load_params(theta_path, spec)
+    if cfg.linearized and (SPACE_DUAL in cfg.spaces()
+                           or (cfg.trainer == "direct" and theta_hat is None)):
         if stored and os.path.exists(kernel_path):
             kernel = read_kernel_cache(kernel_path, expect_hash=spec.spec_hash())
-            theta_hat = load_params(theta_path, spec)
         else:
             kernel = empirical_ntk(spec, theta_ref, train_ds.features)
     if theta_hat is None and cfg.trainer == "direct":
@@ -449,9 +467,9 @@ def run_unlearning_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
         seed_dir = os.path.dirname(kernel_path)
         os.makedirs(seed_dir, exist_ok=True)
         ctx = _build_seed_context(cfg, seed)
+        save_params(theta_path, ctx.model.spec if cfg.linearized else ctx.model, ctx.theta_hat)
         if ctx.kernel is not None:
             write_kernel_cache(kernel_path, ctx.kernel)
-            save_params(theta_path, ctx.model.spec, ctx.theta_hat)
         rows = []
         for percent in cfg.percents:
             split = split_forget(ctx.train_ds, percent, scope=cfg.scope,
@@ -493,9 +511,12 @@ def run_unlearning_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
                 )
                 rows.append(row)
                 # the report of the last warm solve; no further solve
-                report = (unlearner.report(result, ctx.test_ds) if space == SPACE_THETA else
-                          dual_report(unlearner, result, ctx.model, ctx.theta_hat, theta_u,
-                                      ctx.test_ds))
+                delta, health, notes = ((result.x, vars(result), unlearner.notes)
+                                        if space == SPACE_THETA else
+                                        (theta_u - ctx.theta_hat, unlearner.diagnostics, []))
+                report = InfluenceReport(delta, health["residual"], health["iters"],
+                                         converged=health["converged"], notes=list(notes))
+                attach_test_predictions(report, ctx.model, ctx.theta_hat, ctx.test_ds, cfg.risk)
                 write_influence_csv(os.path.join(case_dir, "influence.csv"),
                                     report, ctx.train_ds.d_out)
                 diag = {"seed": seed, "percent": percent, "space": space,

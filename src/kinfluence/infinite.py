@@ -180,8 +180,8 @@ def infinite_influence(spec: AnalyticNtkSpec, split: SplitDataset, test_ds: Labe
     require_converged(state, tol)
     alpha = alpha_star_from_outputs(state.f_train, full, cfg)
 
-    retain_idx = np.arange(split.n_forget, split.n)
-    k_retain = kernel.submatrix(retain_idx, retain_idx)
+    retain = slice(split.n_forget, split.n)
+    k_retain = kernel.submatrix(retain, retain)
     state_r = kgd_train(k_retain, split.retain, cfg, lr=lr, epochs=epochs, tol=tol)
     require_converged(state_r, tol)
     alpha_r = alpha_star_from_outputs(state_r.f_train, split.retain, cfg)
@@ -191,7 +191,7 @@ def infinite_influence(spec: AnalyticNtkSpec, split: SplitDataset, test_ds: Labe
     coeffs = solver.solve()
 
     k_test = analytic_ntk(spec, test_ds.features, full.features)
-    k_test_retain = k_test.submatrix(np.arange(test_ds.n), retain_idx)
+    k_test_retain = k_test.submatrix(slice(0, test_ds.n), retain)
     f_test = infinite_predict(k_test, alpha)
     f_test_r = infinite_predict(k_test_retain, alpha_r)
 

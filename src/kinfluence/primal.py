@@ -16,7 +16,7 @@ import numpy as np
 from .datasets import SplitDataset
 from .losses import loss_grad_batch
 from .models import Model, linearize
-from .report import InfluenceReport, PerTestChange, max_iters_note
+from .report import InfluenceReport, PerTestChange
 from .solvers import CgOptions, CgResult, cg_solve
 from .training import RiskConfig, resolve_center, risk_grad, risk_hessian_op, stationarity_gap
 
@@ -74,11 +74,8 @@ class PrimalUnlearner:
     def report(self, res: CgResult, test_ds=None) -> InfluenceReport:
         """The report of one solve, with the test-point changes when
         ``test_ds`` is given."""
-        notes = list(self.notes)
-        if not res.converged:
-            notes.append(max_iters_note(res.residual, res.iters))
         report = InfluenceReport(delta_theta=res.x, residual=res.residual, iters=res.iters,
-                                 converged=res.converged, notes=notes)
+                                 converged=res.converged, notes=list(self.notes))
         if test_ds is not None:
             attach_test_predictions(report, self.model, self.theta_star, test_ds, self.cfg)
         return report
@@ -102,6 +99,9 @@ def predict_changes_primal(model: Model, theta_star: np.ndarray, delta_theta: np
 
 def attach_test_predictions(report: InfluenceReport, model: Model, theta_star: np.ndarray,
                             test_ds, cfg: RiskConfig) -> None:
+    """Add the test-point changes of ``report.delta_theta``. Coefficient space
+    passes J' delta_alpha: then J_t delta_theta = K_t delta_alpha, and at a stationary
+    theta_star lambda (theta_star - c)' delta_theta = lambda alpha_star' K delta_alpha."""
     df, raw, reg = predict_changes_primal(model, theta_star, report.delta_theta, test_ds, cfg)
     report.per_test.extend(PerTestChange(df[i], float(raw[i]), float(reg[i]))
                            for i in range(test_ds.n))

@@ -24,6 +24,10 @@ class PerTestChange:
 
 @dataclass
 class InfluenceReport:
+    """One solve in either space: its parameter change, its health, and the
+    test-point changes once attached. A solve that stopped at its iteration
+    cap carries a MaxItersReached note."""
+
     delta_theta: np.ndarray | None
     residual: float
     iters: int
@@ -31,10 +35,10 @@ class InfluenceReport:
     converged: bool = True
     notes: list = field(default_factory=list)
 
-
-def max_iters_note(residual: float, iters: int) -> str:
-    """The report note of a CG solve that stopped at its iteration cap."""
-    return f"MaxItersReached: residual {residual:.3e} after {iters} iters"
+    def __post_init__(self):
+        if not self.converged:
+            self.notes.append(f"MaxItersReached: residual {self.residual:.3e} "
+                              f"after {self.iters} iters")
 
 
 def influence_csv_header(d_out: int) -> list[str]:

@@ -125,14 +125,15 @@ def stationarity_gap(model: Model, theta: np.ndarray, ds: LabeledDataset,
 
 
 def risk_hessian_op(model: Model, theta: np.ndarray, ds: LabeledDataset, cfg: RiskConfig):
-    """The risk Hessian as an operator v -> (1/N) J' B J v + lambda v.
+    """The operator v -> (1/N) J' B J v + lambda v.
 
     The forward pass (layer inputs, activation masks, outputs) and the
     per-point loss Hessians B are evaluated once, here; each product then
-    costs one tangent and one cotangent sweep over the layers. Exact for
-    linearized models; for raw ReLU/identity networks the Gauss-Newton form
-    with J at theta equals the Hessian almost everywhere (the model is
-    piecewise linear in theta).
+    costs one tangent and one cotangent sweep over the layers. For linearized
+    models this is the risk Hessian. For raw networks it is the Gauss-Newton
+    matrix with J at theta: it drops the loss-gradient-weighted second
+    derivatives of the outputs, which products of weights make nonzero even
+    for piecewise-linear activations.
     """
     _check_ds(ds, model)
     lz, f = linearize(model, theta, ds.features)

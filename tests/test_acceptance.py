@@ -158,7 +158,7 @@ class TestAcceptance:
                    / np.linalg.norm(unreduced))
             assert rel < 1e-8, f"reduced-vs-unreduced rel {rel:.3e}"
             known = g[:nf].ravel() / (n * cfg.lam)
-            assert np.array_equal(coeffs.delta_forget, known)
+            assert np.array_equal(coeffs.delta_alpha[:nf * d], known)
 
     @pytest.mark.parametrize("d_out", [1, 3])
     def test_c04_vectorization_identity(self, d_out):

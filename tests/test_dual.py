@@ -29,13 +29,13 @@ from kinfluence.dual import (
     _apply_blockdiag,
     _require_stationary,
     alpha_star_from_outputs,
-    dual_report,
     map_to_params,
     predict_changes_dual,
     retain_hessian_blocks,
 )
 from kinfluence.experiments import _make_unlearner
-from kinfluence.primal import PrimalUnlearner
+from kinfluence.primal import PrimalUnlearner, attach_test_predictions
+from kinfluence.report import InfluenceReport
 from kinfluence.solvers import CgOptions
 from kinfluence.training import RiskConfig, fit_linearized_exact, risk_value
 
@@ -279,7 +279,7 @@ class TestSolveReduced:
         coeffs = DualUnlearner(kernel, f_vec, split, cfg).solve()
         g = loss_grad_batch(cfg.loss, f_vec.reshape(split.n, 2), split.full.targets)
         known = g[: split.n_forget].ravel() / (split.n * cfg.lam)
-        np.testing.assert_array_equal(coeffs.delta_forget, known)
+        np.testing.assert_array_equal(coeffs.delta_alpha[: split.n_forget * 2], known)
 
     def test_matches_unreduced_system(self):
         spec, lin, split, cfg, theta_hat, kernel, f_vec = quadratic_setup(seed=9)
@@ -336,13 +336,14 @@ class TestFactoredSolve:
         b_r = retain_hessian_blocks(f_vec, split, cfg)
         h_rr = dual_hessian_block(kernel, b_r, split, cfg, "r", "r")
         h_rf = dual_hessian_block(kernel, b_r, split, cfg, "r", "f")
+        n_f = split.n_forget * kernel.d_out
         rhs = ((split.n_forget / split.n) * dual_rhs(kernel, f_vec, split, cfg, "r")
-               - h_rf @ coeffs.delta_forget)
-        resid = np.linalg.norm(h_rr @ coeffs.delta_retain - rhs)
+               - h_rf @ coeffs.delta_alpha[:n_f])
+        resid = np.linalg.norm(h_rr @ coeffs.delta_alpha[n_f:] - rhs)
         assert resid <= 1e-10 * np.linalg.norm(rhs)
         g = loss_grad_batch(cfg.loss, f_vec.reshape(split.n, -1), split.full.targets)
         known = g[: split.n_forget].ravel() / (split.n * cfg.lam)
-        np.testing.assert_array_equal(coeffs.delta_forget, known)
+        np.testing.assert_array_equal(coeffs.delta_alpha[:n_f], known)
 
     def test_kronecker_squared_path_never_densifies(self, monkeypatch):
         split, cfg, kernel, f_vec = reduced_instance(SQUARED, True, 50.0)
@@ -436,7 +437,7 @@ class TestMapAndPredict:
         k_t = empirical_ntk(spec, lin.theta_ref, test.features, split.full.features)
         coeffs = alpha_star_from_outputs(f_vec, split.full, cfg)
         from kinfluence.dual import DualCoefficients
-        zero = DualCoefficients(coeffs, np.zeros_like(coeffs), 2, split.n_forget)
+        zero = DualCoefficients(coeffs, np.zeros_like(coeffs))
         f_t = model_outputs(lin, theta_hat, test.features).ravel()
         df, raw, reg = predict_changes_dual(k_t, kernel, zero, f_t, test.targets, cfg)
         assert np.all(df == 0) and np.all(raw == 0) and np.all(reg == 0)
@@ -475,27 +476,41 @@ class TestMapAndPredict:
 
 class TestEndToEnd:
     def test_unlearn_dual_report(self):
+        # the dual report is the parameter-space predictor at J' delta_alpha:
+        # J_t delta_theta = K_t delta_alpha, and at the stationary theta_hat
+        # lambda (theta_hat - c)' delta_theta = lambda alpha_star' K delta_alpha
         spec, lin, split, cfg, theta_hat, kernel, f_vec = quadratic_setup(seed=21)
         test = make_blobs(3, 2, d_in=5, seed=31)
         solver = DualUnlearner(kernel, f_vec, split, cfg)
         solver.prepare()
         coeffs = solver.solve()
         theta_u = map_to_params(lin, theta_hat, coeffs.delta_alpha, split.full.features)
-        rep = dual_report(solver, coeffs, lin, theta_hat, theta_u, test)
+        h = solver.diagnostics
+        rep = InfluenceReport(theta_u - theta_hat, h["residual"], h["iters"],
+                              converged=h["converged"])
+        attach_test_predictions(rep, lin, theta_hat, test, cfg)
         retrained = fit_linearized_exact(lin, split.retain, cfg)
         rel = (np.linalg.norm(theta_hat + rep.delta_theta - retrained)
                / np.linalg.norm(retrained))
         assert rel < 1e-7
         assert len(rep.per_test) == test.n
         assert rep.converged and rep.notes == []
+        k_t = empirical_ntk(spec, lin.theta_ref, test.features, split.full.features)
+        f_t = model_outputs(lin, theta_hat, test.features).ravel()
+        df, raw, reg = predict_changes_dual(k_t, kernel, coeffs, f_t, test.targets, cfg)
+        got = np.array([np.r_[p.output_change, p.loss_change_raw, p.loss_change_reg]
+                        for p in rep.per_test])
+        want = np.column_stack([df, raw, reg])
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_max_iters_noted(self):
         spec, lin, split, cfg, theta_hat, kernel, f_vec = quadratic_setup(seed=22)
         solver = DualUnlearner(kernel, f_vec, split, cfg, CgOptions(max_iters=1),
                                dense_threshold=0)
-        coeffs = solver.solve()
-        theta_u = map_to_params(lin, theta_hat, coeffs.delta_alpha, split.full.features)
-        rep = dual_report(solver, coeffs, lin, theta_hat, theta_u)
+        solver.solve()
+        health = solver.diagnostics
+        rep = InfluenceReport(None, health["residual"], health["iters"],
+                              converged=health["converged"])
         assert not rep.converged and rep.iters == 1
         assert [n.split(":")[0] for n in rep.notes] == ["MaxItersReached"]
 

@@ -15,8 +15,8 @@ import pytest
 
 from kinfluence import cli, experiments
 from kinfluence.datasets import make_blobs, split_forget
-from kinfluence.dual import DualUnlearner
-from kinfluence.errors import ConfigError
+from kinfluence.dual import DualUnlearner, predict_changes_dual
+from kinfluence.errors import CheckpointMismatch, ConfigError
 from kinfluence.experiments import (
     CONFIG_KEYS,
     ExperimentConfig,
@@ -204,6 +204,37 @@ class TestUnlearningProtocol:
             header = f.readline().strip().split(",")
         assert header == METRICS_HEADER
 
+    def test_dual_influence_matches_kernel_formula(self, tmp_path):
+        # the harness's dual column is K_t delta_alpha with the raw loss term
+        # and lambda alpha_star' K delta_alpha, formed here from kernels
+        cfg = config_from_values(tiny_values(str(tmp_path), **{"unlearn.space": "dual"}))
+        run_unlearning_experiment(cfg)
+        ctx = experiments._build_seed_context(cfg, 0)
+        split = split_forget(ctx.train_ds, 50.0, scope=cfg.scope,
+                             seed=experiments._split_seed(0, 50.0))
+        unlearner = experiments._make_unlearner(ctx, split, "dual")
+        coeffs = unlearner.solve()
+        test = ctx.test_ds
+        k_t = empirical_ntk(ctx.model.spec, ctx.model.theta_ref, test.features,
+                            split.full.features)
+        f_t = model_outputs(ctx.model, ctx.theta_hat, test.features).ravel()
+        df, raw, reg = predict_changes_dual(k_t, unlearner.kernel, coeffs, f_t, test.targets,
+                                            cfg.risk)
+        path = os.path.join(str(tmp_path), "seed_0", "p50_dual", "influence.csv")
+        got = np.loadtxt(path, delimiter=",", skiprows=1)[:, 1:]
+        want = np.column_stack([df, raw, reg])
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_max_iters_noted_in_both_spaces(self, tmp_path):
+        cfg = config_from_values(tiny_values(str(tmp_path), **{"cg.max_iters": "1",
+                                                               "dual.dense_threshold": "0"}))
+        run_unlearning_experiment(cfg)
+        for space in ("theta", "dual"):
+            diag = os.path.join(str(tmp_path), "seed_0", f"p50_{space}", "diagnostics.jsonl")
+            (record,) = [json.loads(line) for line in open(diag)]
+            assert not record["converged"] and record["iters"] == 1
+            assert [n.split(":")[0] for n in record["notes"]] == ["MaxItersReached"]
+
     def test_single_class_scope(self, tmp_path):
         cfg = config_from_values(tiny_values(str(tmp_path), **{"unlearn.scope": "1",
                                                                "unlearn.percents": "40"}))
@@ -318,6 +349,10 @@ class TestInfiniteExperiment:
 CLI = [sys.executable, "-m", "kinfluence"]
 
 
+def forbidden_fit(*args, **kwargs):
+    raise AssertionError("cold child refitted theta_hat")
+
+
 def write_cfg(tmp_path, name="exp.cfg", **extra):
     path = os.path.join(str(tmp_path), name)
     vals = tiny_values(os.path.join(str(tmp_path), "results"), **extra)
@@ -406,6 +441,39 @@ class TestCli:
                          "--space", "dual", "--out", out]) == 0
         assert json.load(open(out))["cold_runtime_s"] > 0
         assert not os.path.exists(os.path.join(os.path.dirname(path), "metrics.csv"))
+
+    @pytest.mark.parametrize("extra", [{}, {"model.linearized": "false", "train.kind": "gd",
+                                            "stop.max_epochs": "5"}],
+                             ids=["direct", "raw_gd"])
+    def test_theta_cold_child_reads_only_theta_hat(self, tmp_path, monkeypatch, extra):
+        # the protocol run stores theta_hat for every model; a parameter-space
+        # child reads it, and no kernel
+        cfg = experiments.load_config(write_cfg(tmp_path, **{"unlearn.space": "theta",
+                                                             "bench.cold": "skip", **extra}))
+        run_unlearning_experiment(cfg)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("theta-space cold child read a kernel or refitted theta_hat")
+        for name in ("read_kernel_cache", "empirical_ntk", "fit_linearized_exact", "train"):
+            monkeypatch.setattr(experiments, name, forbidden)
+        assert experiments.measure_cold(cfg, 0, 50.0, "theta") > 0
+
+    def test_stored_files_of_another_config_rejected(self, tmp_path, monkeypatch):
+        # the stored theta_hat carries only the spec hash; the out dir's
+        # snapshot must also agree on every other setting the fit depends on
+        raw = {"model.linearized": "false", "train.kind": "gd", "stop.max_epochs": "5",
+               "unlearn.space": "theta", "bench.cold": "skip"}
+        run_unlearning_experiment(experiments.load_config(write_cfg(tmp_path, **raw)))
+        for other in ({"model.linearized": "true"}, {"risk.lambda": "0.5"},
+                      {"stop.max_epochs": "6"}):
+            cfg = experiments.load_config(write_cfg(tmp_path, **{**raw, **other}))
+            with pytest.raises(CheckpointMismatch):
+                experiments.measure_cold(cfg, 0, 50.0, "theta")
+        # settings of the unlearning run alone do not reject them
+        monkeypatch.setattr(experiments, "train", forbidden_fit)
+        cfg = experiments.load_config(write_cfg(tmp_path, **{**raw, "cg.max_iters": "7",
+                                                             "unlearn.percents": "30"}))
+        assert experiments.measure_cold(cfg, 0, 30.0, "theta") > 0
 
     def test_cold_child_non_finite_kernel_exit_code(self, tmp_path, capsys):
         # a kernel.bin with a valid header and a NaN payload reaches the
