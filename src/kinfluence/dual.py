@@ -26,10 +26,10 @@ import numpy as np
 import scipy.linalg
 
 from .datasets import SplitDataset
-from .errors import DimensionMismatch, NotAtOptimum
+from .errors import DimensionMismatch, NonFiniteEncountered, NotAtOptimum
 from .kernels import KernelMatrix
 from .losses import loss_grad_batch, loss_hess_batch
-from .models import Linearization, LinearizedModel
+from .models import LinearizedModel
 from .solvers import CgOptions, cg_solve, cholesky_in_place
 from .training import RiskConfig, stationarity_gap
 
@@ -135,6 +135,9 @@ class DualUnlearner:
         self.a = (split.n_forget / split.n_retain) * self.alpha[n_f:]
         self.b = _apply_sqrt(self.c, self.kernel.submatrix(ri, fi).matvec(self.alpha[:n_f])
                              - k_rr.matvec(self.a))
+        # checked once here: the dense solves do not rescan b or the factor
+        if not np.all(np.isfinite(self.b)):
+            raise NonFiniteEncountered("reduced right-hand side has non-finite entries")
         kron = k_rr.sigma is not None and self.c.ndim == 1
         self.use_dense = split.n_retain * (1 if kron else d) <= self.dense_threshold
         if self.use_dense:
@@ -162,7 +165,9 @@ class DualUnlearner:
             self.prepare()
         if self.use_dense:
             side = self._factor[0].shape[0]
-            y = scipy.linalg.cho_solve(self._factor, self.b.reshape(side, -1)).ravel()
+            # the factor of a checked finite M: no second scan
+            y = scipy.linalg.cho_solve(self._factor, self.b.reshape(side, -1),
+                                       check_finite=False).ravel()
             self.diagnostics.update({"solver": "dense", "iters": 0, "residual": 0.0,
                                      "converged": True})
         else:
@@ -176,10 +181,11 @@ class DualUnlearner:
 
 def map_to_params(lin: LinearizedModel, theta_hat: np.ndarray, delta_alpha: np.ndarray,
                   X: np.ndarray) -> np.ndarray:
-    """theta_hat + J(theta_ref)' delta_alpha over the full training inputs."""
+    """theta_hat + J(theta_ref)' delta_alpha over the full training inputs; a
+    repeat on the same inputs runs no forward pass."""
     if delta_alpha.shape[0] != X.shape[0] * lin.spec.d_out:
         raise DimensionMismatch("delta_alpha length does not match the dataset")
-    theta_u = Linearization(lin.spec, lin.theta_ref, X).vjp(delta_alpha)
+    theta_u = lin.linearization(X).vjp(delta_alpha)
     theta_u += theta_hat
     return theta_u
 

@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -131,18 +131,42 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class LinearizedModel:
-    """First-order expansion of the network around ``theta_ref``."""
+    """First-order expansion of the network around ``theta_ref``.
+
+    ``theta_ref`` is held read-only, so the forward pass at it can be kept:
+    the model remembers the Linearization of the last inputs it was asked
+    about, one slot, and reuses it for equal inputs. An array that is
+    writeable, or a view whose base may be, is copied.
+    """
 
     spec: ModelSpec
     theta_ref: np.ndarray
+    _last: Linearization | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ref = np.asarray(self.theta_ref, dtype=np.float64)
+        ref = self.theta_ref
+        if not (isinstance(ref, np.ndarray) and ref.dtype == np.float64
+                and ref.flags.owndata and not ref.flags.writeable):
+            ref = np.array(ref, dtype=np.float64)
+            ref.flags.writeable = False
         if ref.shape != (self.spec.num_params,):
             raise DimensionMismatch(
                 f"theta_ref length {ref.shape} != parameter count {self.spec.num_params}"
             )
         object.__setattr__(self, "theta_ref", ref)
+
+    def linearization(self, X: np.ndarray) -> Linearization:
+        """The Linearization at theta_ref over ``X``; the last one when ``X``
+        equals its inputs. The slot keeps its own read-only copy of ``X``, so
+        later writes to the caller's array cannot reach it."""
+        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        lz = self._last
+        if lz is None or not np.array_equal(lz.acts[0], X):
+            X = X.copy(order="K")  # X's memory order, so the products round alike
+            X.flags.writeable = False
+            lz = Linearization(self.spec, self.theta_ref, X)
+            object.__setattr__(self, "_last", lz)
+        return lz
 
 
 Model = ModelSpec | LinearizedModel
@@ -191,7 +215,8 @@ class Linearization:
     and the outputs are evaluated once, so each ``jvp`` is one tangent sweep
     and each ``vjp`` one cotangent sweep over the layers. The weights the
     products read are copied, so later writes to the caller's ``theta`` cannot
-    reach the cache; ``X`` is read in place as the first layer's input.
+    reach the cache; ``X`` is read in place as the first layer's input. The
+    outputs are read-only.
     """
 
     def __init__(self, spec: ModelSpec, theta: np.ndarray, X: np.ndarray):
@@ -203,6 +228,7 @@ class Linearization:
         # no product reads the first layer's weights
         self.weights = [None] + [w.copy() for w, _b in _unpack(spec, theta)[1:]]
         self.outputs = pres[-1]
+        self.outputs.flags.writeable = False  # returned as is by linearize
 
     def jvp(self, v: np.ndarray) -> np.ndarray:
         """J @ v over the batch, flattened point-major (N*d_out,)."""
@@ -283,14 +309,15 @@ def stacked_jacobian(spec: ModelSpec, theta: np.ndarray, X: np.ndarray) -> np.nd
 def linearize(model: Model, theta: np.ndarray, X: np.ndarray) -> tuple[Linearization, np.ndarray]:
     """From one forward pass: the Jacobian products of ``model`` over ``X``
     (taken at theta_ref if linearized, else at ``theta``) and its outputs at
-    ``theta``, shape (N, d_out)."""
+    ``theta``, shape (N, d_out). A linearized model reuses its remembered
+    forward pass when ``X`` equals the last inputs it saw."""
     if not isinstance(model, LinearizedModel):
         lz = Linearization(model, theta, X)
         return lz, lz.outputs
     theta = np.asarray(theta, dtype=np.float64)
-    lz = Linearization(model.spec, model.theta_ref, X)
     if theta.shape != model.theta_ref.shape:
         raise DimensionMismatch("theta length mismatch")
+    lz = model.linearization(X)
     if theta is model.theta_ref or np.array_equal(theta, model.theta_ref):
         return lz, lz.outputs
     return lz, lz.outputs + lz.jvp(theta - model.theta_ref).reshape(lz.outputs.shape)

@@ -19,7 +19,7 @@ from .datasets import LabeledDataset
 from .errors import DimensionMismatch, DivergenceDetected, EmptyDataset, NonFiniteEncountered
 from .kernels import KernelMatrix, empirical_ntk
 from .losses import SQUARED, loss_grad_batch, loss_hess_batch, loss_value_batch
-from .models import Linearization, LinearizedModel, Model, _spec_of, linearize, model_outputs
+from .models import LinearizedModel, Model, _spec_of, linearize, model_outputs
 from .solvers import cholesky_in_place
 
 CENTER_REFERENCE = "reference"
@@ -209,7 +209,7 @@ def fit_linearized_exact(lin: LinearizedModel, ds: LabeledDataset, cfg: RiskConf
     k = kernel.to_dense()
     if k.shape[0] != ds.n * ds.d_out:
         raise DimensionMismatch("kernel does not match dataset size")
-    lz = Linearization(lin.spec, lin.theta_ref, ds.features)
+    lz = lin.linearization(ds.features)
     rhs = ds.targets_vec - lz.outputs.ravel()
     if not np.all(np.isfinite(rhs)):
         raise NonFiniteEncountered("reference outputs are non-finite")

@@ -367,7 +367,8 @@ class TestFactoredSolve:
 class TestPrepareMemory:
     """The dense reduced solve materializes M once and factors it in place."""
 
-    def test_dense_prepare_peak_is_one_matrix(self):
+    @staticmethod
+    def dense_solver():
         d = 4
         ds = make_blobs(75, d, d_in=5, seed=3)
         split = split_forget(ds, 10.0, scope="all", seed=4)
@@ -376,6 +377,10 @@ class TestPrepareMemory:
         kernel = KernelMatrix(d, dense=a @ a.T)
         f_vec = rng.normal(scale=0.5, size=split.n * d)
         solver = DualUnlearner(kernel, f_vec, split, RiskConfig(lam=0.1), dense_threshold=4096)
+        return solver, split.n_retain * d
+
+    def test_dense_prepare_peak_is_one_matrix(self):
+        solver, side = self.dense_solver()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -384,8 +389,22 @@ class TestPrepareMemory:
         finally:
             tracemalloc.stop()
         assert solver.use_dense
-        side = split.n_retain * d
         assert peak <= 1.25 * side * side * 8
+
+    def test_warm_dense_solve_does_not_rescan_factor(self):
+        # a finiteness scan of the factor would allocate a side^2 bool mask
+        solver, side = self.dense_solver()
+        first = solver.solve()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            warm = solver.solve()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert solver.use_dense
+        assert peak < side * side
+        np.testing.assert_array_equal(warm.delta_alpha, first.delta_alpha)
 
     @pytest.mark.parametrize("threshold", [DENSE_SOLVE_MAX, 0], ids=["cholesky", "cg"])
     @pytest.mark.parametrize("kron", [False, True], ids=["dense", "kron"])
@@ -557,4 +576,16 @@ class TestRobustness:
         dense = np.full((side, side), np.nan) if np.isnan(fill) else fill * np.eye(side)
         solver = DualUnlearner(KernelMatrix(kernel.d_out, dense=dense), f_vec, split, cfg)
         with pytest.raises(error):
+            solver.prepare()
+
+    @pytest.mark.parametrize("threshold", [DENSE_SOLVE_MAX, 0], ids=["cholesky", "cg"])
+    def test_non_finite_cross_block_raises_in_prepare(self, threshold):
+        # K_rr, and so M, stays finite: only the right-hand side sees the NaN
+        split, cfg, kernel, f_vec = reduced_instance(SQUARED, False, 50.0)
+        dense = kernel.dense.copy()
+        row, col = split.n_forget * kernel.d_out + 1, 0
+        dense[row, col] = dense[col, row] = np.nan
+        solver = DualUnlearner(KernelMatrix(kernel.d_out, dense=dense), f_vec, split, cfg,
+                               dense_threshold=threshold)
+        with pytest.raises(NonFiniteEncountered):
             solver.prepare()

@@ -8,6 +8,7 @@ import scipy.linalg
 
 from kinfluence import models
 from kinfluence.datasets import make_blobs, split_forget
+from kinfluence.dual import map_to_params
 from kinfluence.errors import DivergenceDetected, NonFiniteEncountered, SpdViolation
 from kinfluence.kernels import KernelMatrix, empirical_ntk
 from kinfluence.losses import CROSS_ENTROPY, SQUARED, loss_grad_batch, loss_hess_batch
@@ -238,7 +239,65 @@ class TestForwardPassOnce:
         assert len(forward_calls) == 1
         forward_calls.clear()
         risk_value_and_grad(lin, theta, ds, RiskConfig(lam=0.1))
+        assert len(forward_calls) == 0  # the model remembers the pass on ds
+
+    def test_repeated_map_to_params_runs_one_pass(self, forward_calls):
+        spec, lin, ds = small_lin(13)
+        delta = np.random.default_rng(0).standard_normal(ds.n * ds.d_out)
+        model_outputs(lin, lin.theta_ref, ds.features)
+        answers = [map_to_params(lin, lin.theta_ref, delta, ds.features) for _ in range(5)]
         assert len(forward_calls) == 1
+        for theta_u in answers[1:]:
+            assert np.array_equal(theta_u, answers[0])
+
+    def test_writes_to_callers_inputs_are_seen(self):
+        spec, lin, ds = small_lin(14)
+        X = ds.features.copy()
+        u = np.random.default_rng(1).standard_normal(ds.n * ds.d_out)
+        v = np.random.default_rng(2).standard_normal(spec.num_params)
+        lin.linearization(X)
+        X[3] += 0.5
+        X[0, 1] = -2.0
+        lz, fresh = lin.linearization(X), models.Linearization(spec, lin.theta_ref, X.copy())
+        assert np.array_equal(lz.outputs, fresh.outputs)
+        assert np.array_equal(lz.vjp(u), fresh.vjp(u))
+        assert np.array_equal(lz.jvp(v), fresh.jvp(v))
+        assert np.array_equal(model_outputs(lin, lin.theta_ref + 0.01, X),
+                              model_outputs(LinearizedModel(spec, lin.theta_ref),
+                                            lin.theta_ref + 0.01, X))
+
+    def test_remembered_state_is_read_only(self):
+        spec, lin, ds = small_lin(15)
+        out = model_outputs(lin, lin.theta_ref, ds.features)
+        before = out.copy()
+        with pytest.raises(ValueError):
+            out[0, 0] = 1e3
+        with pytest.raises(ValueError):
+            out.ravel()[0] = 1e3
+        with pytest.raises(ValueError):
+            lin.theta_ref[0] = 1e3
+        assert np.array_equal(model_outputs(lin, lin.theta_ref, ds.features), before)
+
+    def test_theta_ref_is_copied_when_writeable(self):
+        spec = ModelSpec((4, 12, 2), init_seed=16)
+        theta = spec.init_params()
+        lin = LinearizedModel(spec, theta)
+        theta[:] = 0.0
+        assert np.array_equal(lin.theta_ref, spec.init_params())
+        assert LinearizedModel(spec, spec.theta_init).theta_ref is spec.theta_init
+        view = theta[:]
+        view.flags.writeable = False
+        lin = LinearizedModel(spec, view)
+        theta[:] = 1.0
+        assert not lin.theta_ref.any()
+
+    def test_raw_network_runs_one_pass_per_call(self, forward_calls):
+        spec, _lin, ds = small_lin(17)
+        theta = spec.theta_init
+        for _ in range(3):
+            model_outputs(spec, theta, ds.features)
+            risk_value_and_grad(spec, theta, ds, RiskConfig(lam=0.1))
+        assert len(forward_calls) == 6
 
 
 class TestTrain:
