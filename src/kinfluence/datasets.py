@@ -191,17 +191,22 @@ def _one_hot(labels: np.ndarray, classes: np.ndarray | None = None) -> np.ndarra
     return targets
 
 
+def check_encoding(encoding: str, n_classes: int) -> None:
+    """Raise ValueError unless ``encoding`` can encode ``n_classes`` classes."""
+    if encoding not in ("onehot", "pm1"):
+        raise ValueError(f"unknown target encoding {encoding!r}")
+    if encoding == "pm1" and n_classes != 2:
+        raise ValueError("pm1 encoding needs exactly two classes")
+
+
 def encode_targets(labels: np.ndarray, classes, encoding: str) -> np.ndarray:
     """Re-encode integer labels over ``classes`` as one-hot or +-1 columns."""
     classes = np.asarray(sorted(int(c) for c in classes))
+    check_encoding(encoding, classes.shape[0])
     if encoding == "onehot":
         return _one_hot(labels, classes)
-    if encoding == "pm1":
-        if classes.shape[0] != 2:
-            raise ValueError("pm1 encoding needs exactly two classes")
-        # lower class id -> -1, higher -> +1
-        return np.where(labels == classes[0], -1.0, 1.0)[:, None]
-    raise ValueError(f"unknown target encoding {encoding!r}")
+    # pm1: lower class id -> -1, higher -> +1
+    return np.where(labels == classes[0], -1.0, 1.0)[:, None]
 
 
 def subset_per_class(ds: LabeledDataset, classes, per_class: int, seed: int,

@@ -33,7 +33,7 @@ from .models import LinearizedModel
 from .solvers import CgOptions, cg_solve, cholesky_in_place
 from .training import RiskConfig, stationarity_gap
 
-DENSE_SOLVE_MAX = 512
+DENSE_SOLVE_MAX = 4096
 
 
 class DualCoefficients(NamedTuple):
@@ -101,15 +101,16 @@ class DualUnlearner:
     M = lambda I + C K_rr C and b = C (K_rf alpha_f - K_rr a), the retain
     block x_r = a + C M^{-1} b solves the reduced system exactly (the
     symmetric form of GPML Alg. 3.2). M is Cholesky-factored when its side is
-    at most ``dense_threshold``, else solved by CG with one K_rr matvec per
+    at most DENSE_SOLVE_MAX, else solved by CG with one K_rr matvec per
     iteration. For scalar blocks (squared loss) and a Kronecker kernel,
-    M = (lambda I + c sigma_rr c) (x) I and only the sigma-sized factor is formed.
+    M = (lambda I + c sigma_rr c) (x) I and only the sigma-sized factor is formed;
+    with full blocks, forming M would densify the kernel, so CG always runs.
     """
 
     def __init__(self, kernel: KernelMatrix, f_vec: np.ndarray, split: SplitDataset,
                  cfg: RiskConfig, opts: CgOptions = CgOptions(),
-                 dense_threshold: int = DENSE_SOLVE_MAX, materialize_hrr: bool = False):
-        # materialize_hrr selects nothing; it stays for callers that still pass it
+                 dense_threshold: int | None = None, materialize_hrr: bool = False):
+        # dense_threshold and materialize_hrr select nothing; kept for old callers
         if kernel.n_rows != split.n or kernel.n_cols != split.n:
             raise DimensionMismatch("kernel size does not match the split")
         self.kernel = kernel
@@ -117,7 +118,6 @@ class DualUnlearner:
         self.split = split
         self.cfg = cfg
         self.opts = opts
-        self.dense_threshold = dense_threshold
         self.diagnostics: dict = {}
         self._prepared = False
 
@@ -138,18 +138,19 @@ class DualUnlearner:
         # checked once here: the dense solves do not rescan b or the factor
         if not np.all(np.isfinite(self.b)):
             raise NonFiniteEncountered("reduced right-hand side has non-finite entries")
-        kron = k_rr.sigma is not None and self.c.ndim == 1
-        self.use_dense = split.n_retain * (1 if kron else d) <= self.dense_threshold
+        kron = k_rr.sigma is not None
+        self.use_dense = ((not kron or self.c.ndim == 1)
+                          and split.n_retain * (1 if kron else d) <= DENSE_SOLVE_MAX)
         if self.use_dense:
             # the factorization is part of operator construction (cold work);
             # warm solves reuse it. M is built once, in one new buffer.
             if self.c.ndim == 1:
                 mat, cf = ((k_rr.sigma, self.c) if kron else
-                           (k_rr.to_dense(), np.repeat(self.c, d)))
+                           (k_rr.dense, np.repeat(self.c, d)))
                 m = mat * cf[:, None]
                 m *= cf
             else:
-                m = _apply_blockdiag(self.c, _apply_blockdiag(self.c, k_rr.to_dense()).T)
+                m = _apply_blockdiag(self.c, _apply_blockdiag(self.c, k_rr.dense).T)
             m[np.diag_indices_from(m)] += cfg.lam
             self._factor = cholesky_in_place(m)
         else:

@@ -22,15 +22,15 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .datasets import (LabeledDataset, data_dir, load_cifar_binary, load_idx, make_blobs,
-                       split_forget, subset_per_class)
-from .dual import DENSE_SOLVE_MAX, DualUnlearner, _require_stationary, map_to_params
+from .datasets import (LabeledDataset, check_encoding, data_dir, load_cifar_binary, load_idx,
+                       make_blobs, split_forget, subset_per_class)
+from .dual import DualUnlearner, _require_stationary, map_to_params
 from .errors import CheckpointMismatch, ConfigError
 from .infinite import AnalyticNtkSpec, infinite_influence
 from .kernels import KernelMatrix, empirical_ntk, read_kernel_cache, write_kernel_cache
 from .losses import SQUARED
 from .models import LinearizedModel, ModelSpec, load_params, model_outputs, save_params
-from .primal import PrimalUnlearner, attach_test_predictions
+from .primal import HESSIAN_VARIANTS, PrimalUnlearner, attach_test_predictions
 from .report import (
     InfluenceReport,
     MetricsRow,
@@ -60,6 +60,9 @@ class DatasetConfig:
     targets: str = "onehot"        # onehot | pm1
     seed: int = 0
 
+    def __post_init__(self):
+        check_encoding(self.targets, len(self.classes))
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -79,7 +82,6 @@ class ExperimentConfig:
     space: str = "both"            # theta | dual | both
     hessian_variant: str = "upweighted"
     cg: CgOptions = CgOptions()
-    dense_threshold: int = DENSE_SOLVE_MAX
     cold: str = "subprocess"       # subprocess | inline | skip
     test_size: int = 50
     seeds: tuple = (0,)
@@ -109,9 +111,17 @@ class ExperimentConfig:
             raise ConfigError(f"unknown cold mode {self.cold!r}")
         if not self.linearized and self.space != SPACE_THETA:
             raise ConfigError("coefficient-space unlearning requires a linearized model")
+        if self.hessian_variant not in HESSIAN_VARIANTS:
+            raise ConfigError(f"unknown hessian variant {self.hessian_variant!r}")
+        self.model_spec()  # runs ModelSpec's own checks at load
 
     def spaces(self) -> tuple:
         return (SPACE_THETA, SPACE_DUAL) if self.space == "both" else (self.space,)
+
+    def model_spec(self, seed: int = 0) -> ModelSpec:
+        return ModelSpec(self.widths, activation=self.activation,
+                         init_seed=self.init_seed + seed,
+                         parameterization=self.parameterization)
 
 
 # --------------------------------------------------------------------------
@@ -198,7 +208,6 @@ CONFIG_KEYS = (
     ConfigKey("unlearn.hessian", str, field="hessian_variant"),
     ConfigKey("cg.rel_tol", float, _float_text),
     ConfigKey("cg.max_iters", int),
-    ConfigKey("dual.dense_threshold", int, field="dense_threshold"),
     ConfigKey("bench.cold", str, field="cold"),
     ConfigKey("bench.test_size", int, field="test_size"),
     ConfigKey("seeds", _ints, _list_text(str), alias="seed", flag="--seed"),
@@ -314,6 +323,15 @@ def make_experiment_data(cfg: ExperimentConfig) -> tuple[LabeledDataset, Labeled
     return _scale_features(train, dc.feature_scale), _scale_features(test, dc.feature_scale)
 
 
+def _spec_for_data(cfg: ExperimentConfig, ds: LabeledDataset, seed: int = 0) -> ModelSpec:
+    """The config's network for ``ds``; ConfigError when their widths differ."""
+    spec = cfg.model_spec(seed)
+    if (spec.d_in, spec.d_out) != (ds.d_in, ds.d_out):
+        raise ConfigError(f"model.widths {spec.d_in}->{spec.d_out} do not fit the data "
+                          f"({ds.d_in}->{ds.d_out})")
+    return spec
+
+
 def accuracy(outputs: np.ndarray, targets: np.ndarray) -> float:
     """Argmax match for one-hot targets, sign match for +-1 targets."""
     if targets.shape[1] == 1:
@@ -353,7 +371,7 @@ def _split_seed(seed: int, percent: float) -> int:
 
 # config lines a seed's theta_hat and kernel do not depend on
 _RUN_SETTINGS = ("experiment.name ", "bench.cold ", "seeds ", "out ",
-                 "unlearn.", "cg.", "dual.", "ntk.", "sweep.")
+                 "unlearn.", "cg.", "ntk.", "sweep.")
 
 
 def _fit_settings(cfg: ExperimentConfig) -> list[str]:
@@ -366,9 +384,7 @@ def _build_seed_context(cfg: ExperimentConfig, seed: int, stored: bool = False) 
     kernel only when the dual needs it or theta_hat still has to be fitted.
     A run whose config snapshot differs from ``cfg`` in a fit setting is rejected."""
     train_ds, test_ds = make_experiment_data(cfg)
-    spec = ModelSpec(cfg.widths, activation=cfg.activation,
-                     init_seed=cfg.init_seed + seed,
-                     parameterization=cfg.parameterization)
+    spec = _spec_for_data(cfg, train_ds, seed)
     theta_ref = np.zeros(spec.num_params) if cfg.risk.center == "origin" else spec.init_params()
     model = LinearizedModel(spec, theta_ref) if cfg.linearized else spec
     kernel = theta_hat = trained = None
@@ -410,8 +426,7 @@ def _make_unlearner(ctx: _SeedContext, split, space: str):
     _require_stationary(ctx.model, ctx.theta_hat, split.full, cfg.risk)
     k_perm = ctx.kernel.submatrix(split.permutation, split.permutation)
     f_vec = model_outputs(ctx.model, ctx.theta_hat, split.full.features).ravel()
-    return DualUnlearner(k_perm, f_vec, split, cfg.risk, cfg.cg,
-                         dense_threshold=cfg.dense_threshold)
+    return DualUnlearner(k_perm, f_vec, split, cfg.risk, cfg.cg)
 
 
 def stored_paths(cfg: ExperimentConfig, seed: int) -> tuple[str, str]:
@@ -554,8 +569,7 @@ def run_lambda_sweep(cfg: ExperimentConfig, record_every: int = 1) -> dict:
         raise ConfigError("a lambda sweep needs at least two values")
     os.makedirs(cfg.out_dir, exist_ok=True)
     train_ds, test_ds = make_experiment_data(cfg)
-    spec = ModelSpec(cfg.widths, activation=cfg.activation, init_seed=cfg.init_seed,
-                     parameterization=cfg.parameterization)
+    spec = _spec_for_data(cfg, train_ds)
     theta0 = spec.theta_init
     lin = LinearizedModel(spec, theta0)
     results = {}
@@ -614,8 +628,7 @@ def run_infinite_experiment(cfg: ExperimentConfig):
                                sigma_w2=cfg.ntk_sigma_w2, sigma_b2=cfg.ntk_sigma_b2,
                                d_out=train_ds.d_out)
     res = infinite_influence(ntk_spec, split, test_ds, cfg.risk, cfg.cg,
-                             lr=cfg.ntk_lr, epochs=cfg.ntk_epochs, tol=cfg.ntk_tol,
-                             dense_threshold=cfg.dense_threshold)
+                             lr=cfg.ntk_lr, epochs=cfg.ntk_epochs, tol=cfg.ntk_tol)
     write_kernel_cache(os.path.join(cfg.out_dir, "kernel.bin"), res.kernel)
     with open(os.path.join(cfg.out_dir, "infinite_outputs.csv"), "w") as f:
         f.write(",".join(INFINITE_OUT_HEADER) + "\n")

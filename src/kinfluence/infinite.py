@@ -21,7 +21,7 @@ from .kernels import KernelMatrix
 from .losses import CROSS_ENTROPY, loss_grad_batch, loss_value_batch
 from .solvers import CgOptions
 from .training import RiskConfig
-from .dual import DENSE_SOLVE_MAX, DualUnlearner, alpha_star_from_outputs, predict_changes_dual
+from .dual import DualUnlearner, alpha_star_from_outputs, predict_changes_dual
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,7 @@ class InfiniteInfluenceResult:
 def infinite_influence(spec: AnalyticNtkSpec, split: SplitDataset, test_ds: LabeledDataset,
                        cfg: RiskConfig, opts: CgOptions = CgOptions(),
                        lr: float | None = None, epochs: int = 20000,
-                       tol: float = 1e-6, dense_threshold: int = DENSE_SOLVE_MAX) -> InfiniteInfluenceResult:
+                       tol: float = 1e-6) -> InfiniteInfluenceResult:
     """Estimated vs actual changes at test points after removing the forget set.
 
     Estimates: reduced coefficient solve with the analytic kernel and the
@@ -186,8 +186,7 @@ def infinite_influence(spec: AnalyticNtkSpec, split: SplitDataset, test_ds: Labe
     require_converged(state_r, tol)
     alpha_r = alpha_star_from_outputs(state_r.f_train, split.retain, cfg)
 
-    solver = DualUnlearner(kernel, state.f_train, split, cfg, opts,
-                           dense_threshold=dense_threshold)
+    solver = DualUnlearner(kernel, state.f_train, split, cfg, opts)
     coeffs = solver.solve()
 
     k_test = analytic_ntk(spec, test_ds.features, full.features)

@@ -22,6 +22,7 @@ from .training import RiskConfig, resolve_center, risk_grad, risk_hessian_op, st
 
 HESSIAN_UPWEIGHTED = "upweighted"
 HESSIAN_FULL = "full"
+HESSIAN_VARIANTS = (HESSIAN_UPWEIGHTED, HESSIAN_FULL)
 
 
 def removal_system(model: Model, theta_star: np.ndarray, split: SplitDataset,
@@ -31,7 +32,7 @@ def removal_system(model: Model, theta_star: np.ndarray, split: SplitDataset,
 
     The scale rides on g, not on H, so each CG iteration is one bare HVP.
     """
-    if variant not in (HESSIAN_UPWEIGHTED, HESSIAN_FULL):
+    if variant not in HESSIAN_VARIANTS:
         raise ValueError(f"unknown hessian variant {variant!r}")
     ds = split.retain if variant == HESSIAN_UPWEIGHTED else split.full
     g = risk_grad(model, theta_star, split.forget, cfg)

@@ -59,7 +59,8 @@ def cg_solve(apply_a, rhs: np.ndarray, opts: CgOptions = CgOptions()) -> CgResul
     iters = 0
     for k in range(1, opts.max_iters + 1):
         ap = np.asarray(apply_a(p))
-        pap = float(p @ ap)
+        with np.errstate(invalid="ignore"):  # a non-finite Ap is reported below
+            pap = float(p @ ap)
         # a non-finite entry of Ap makes p'Ap non-finite, so Ap is scanned
         # only then
         if not np.isfinite(pap) and not np.all(np.isfinite(ap)):

@@ -18,7 +18,7 @@ import scipy.linalg
 from .datasets import LabeledDataset
 from .errors import DimensionMismatch, DivergenceDetected, EmptyDataset, NonFiniteEncountered
 from .kernels import KernelMatrix, empirical_ntk
-from .losses import SQUARED, loss_grad_batch, loss_hess_batch, loss_value_batch
+from .losses import LOSS_KINDS, SQUARED, loss_grad_batch, loss_hess_batch, loss_value_batch
 from .models import LinearizedModel, Model, _spec_of, linearize, model_outputs
 from .solvers import cholesky_in_place
 
@@ -37,6 +37,8 @@ class RiskConfig:
     def __post_init__(self):
         if self.lam <= 0:
             raise ValueError("lambda must be strictly positive")
+        if self.loss not in LOSS_KINDS:
+            raise ValueError(f"unknown loss kind {self.loss!r}")
         if self.center not in (CENTER_REFERENCE, CENTER_ORIGIN):
             raise ValueError(f"unknown center {self.center!r}")
 
@@ -175,7 +177,9 @@ def train(model: Model, ds: LabeledDataset, cfg: RiskConfig, opt: Optimizer, sto
             value, grad = risk_value_and_grad(model, theta, ds, cfg)
         if not np.isfinite(value):
             raise DivergenceDetected(f"loss became non-finite at epoch {epoch}")
-        gn = float(np.linalg.norm(grad))
+        # an overflowing norm means divergence, which the finiteness checks report
+        with np.errstate(over="ignore"):
+            gn = float(np.linalg.norm(grad))
         losses.append(value)
         gnorms.append(gn)
         epochs = epoch + 1

@@ -85,7 +85,6 @@ BENCH_VALUES = {
     "risk.lambda": "0.5", "risk.loss": "squared",
     "unlearn.percents": "10,30,50,70,90", "unlearn.space": "both",
     "cg.rel_tol": "1e-8", "cg.max_iters": "20000",
-    "dual.dense_threshold": "4096",
     "bench.cold": "subprocess", "bench.test_size": "10",
     "seeds": "0",
 }
@@ -217,8 +216,7 @@ class TestAcceptance:
                 k_perm = ctx.kernel.submatrix(split.permutation, split.permutation)
                 f_vec = model_outputs(ctx.model, ctx.theta_hat,
                                       split.full.features).ravel()
-                solver = DualUnlearner(k_perm, f_vec, split, cfg.risk, cfg.cg,
-                                       dense_threshold=cfg.dense_threshold)
+                solver = DualUnlearner(k_perm, f_vec, split, cfg.risk, cfg.cg)
                 solver.prepare()
                 times = []
                 for _ in range(5):

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import kinfluence.dual
 from kinfluence.datasets import LabeledDataset, SplitDataset, make_blobs, split_forget
 from kinfluence.errors import DegenerateSplit, NonFiniteEncountered, NotAtOptimum, SpdViolation
 from kinfluence.infinite import AnalyticNtkSpec, analytic_ntk
@@ -297,11 +298,12 @@ class TestSolveReduced:
         rel = np.linalg.norm(theta_u - retrained) / np.linalg.norm(retrained)
         assert rel < 1e-8
 
-    def test_cg_and_dense_paths_agree(self):
+    def test_cg_and_dense_paths_agree(self, monkeypatch):
         spec, lin, split, cfg, theta_hat, kernel, f_vec = quadratic_setup(seed=11)
-        dense = DualUnlearner(kernel, f_vec, split, cfg, dense_threshold=10 ** 6).solve()
+        dense = DualUnlearner(kernel, f_vec, split, cfg).solve()
+        monkeypatch.setattr(kinfluence.dual, "DENSE_SOLVE_MAX", 0)
         solver = DualUnlearner(kernel, f_vec, split, cfg,
-                               CgOptions(rel_tol=1e-13, max_iters=5000), dense_threshold=0)
+                               CgOptions(rel_tol=1e-13, max_iters=5000))
         cgres = solver.solve()
         assert solver.diagnostics["solver"] == "cg"
         np.testing.assert_allclose(cgres.delta_alpha, dense.delta_alpha, rtol=1e-7, atol=1e-11)
@@ -323,16 +325,19 @@ def reduced_instance(loss, kron, percent, seed=0, d=3):
 
 class TestFactoredSolve:
     @pytest.mark.parametrize("percent", [10.0, 50.0, 90.0])
-    @pytest.mark.parametrize("threshold", [DENSE_SOLVE_MAX, 0], ids=["cholesky", "cg"])
+    @pytest.mark.parametrize("cap", [DENSE_SOLVE_MAX, 0], ids=["cholesky", "cg"])
     @pytest.mark.parametrize("kron", [False, True], ids=["dense", "kron"])
     @pytest.mark.parametrize("loss", [SQUARED, CROSS_ENTROPY])
-    def test_solves_reduced_system(self, loss, kron, threshold, percent):
+    def test_solves_reduced_system(self, loss, kron, cap, percent, monkeypatch):
         split, cfg, kernel, f_vec = reduced_instance(loss, kron, percent)
+        monkeypatch.setattr(kinfluence.dual, "DENSE_SOLVE_MAX", cap)
         solver = DualUnlearner(kernel, f_vec, split, cfg,
-                               CgOptions(rel_tol=1e-13, max_iters=5000),
-                               dense_threshold=threshold)
+                               CgOptions(rel_tol=1e-13, max_iters=5000))
         coeffs = solver.solve()
-        assert solver.diagnostics["solver"] == ("dense" if threshold else "cg")
+        # the ids name the cap; a Kronecker kernel with cross-entropy blocks
+        # runs CG under either
+        factored = cap and not (kron and loss == CROSS_ENTROPY)
+        assert solver.diagnostics["solver"] == ("dense" if factored else "cg")
         b_r = retain_hessian_blocks(f_vec, split, cfg)
         h_rr = dual_hessian_block(kernel, b_r, split, cfg, "r", "r")
         h_rf = dual_hessian_block(kernel, b_r, split, cfg, "r", "f")
@@ -348,20 +353,37 @@ class TestFactoredSolve:
     def test_kronecker_squared_path_never_densifies(self, monkeypatch):
         split, cfg, kernel, f_vec = reduced_instance(SQUARED, True, 50.0)
         opts = CgOptions(rel_tol=1e-13, max_iters=5000)
-        expect = {t: DualUnlearner(kernel, f_vec, split, cfg, opts, dense_threshold=t).solve()
-                  for t in (DENSE_SOLVE_MAX, 0)}
+        expect = {}
+        for cap in (DENSE_SOLVE_MAX, 0):
+            monkeypatch.setattr(kinfluence.dual, "DENSE_SOLVE_MAX", cap)
+            expect[cap] = DualUnlearner(kernel, f_vec, split, cfg, opts).solve()
 
         def no_dense(self):
             raise AssertionError("Kronecker kernel densified")
         monkeypatch.setattr(KernelMatrix, "to_dense", no_dense)
-        for threshold, want in expect.items():
-            solver = DualUnlearner(kernel, f_vec, split, cfg, opts, dense_threshold=threshold)
-            got = solver.solve()
+        for cap, want in expect.items():
+            monkeypatch.setattr(kinfluence.dual, "DENSE_SOLVE_MAX", cap)
+            got = DualUnlearner(kernel, f_vec, split, cfg, opts).solve()
             np.testing.assert_array_equal(got.delta_alpha, want.delta_alpha)
         # the Cholesky path factors only the sigma-sized factor of M
+        monkeypatch.setattr(kinfluence.dual, "DENSE_SOLVE_MAX", DENSE_SOLVE_MAX)
         solver = DualUnlearner(kernel, f_vec, split, cfg, opts)
         solver.prepare()
         assert solver._factor[0].shape == (split.n_retain, split.n_retain)
+        # cross-entropy blocks: CG on Kronecker matvecs under the default cap
+        split, cfg, kernel, f_vec = reduced_instance(CROSS_ENTROPY, True, 50.0)
+        solver = DualUnlearner(kernel, f_vec, split, cfg, opts)
+        solver.solve()
+        assert solver.diagnostics["solver"] == "cg"
+
+    def test_dense_cap_boundary(self, monkeypatch):
+        # M of side DENSE_SOLVE_MAX is factored; one retain point more runs CG
+        split, cfg, kernel, f_vec = reduced_instance(SQUARED, False, 50.0)
+        monkeypatch.setattr(kinfluence.dual, "DENSE_SOLVE_MAX", split.n_retain * kernel.d_out)
+        for n_forget, path in ((split.n_forget, "dense"), (split.n_forget - 1, "cg")):
+            solver = DualUnlearner(kernel, f_vec, SplitDataset(split.full, n_forget), cfg)
+            solver.solve()
+            assert solver.diagnostics["solver"] == path
 
 
 class TestPrepareMemory:
@@ -376,7 +398,7 @@ class TestPrepareMemory:
         a = rng.standard_normal((split.n * d, 60))
         kernel = KernelMatrix(d, dense=a @ a.T)
         f_vec = rng.normal(scale=0.5, size=split.n * d)
-        solver = DualUnlearner(kernel, f_vec, split, RiskConfig(lam=0.1), dense_threshold=4096)
+        solver = DualUnlearner(kernel, f_vec, split, RiskConfig(lam=0.1))
         return solver, split.n_retain * d
 
     def test_dense_prepare_peak_is_one_matrix(self):
@@ -406,14 +428,15 @@ class TestPrepareMemory:
         assert peak < side * side
         np.testing.assert_array_equal(warm.delta_alpha, first.delta_alpha)
 
-    @pytest.mark.parametrize("threshold", [DENSE_SOLVE_MAX, 0], ids=["cholesky", "cg"])
+    @pytest.mark.parametrize("cap", [DENSE_SOLVE_MAX, 0], ids=["cholesky", "cg"])
     @pytest.mark.parametrize("kron", [False, True], ids=["dense", "kron"])
     @pytest.mark.parametrize("loss", [SQUARED, CROSS_ENTROPY])
-    def test_leaves_kernel_unchanged(self, loss, kron, threshold):
+    def test_leaves_kernel_unchanged(self, loss, kron, cap, monkeypatch):
         split, cfg, kernel, f_vec = reduced_instance(loss, kron, 30.0)
         mat = kernel.sigma if kron else kernel.dense
         before = mat.copy()
-        DualUnlearner(kernel, f_vec, split, cfg, dense_threshold=threshold).solve()
+        monkeypatch.setattr(kinfluence.dual, "DENSE_SOLVE_MAX", cap)
+        DualUnlearner(kernel, f_vec, split, cfg).solve()
         np.testing.assert_array_equal(mat, before)
 
 
@@ -522,10 +545,10 @@ class TestEndToEnd:
         want = np.column_stack([df, raw, reg])
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
-    def test_max_iters_noted(self):
+    def test_max_iters_noted(self, monkeypatch):
         spec, lin, split, cfg, theta_hat, kernel, f_vec = quadratic_setup(seed=22)
-        solver = DualUnlearner(kernel, f_vec, split, cfg, CgOptions(max_iters=1),
-                               dense_threshold=0)
+        monkeypatch.setattr(kinfluence.dual, "DENSE_SOLVE_MAX", 0)
+        solver = DualUnlearner(kernel, f_vec, split, cfg, CgOptions(max_iters=1))
         solver.solve()
         health = solver.diagnostics
         rep = InfluenceReport(None, health["residual"], health["iters"],
@@ -536,7 +559,7 @@ class TestEndToEnd:
     def test_not_at_optimum_raises(self):
         # the harness's coefficient-space unlearner refuses a non-stationary theta_hat
         spec, lin, split, cfg, theta_hat, kernel, f_vec = quadratic_setup(seed=22)
-        exp_cfg = SimpleNamespace(risk=cfg, cg=CgOptions(), dense_threshold=DENSE_SOLVE_MAX)
+        exp_cfg = SimpleNamespace(risk=cfg, cg=CgOptions())
         ctx = SimpleNamespace(cfg=exp_cfg, model=lin, theta_hat=theta_hat, kernel=kernel)
         assert isinstance(_make_unlearner(ctx, split, "dual"), DualUnlearner)
         ctx.theta_hat = theta_hat + 0.05
@@ -578,14 +601,14 @@ class TestRobustness:
         with pytest.raises(error):
             solver.prepare()
 
-    @pytest.mark.parametrize("threshold", [DENSE_SOLVE_MAX, 0], ids=["cholesky", "cg"])
-    def test_non_finite_cross_block_raises_in_prepare(self, threshold):
+    @pytest.mark.parametrize("cap", [DENSE_SOLVE_MAX, 0], ids=["cholesky", "cg"])
+    def test_non_finite_cross_block_raises_in_prepare(self, cap, monkeypatch):
         # K_rr, and so M, stays finite: only the right-hand side sees the NaN
         split, cfg, kernel, f_vec = reduced_instance(SQUARED, False, 50.0)
         dense = kernel.dense.copy()
         row, col = split.n_forget * kernel.d_out + 1, 0
         dense[row, col] = dense[col, row] = np.nan
-        solver = DualUnlearner(KernelMatrix(kernel.d_out, dense=dense), f_vec, split, cfg,
-                               dense_threshold=threshold)
+        monkeypatch.setattr(kinfluence.dual, "DENSE_SOLVE_MAX", cap)
+        solver = DualUnlearner(KernelMatrix(kernel.d_out, dense=dense), f_vec, split, cfg)
         with pytest.raises(NonFiniteEncountered):
             solver.prepare()

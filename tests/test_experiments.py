@@ -13,6 +13,7 @@ from operator import attrgetter
 import numpy as np
 import pytest
 
+import kinfluence.dual
 from kinfluence import cli, experiments
 from kinfluence.datasets import make_blobs, split_forget
 from kinfluence.dual import DualUnlearner, predict_changes_dual
@@ -52,10 +53,10 @@ def tiny_values(out, **extra):
 
 # a value for every key that differs from ExperimentConfig()'s default
 NON_DEFAULT = {
-    "experiment.name": "other", "dataset.kind": "mnist", "dataset.classes": "3,5,7",
+    "experiment.name": "other", "dataset.kind": "mnist", "dataset.classes": "3,5",
     "dataset.per_class": "17", "dataset.d_in": "9", "dataset.noise": "0.0123456789",
     "dataset.feature_scale": "0.5", "dataset.targets": "pm1", "dataset.seed": "4",
-    "model.widths": "9,33,3", "model.activation": "identity",
+    "model.widths": "784,33,1", "model.activation": "identity",
     "model.parameterization": "ntk", "model.init_seed": "2", "model.linearized": "false",
     "risk.lambda": "0.00123456789", "risk.loss": "cross_entropy", "risk.center": "origin",
     "train.kind": "momentum", "opt.lr": "0.05", "opt.beta": "0.8",
@@ -63,7 +64,6 @@ NON_DEFAULT = {
     "unlearn.percents": "12.3456789,50", "unlearn.scope": "1", "unlearn.space": "theta",
     "unlearn.hessian": "full",
     "cg.rel_tol": "1e-7", "cg.max_iters": "99",
-    "dual.dense_threshold": "64",
     "bench.cold": "skip", "bench.test_size": "7", "seeds": "1,2",
     "ntk.hidden_layers": "2", "ntk.sigma_w2": "1.5", "ntk.sigma_b2": "0.02",
     "ntk.lr": "0.3", "ntk.epochs": "500", "ntk.tol": "1e-7",
@@ -94,8 +94,11 @@ class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config_text("not.a.key = 3")
-        with pytest.raises(ConfigError):
-            config_from_values(tiny_values(str(tmp_path), **{"bogus.key": "1"}))
+        for key in ("bogus.key", "dual.dense_threshold"):
+            with pytest.raises(ConfigError):
+                parse_config_text(f"{key} = 1")
+            with pytest.raises(ConfigError):
+                config_from_values(tiny_values(str(tmp_path), **{key: "1"}))
 
     @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=os.path.basename)
     def test_shipped_config_loads_and_round_trips(self, path):
@@ -225,9 +228,9 @@ class TestUnlearningProtocol:
         want = np.column_stack([df, raw, reg])
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
-    def test_max_iters_noted_in_both_spaces(self, tmp_path):
-        cfg = config_from_values(tiny_values(str(tmp_path), **{"cg.max_iters": "1",
-                                                               "dual.dense_threshold": "0"}))
+    def test_max_iters_noted_in_both_spaces(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(kinfluence.dual, "DENSE_SOLVE_MAX", 0)
+        cfg = config_from_values(tiny_values(str(tmp_path), **{"cg.max_iters": "1"}))
         run_unlearning_experiment(cfg)
         for space in ("theta", "dual"):
             diag = os.path.join(str(tmp_path), "seed_0", f"p50_{space}", "diagnostics.jsonl")
@@ -414,10 +417,35 @@ class TestCli:
 
     @pytest.mark.parametrize("key, value", [("cg.preconditioner", "jacobi"),
                                             ("dual.materialize_hrr", "true"),
-                                            ("unlearn.shards", "3")])
+                                            ("unlearn.shards", "3"),
+                                            ("dual.dense_threshold", "4096")])
     def test_removed_key_exit_code(self, tmp_path, key, value):
         cfgp = write_cfg(tmp_path, **{key: value})
         assert cli.main(["unlearn", "--config", cfgp]) == 2
+
+    @pytest.mark.parametrize("command", ["unlearn", "train"])
+    @pytest.mark.parametrize("bad, at_load", [
+        ({"unlearn.hessian": "bogus"}, True),
+        ({"model.activation": "tanh"}, True),
+        ({"model.parameterization": "bogus"}, True),
+        ({"model.widths": "4,0,2"}, True),
+        ({"risk.loss": "hinge"}, True),
+        ({"dataset.targets": "bogus"}, True),
+        ({"dataset.targets": "pm1", "dataset.classes": "0,1,2"}, True),
+        ({"model.widths": "5,8,2"}, False),
+        ({"model.widths": "4,8,3"}, False),
+    ], ids=["hessian", "activation", "parameterization", "zero_width", "loss", "targets",
+            "pm1_three_classes", "d_in_mismatch", "d_out_mismatch"])
+    def test_bad_value_exit_code(self, tmp_path, capsys, command, bad, at_load):
+        # 20 points of 4 features in 2 classes, trained by gd
+        cfgp = write_cfg(tmp_path, **{"dataset.per_class": "10", "dataset.d_in": "4",
+                                      "model.widths": "4,8,2", "train.kind": "gd",
+                                      "stop.max_epochs": "5", **bad})
+        assert cli.main([command, "--config", cfgp]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Traceback" not in err
+        # values the config alone rules out fail before the output directory exists
+        assert os.path.exists(os.path.join(str(tmp_path), "results")) != at_load
 
     def test_cold_child_reads_stored_kernel(self, tmp_path, monkeypatch):
         cfgp = write_cfg(tmp_path)
