@@ -55,7 +55,6 @@ from .training import (
     fit_linearized_exact,
     risk_grad,
     risk_hessian_op,
-    risk_hvp,
     risk_value,
     train,
 )

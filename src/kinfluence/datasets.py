@@ -98,7 +98,9 @@ class SplitDataset:
 
     full: LabeledDataset
     forget_count: int
-    permutation: np.ndarray = field(default=None, repr=False)  # original row order, for audits
+    # row i of ``full`` is row permutation[i] of the unsplit data: the index
+    # that gathers the split's kernel from one assembled in unsplit order
+    permutation: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         if not 0 < self.forget_count < self.full.n:

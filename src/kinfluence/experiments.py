@@ -28,7 +28,7 @@ from .dual import DualUnlearner, _require_stationary, map_to_params
 from .errors import CheckpointMismatch, ConfigError
 from .infinite import AnalyticNtkSpec, infinite_influence
 from .kernels import KernelMatrix, empirical_ntk, read_kernel_cache, write_kernel_cache
-from .losses import SQUARED
+from .losses import CROSS_ENTROPY, SQUARED
 from .models import LinearizedModel, ModelSpec, load_params, model_outputs, save_params
 from .primal import HESSIAN_VARIANTS, PrimalUnlearner, attach_test_predictions
 from .report import (
@@ -48,10 +48,12 @@ WARM_REPEATS = 5
 SPACE_THETA = "theta"
 SPACE_DUAL = "dual"
 
+DATASET_KINDS = ("blobs", "mnist", "cifar10")  # blobs are generated, the rest read from data_dir()
+
 
 @dataclass(frozen=True)
 class DatasetConfig:
-    kind: str = "blobs"            # blobs | mnist | cifar10
+    kind: str = "blobs"            # one of DATASET_KINDS
     classes: tuple = (0, 1)
     per_class: int = 100
     d_in: int = 20                 # blobs feature width
@@ -61,6 +63,12 @@ class DatasetConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.kind not in DATASET_KINDS:
+            raise ConfigError(f"unknown dataset kind {self.kind!r}")
+        if self.per_class < 1:
+            raise ConfigError("dataset.per_class must be at least 1")
+        if not 0 < self.feature_scale <= 1.0:
+            raise ConfigError("dataset.feature_scale must lie in (0, 1]")
         check_encoding(self.targets, len(self.classes))
 
 
@@ -75,7 +83,7 @@ class ExperimentConfig:
     linearized: bool = True
     risk: RiskConfig = RiskConfig(lam=0.1)
     trainer: str = "direct"        # direct | gd | momentum
-    opt: Optimizer = Optimizer()
+    opt: Optimizer = Optimizer()   # its kind follows trainer
     stop: StopRule = StopRule()
     percents: tuple = (10.0, 30.0, 50.0, 70.0, 90.0)
     scope: object = "all"
@@ -88,7 +96,6 @@ class ExperimentConfig:
     ntk_hidden_layers: int = 3
     ntk_sigma_w2: float = 2.0
     ntk_sigma_b2: float = 0.01
-    ntk_lr: float | None = None
     ntk_epochs: int = 20000
     ntk_tol: float = 1e-6
     sweep_lambdas: tuple = (1e-3, 1e-1, 1e1)
@@ -105,8 +112,13 @@ class ExperimentConfig:
             raise ConfigError(f"unknown space {self.space!r}")
         if self.trainer not in ("direct", "gd", "momentum"):
             raise ConfigError(f"unknown trainer {self.trainer!r}")
+        object.__setattr__(self, "opt", replace(
+            self.opt, kind="momentum" if self.trainer == "momentum" else "gd"))
         if self.trainer == "direct" and (not self.linearized or self.risk.loss != SQUARED):
             raise ConfigError("direct trainer requires a linearized model with squared loss")
+        if self.risk.loss == CROSS_ENTROPY and self.dataset.targets == "pm1":
+            raise ConfigError("cross-entropy needs one-hot targets: the softmax of one "
+                              "+-1 column is constant")
         if self.cold not in ("subprocess", "inline", "skip"):
             raise ConfigError(f"unknown cold mode {self.cold!r}")
         if not self.linearized and self.space != SPACE_THETA:
@@ -214,8 +226,6 @@ CONFIG_KEYS = (
     ConfigKey("ntk.hidden_layers", int, field="ntk_hidden_layers"),
     ConfigKey("ntk.sigma_w2", float, _float_text, field="ntk_sigma_w2"),
     ConfigKey("ntk.sigma_b2", float, _float_text, field="ntk_sigma_b2"),
-    ConfigKey("ntk.lr", lambda v: None if v == "auto" else float(v),
-              lambda v: "auto" if v is None else _float_text(v), field="ntk_lr"),
     ConfigKey("ntk.epochs", int, field="ntk_epochs"),
     ConfigKey("ntk.tol", float, _float_text, field="ntk_tol"),
     ConfigKey("sweep.lambdas", _floats, _list_text(_float_text), field="sweep_lambdas",
@@ -253,8 +263,6 @@ def config_from_values(values: dict) -> ExperimentConfig:
             group, _, attr = key.path.rpartition(".")
             (nested.setdefault(group, {}) if group else top)[attr] = key.parse(text)
         base = ExperimentConfig()
-        trainer = top.get("trainer", base.trainer)
-        nested.setdefault("opt", {})["kind"] = "momentum" if trainer == "momentum" else "gd"
         top.update({group: replace(getattr(base, group), **attrs)
                     for group, attrs in nested.items()})
         return replace(base, **top)
@@ -281,24 +289,21 @@ def dump_config(cfg: ExperimentConfig) -> str:
 def _scale_features(ds: LabeledDataset, scale: float) -> LabeledDataset:
     if scale == 1.0:
         return ds
-    if not 0 < scale <= 1.0:
-        raise ConfigError("dataset.feature_scale must lie in (0, 1]")
     return LabeledDataset(ds.features * scale, ds.targets, ds.labels, ds.name)
 
 
 def _real_data(kind: str) -> tuple[LabeledDataset, LabeledDataset]:
-    """Full training and held-out sets of a real dataset, from data_dir()."""
+    """Full training and held-out sets of a DATASET_KINDS entry other than
+    blobs, from data_dir()."""
     root = data_dir()
     if kind == "mnist":
         return (load_idx(os.path.join(root, "train-images-idx3-ubyte"),
                          os.path.join(root, "train-labels-idx1-ubyte"), name="mnist"),
                 load_idx(os.path.join(root, "t10k-images-idx3-ubyte"),
                          os.path.join(root, "t10k-labels-idx1-ubyte"), name="mnist/test"))
-    if kind == "cifar10":
-        root = os.path.join(root, "cifar-10-batches-bin")
-        return (load_cifar_binary(os.path.join(root, "data_batch_1.bin")),
-                load_cifar_binary(os.path.join(root, "test_batch.bin")))
-    raise ConfigError(f"unknown dataset kind {kind!r}")
+    root = os.path.join(root, "cifar-10-batches-bin")
+    return (load_cifar_binary(os.path.join(root, "data_batch_1.bin")),
+            load_cifar_binary(os.path.join(root, "test_batch.bin")))
 
 
 def make_experiment_data(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset]:
@@ -570,13 +575,12 @@ def run_lambda_sweep(cfg: ExperimentConfig, record_every: int = 1) -> dict:
     os.makedirs(cfg.out_dir, exist_ok=True)
     train_ds, test_ds = make_experiment_data(cfg)
     spec = _spec_for_data(cfg, train_ds)
-    theta0 = spec.theta_init
-    lin = LinearizedModel(spec, theta0)
+    lin = LinearizedModel(spec, spec.theta_init)
     results = {}
     for lam in cfg.sweep_lambdas:
         risk = RiskConfig(lam=lam, loss=cfg.risk.loss, center="reference")
-        theta_nl = theta0.copy()
-        theta_li = theta0.copy()
+        theta_nl = spec.theta_init.copy()
+        theta_li = spec.theta_init.copy()
         series = []
         for epoch in range(cfg.stop.max_epochs):
             _, g_nl = risk_value_and_grad(spec, theta_nl, train_ds, risk)
@@ -628,7 +632,7 @@ def run_infinite_experiment(cfg: ExperimentConfig):
                                sigma_w2=cfg.ntk_sigma_w2, sigma_b2=cfg.ntk_sigma_b2,
                                d_out=train_ds.d_out)
     res = infinite_influence(ntk_spec, split, test_ds, cfg.risk, cfg.cg,
-                             lr=cfg.ntk_lr, epochs=cfg.ntk_epochs, tol=cfg.ntk_tol)
+                             epochs=cfg.ntk_epochs, tol=cfg.ntk_tol)
     write_kernel_cache(os.path.join(cfg.out_dir, "kernel.bin"), res.kernel)
     with open(os.path.join(cfg.out_dir, "infinite_outputs.csv"), "w") as f:
         f.write(",".join(INFINITE_OUT_HEADER) + "\n")

@@ -107,9 +107,11 @@ def kgd_train(kernel: KernelMatrix, ds: LabeledDataset, cfg: RiskConfig,
 
     The iterate starts at 0 and stays in the span of kernel columns, f = K c,
     so the reproducing-norm regularizer is tracked exactly as (lam/2) c'f.
-    Stops early when the stationarity residual drops below ``tol``; raises
-    DivergenceDetected when the loss stops being finite or grows without
-    bound (the empirical stability check of the step size).
+    Stops when the stationarity residual drops below ``tol`` and raises
+    NotConverged when the epochs run out first; raises DivergenceDetected
+    when the loss stops being finite or grows without bound (the empirical
+    stability check of the step size). The step size defaults to
+    stable_kgd_lr's.
     """
     d = kernel.d_out
     if kernel.shape[0] != ds.n * d or ds.d_out != d:
@@ -137,14 +139,10 @@ def kgd_train(kernel: KernelMatrix, ds: LabeledDataset, cfg: RiskConfig,
             break
         f = f - lr * step
         coef = coef - lr * (grad + cfg.lam * coef)
+    if tol is not None and residual > tol:
+        raise NotConverged(f"stationarity residual {residual:.3e} exceeds {tol} "
+                           f"after {epoch} epochs")
     return FunctionState(f, epoch, residual, np.asarray(losses))
-
-
-def require_converged(state: FunctionState, tol: float) -> None:
-    if state.residual > tol:
-        raise NotConverged(
-            f"stationarity residual {state.residual:.3e} exceeds {tol} after {state.epoch} epochs"
-        )
 
 
 def infinite_predict(k_test_train: KernelMatrix, alpha: np.ndarray) -> np.ndarray:
@@ -165,8 +163,7 @@ class InfiniteInfluenceResult:
 
 def infinite_influence(spec: AnalyticNtkSpec, split: SplitDataset, test_ds: LabeledDataset,
                        cfg: RiskConfig, opts: CgOptions = CgOptions(),
-                       lr: float | None = None, epochs: int = 20000,
-                       tol: float = 1e-6) -> InfiniteInfluenceResult:
+                       epochs: int = 20000, tol: float = 1e-6) -> InfiniteInfluenceResult:
     """Estimated vs actual changes at test points after removing the forget set.
 
     Estimates: reduced coefficient solve with the analytic kernel and the
@@ -176,14 +173,12 @@ def infinite_influence(spec: AnalyticNtkSpec, split: SplitDataset, test_ds: Labe
     """
     full = split.full
     kernel = analytic_ntk(spec, full.features)
-    state = kgd_train(kernel, full, cfg, lr=lr, epochs=epochs, tol=tol)
-    require_converged(state, tol)
+    state = kgd_train(kernel, full, cfg, epochs=epochs, tol=tol)
     alpha = alpha_star_from_outputs(state.f_train, full, cfg)
 
     retain = slice(split.n_forget, split.n)
     k_retain = kernel.submatrix(retain, retain)
-    state_r = kgd_train(k_retain, split.retain, cfg, lr=lr, epochs=epochs, tol=tol)
-    require_converged(state_r, tol)
+    state_r = kgd_train(k_retain, split.retain, cfg, epochs=epochs, tol=tol)
     alpha_r = alpha_star_from_outputs(state_r.f_train, split.retain, cfg)
 
     solver = DualUnlearner(kernel, state.f_train, split, cfg, opts)

@@ -72,15 +72,6 @@ class PrimalUnlearner:
             self.prepare()
         return cg_solve(self._op, self._rhs, self.opts)
 
-    def report(self, res: CgResult, test_ds=None) -> InfluenceReport:
-        """The report of one solve, with the test-point changes when
-        ``test_ds`` is given."""
-        report = InfluenceReport(delta_theta=res.x, residual=res.residual, iters=res.iters,
-                                 converged=res.converged, notes=list(self.notes))
-        if test_ds is not None:
-            attach_test_predictions(report, self.model, self.theta_star, test_ds, self.cfg)
-        return report
-
 
 def predict_changes_primal(model: Model, theta_star: np.ndarray, delta_theta: np.ndarray,
                            test_ds, cfg: RiskConfig):

@@ -152,23 +152,12 @@ def risk_hessian_op(model: Model, theta: np.ndarray, ds: LabeledDataset, cfg: Ri
     return apply_h
 
 
-def risk_hvp(model: Model, theta: np.ndarray, ds: LabeledDataset, cfg: RiskConfig,
-             v: np.ndarray) -> np.ndarray:
-    """One risk-Hessian vector product; see risk_hessian_op."""
-    v = np.asarray(v, dtype=np.float64)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("hvp direction must be finite")
-    return risk_hessian_op(model, theta, ds, cfg)(v)
-
-
-def train(model: Model, ds: LabeledDataset, cfg: RiskConfig, opt: Optimizer, stop: StopRule,
-          theta0: np.ndarray | None = None) -> TrainReport:
+def train(model: Model, ds: LabeledDataset, cfg: RiskConfig, opt: Optimizer,
+          stop: StopRule) -> TrainReport:
     """Deterministic full-batch gradient descent / heavy-ball training,
-    started at ``theta0`` (default: the linearization point or the
-    initialization)."""
-    if theta0 is None:
-        theta0 = model.theta_ref if isinstance(model, LinearizedModel) else model.theta_init
-    theta = np.asarray(theta0, dtype=np.float64).copy()
+    started at the linearization point or the initialization."""
+    theta = np.array(model.theta_ref if isinstance(model, LinearizedModel) else model.theta_init,
+                     dtype=np.float64)
     velocity = np.zeros_like(theta)
     losses, gnorms = [], []
     epochs = 0

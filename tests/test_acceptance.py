@@ -35,7 +35,7 @@ from kinfluence.models import (
 )
 from kinfluence.primal import PrimalUnlearner
 from kinfluence.solvers import CgOptions
-from kinfluence.training import RiskConfig, fit_linearized_exact, risk_grad, risk_hvp
+from kinfluence.training import RiskConfig, fit_linearized_exact, risk_grad, risk_hessian_op
 
 
 @contextlib.contextmanager
@@ -70,7 +70,7 @@ def quad_instance():
     unlearner = PrimalUnlearner(lin, theta_hat, split, cfg,
                                 CgOptions(rel_tol=1e-10, max_iters=20000))
     unlearner.prepare()
-    primal = unlearner.report(unlearner.solve())
+    primal = unlearner.solve()
     setup_seconds = time.perf_counter() - t0
     return dict(spec=spec, lin=lin, split=split, cfg=cfg, kernel=kernel,
                 theta_hat=theta_hat, retrained=retrained, primal=primal,
@@ -109,7 +109,7 @@ class TestAcceptance:
     def test_c01_quadratic_exactness(self, quad_instance):
         with criterion(1, "theta-space influence equals retraining on the quadratic instance"):
             q = quad_instance
-            theta_u = q["theta_hat"] + q["primal"].delta_theta
+            theta_u = q["theta_hat"] + q["primal"].x
             rel = np.linalg.norm(theta_u - q["retrained"]) / np.linalg.norm(q["retrained"])
             assert rel < 1e-6, f"rel l2 {rel:.3e}"
             assert q["setup_seconds"] < 60.0, f"took {q['setup_seconds']:.1f}s"
@@ -123,7 +123,7 @@ class TestAcceptance:
                                    CgOptions(rel_tol=1e-10, max_iters=20000)).solve()
             theta_dual = map_to_params(lin, q["theta_hat"], coeffs.delta_alpha,
                                        split.full.features)
-            dp = q["primal"].delta_theta
+            dp = q["primal"].x
             rel = np.linalg.norm((theta_dual - q["theta_hat"]) - dp) / np.linalg.norm(dp)
             assert rel < 1e-6, f"primal-dual rel {rel:.3e}"
             w = q["retrained"] - q["theta_hat"]
@@ -336,7 +336,7 @@ class TestAcceptance:
                 h = 1e-6
                 fd = (risk_grad(lin, theta + h * v, ds, cfg)
                       - risk_grad(lin, theta - h * v, ds, cfg)) / (2 * h)
-                hv = risk_hvp(lin, theta, ds, cfg, v)
+                hv = risk_hessian_op(lin, theta, ds, cfg)(v)
                 rel = np.linalg.norm(hv - fd) / max(np.linalg.norm(fd), 1e-12)
                 assert rel < 1e-6, f"hvp case {case}: {rel:.2e}"
             # analytic kernel vs a 20-seed width-8192 Monte-Carlo estimate

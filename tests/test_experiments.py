@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from operator import attrgetter
 
 import numpy as np
@@ -51,14 +52,15 @@ def tiny_values(out, **extra):
     return base
 
 
-# a value for every key that differs from ExperimentConfig()'s default
+# a value for every key but risk.loss that differs from ExperimentConfig()'s
+# default; cross-entropy needs one-hot targets, so it gets a config of its own
 NON_DEFAULT = {
     "experiment.name": "other", "dataset.kind": "mnist", "dataset.classes": "3,5",
     "dataset.per_class": "17", "dataset.d_in": "9", "dataset.noise": "0.0123456789",
     "dataset.feature_scale": "0.5", "dataset.targets": "pm1", "dataset.seed": "4",
     "model.widths": "784,33,1", "model.activation": "identity",
     "model.parameterization": "ntk", "model.init_seed": "2", "model.linearized": "false",
-    "risk.lambda": "0.00123456789", "risk.loss": "cross_entropy", "risk.center": "origin",
+    "risk.lambda": "0.00123456789", "risk.center": "origin",
     "train.kind": "momentum", "opt.lr": "0.05", "opt.beta": "0.8",
     "stop.max_epochs": "77", "stop.grad_tol": "1e-9",
     "unlearn.percents": "12.3456789,50", "unlearn.scope": "1", "unlearn.space": "theta",
@@ -66,9 +68,11 @@ NON_DEFAULT = {
     "cg.rel_tol": "1e-7", "cg.max_iters": "99",
     "bench.cold": "skip", "bench.test_size": "7", "seeds": "1,2",
     "ntk.hidden_layers": "2", "ntk.sigma_w2": "1.5", "ntk.sigma_b2": "0.02",
-    "ntk.lr": "0.3", "ntk.epochs": "500", "ntk.tol": "1e-7",
+    "ntk.epochs": "500", "ntk.tol": "1e-7",
     "sweep.lambdas": "0.00123456789,1", "out": "elsewhere",
 }
+NON_DEFAULT_CE = {**NON_DEFAULT, "dataset.targets": "onehot", "model.widths": "784,33,2",
+                  "risk.loss": "cross_entropy"}
 
 
 SHIPPED_CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir,
@@ -82,19 +86,20 @@ class TestConfig:
         again = config_from_values(parse_config_text(text))
         assert again == cfg
 
-        assert set(NON_DEFAULT) == {key.name for key in CONFIG_KEYS}
-        cfg = config_from_values(NON_DEFAULT)
+        assert set(NON_DEFAULT_CE) == {key.name for key in CONFIG_KEYS}
+        cfgs = [config_from_values(NON_DEFAULT), config_from_values(NON_DEFAULT_CE)]
         default = ExperimentConfig()
         for key in CONFIG_KEYS:
             get = attrgetter(key.path)
-            assert get(cfg) != get(default), key.name
-        assert cfg.percents[0] == 12.3456789 and cfg.risk.lam == 0.00123456789
-        assert config_from_values(parse_config_text(dump_config(cfg))) == cfg
+            assert any(get(cfg) != get(default) for cfg in cfgs), key.name
+        for cfg in cfgs:
+            assert cfg.percents[0] == 12.3456789 and cfg.risk.lam == 0.00123456789
+            assert config_from_values(parse_config_text(dump_config(cfg))) == cfg
 
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config_text("not.a.key = 3")
-        for key in ("bogus.key", "dual.dense_threshold"):
+        for key in ("bogus.key", "dual.dense_threshold", "ntk.lr"):
             with pytest.raises(ConfigError):
                 parse_config_text(f"{key} = 1")
             with pytest.raises(ConfigError):
@@ -113,6 +118,13 @@ class TestConfig:
         listed = set(re.findall(r"`([^`]+)`", "\n".join(table)))
         assert listed == ({key.name for key in CONFIG_KEYS}
                           | {key.alias for key in CONFIG_KEYS if key.alias})
+
+    def test_opt_kind_follows_trainer(self):
+        cfg = ExperimentConfig(trainer="momentum")
+        assert cfg.opt.kind == "momentum"
+        assert "train.kind = momentum" in dump_config(cfg)
+        assert replace(cfg, trainer="gd").opt.kind == "gd"
+        assert replace(cfg, trainer="direct").opt.kind == "gd"
 
     def test_empty_percents_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -418,7 +430,8 @@ class TestCli:
     @pytest.mark.parametrize("key, value", [("cg.preconditioner", "jacobi"),
                                             ("dual.materialize_hrr", "true"),
                                             ("unlearn.shards", "3"),
-                                            ("dual.dense_threshold", "4096")])
+                                            ("dual.dense_threshold", "4096"),
+                                            ("ntk.lr", "0.3")])
     def test_removed_key_exit_code(self, tmp_path, key, value):
         cfgp = write_cfg(tmp_path, **{key: value})
         assert cli.main(["unlearn", "--config", cfgp]) == 2
@@ -432,10 +445,18 @@ class TestCli:
         ({"risk.loss": "hinge"}, True),
         ({"dataset.targets": "bogus"}, True),
         ({"dataset.targets": "pm1", "dataset.classes": "0,1,2"}, True),
+        ({"dataset.targets": "pm1", "risk.loss": "cross_entropy", "model.widths": "4,8,1"},
+         True),
+        ({"dataset.feature_scale": "1.5"}, True),
+        ({"dataset.feature_scale": "0"}, True),
+        ({"dataset.kind": "svhn"}, True),
+        ({"dataset.per_class": "0"}, True),
         ({"model.widths": "5,8,2"}, False),
         ({"model.widths": "4,8,3"}, False),
     ], ids=["hessian", "activation", "parameterization", "zero_width", "loss", "targets",
-            "pm1_three_classes", "d_in_mismatch", "d_out_mismatch"])
+            "pm1_three_classes", "pm1_cross_entropy", "feature_scale_above_1",
+            "feature_scale_0", "dataset_kind", "per_class_0", "d_in_mismatch",
+            "d_out_mismatch"])
     def test_bad_value_exit_code(self, tmp_path, capsys, command, bad, at_load):
         # 20 points of 4 features in 2 classes, trained by gd
         cfgp = write_cfg(tmp_path, **{"dataset.per_class": "10", "dataset.d_in": "4",

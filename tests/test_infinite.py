@@ -106,6 +106,16 @@ class TestKgd:
         oracle = np.linalg.solve(sigma / 8 + cfg.lam * np.eye(8), sigma / 8 @ y.ravel())
         assert np.linalg.norm(state.f_train - oracle) / np.linalg.norm(oracle) < 1e-6
 
+    def test_missed_tol_raises(self):
+        sigma = np.array([[2.0, 0.5, 0.1], [0.5, 1.5, 0.3], [0.1, 0.3, 1.0]])
+        ds = raw_targets_ds(np.array([[1.0], [-1.0], [1.0]]))
+        k = KernelMatrix(1, sigma=sigma)
+        cfg = RiskConfig(lam=0.4, loss=SQUARED)
+        with pytest.raises(NotConverged):
+            kgd_train(k, ds, cfg, epochs=2, tol=1e-10)
+        state = kgd_train(k, ds, cfg, epochs=2, tol=None)
+        assert state.epoch == 2 and state.residual > 1e-10
+
     def test_one_epoch_matches_hand_loops(self):
         # term-by-term check of the update direction on a 3-point instance
         sigma = np.array([[2.0, 0.5, 0.1], [0.5, 1.5, 0.3], [0.1, 0.3, 1.0]])

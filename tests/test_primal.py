@@ -162,9 +162,8 @@ class TestInfluence:
         spec, lin, split, cfg, theta_star = quadratic_instance(seed=10)
         unlearner = PrimalUnlearner(lin, theta_star + 0.5, split, cfg,
                                     CgOptions(rel_tol=1e-8, max_iters=2000))
-        unlearner.prepare()
-        report = unlearner.report(unlearner.solve())
-        assert any("NotAtOptimum" in note for note in report.notes)
+        unlearner.solve()
+        assert any("NotAtOptimum" in note for note in unlearner.notes)
 
     def test_full_variant_close_for_small_forget(self):
         spec, lin, split, cfg, theta_star = quadratic_instance(seed=11, percent=10.0)

@@ -27,7 +27,6 @@ from kinfluence.training import (
     fit_linearized_exact,
     risk_grad,
     risk_hessian_op,
-    risk_hvp,
     risk_value,
     risk_value_and_grad,
     train,
@@ -129,7 +128,7 @@ class TestHvp:
         spec, lin, ds = small_lin(5)
         cfg = RiskConfig(lam=0.1)
         np.testing.assert_array_equal(
-            risk_hvp(lin, lin.theta_ref, ds, cfg, np.zeros(spec.num_params)),
+            risk_hessian_op(lin, lin.theta_ref, ds, cfg)(np.zeros(spec.num_params)),
             np.zeros(spec.num_params),
         )
 
@@ -171,16 +170,16 @@ class TestHvp:
         for _ in range(20):
             u = rng.standard_normal(spec.num_params)
             v = rng.standard_normal(spec.num_params)
-            a = u @ risk_hvp(lin, theta, ds, cfg, v)
-            b = v @ risk_hvp(lin, theta, ds, cfg, u)
+            a = u @ risk_hessian_op(lin, theta, ds, cfg)(v)
+            b = v @ risk_hessian_op(lin, theta, ds, cfg)(u)
             assert abs(a - b) / max(abs(a), 1e-300) < 1e-10
 
     def test_strict_convexity_floor(self):
         # min eigenvalue of the linearized risk Hessian >= lam (1 - 1e-10)
         spec, lin, ds = small_lin(8, widths=(3, 6, 2), n=10)
         cfg = RiskConfig(lam=0.4, loss=SQUARED)
-        cols = [risk_hvp(lin, lin.theta_ref, ds, cfg, e)
-                for e in np.eye(spec.num_params)]
+        op = risk_hessian_op(lin, lin.theta_ref, ds, cfg)
+        cols = [op(e) for e in np.eye(spec.num_params)]
         eig = np.linalg.eigvalsh(np.array(cols))
         assert eig.min() >= cfg.lam * (1 - 1e-10)
 
