@@ -30,7 +30,7 @@ from .errors import DimensionMismatch, NonFiniteEncountered, NotAtOptimum
 from .kernels import KernelMatrix
 from .losses import loss_grad_batch, loss_hess_batch
 from .models import LinearizedModel
-from .solvers import CgOptions, cg_solve, cholesky_in_place
+from .solvers import CgOptions, cg_solve, cholesky_in_place, kron_preconditioner
 from .training import RiskConfig, stationarity_gap
 
 DENSE_SOLVE_MAX = 4096
@@ -102,7 +102,8 @@ class DualUnlearner:
     block x_r = a + C M^{-1} b solves the reduced system exactly (the
     symmetric form of GPML Alg. 3.2). M is Cholesky-factored when its side is
     at most DENSE_SOLVE_MAX, else solved by CG with one K_rr matvec per
-    iteration. For scalar blocks (squared loss) and a Kronecker kernel,
+    iteration, preconditioned by (lambda I + c K_rr.kron_factor() c) (x) I for
+    scalar blocks on a dense kernel. For scalar blocks and a Kronecker kernel,
     M = (lambda I + c sigma_rr c) (x) I and only the sigma-sized factor is formed;
     with full blocks, forming M would densify the kernel, so CG always runs.
     """
@@ -155,6 +156,8 @@ class DualUnlearner:
             self._factor = cholesky_in_place(m)
         else:
             self.k_rr = k_rr
+            self._precondition = (None if kron or self.c.ndim > 1 else kron_preconditioner(
+                self.c[:, None] * k_rr.kron_factor() * self.c, cfg.lam))
         self._prepared = True
 
     def _apply_m(self, v: np.ndarray) -> np.ndarray:
@@ -172,7 +175,7 @@ class DualUnlearner:
             self.diagnostics.update({"solver": "dense", "iters": 0, "residual": 0.0,
                                      "converged": True})
         else:
-            res = cg_solve(self._apply_m, self.b, self.opts)
+            res = cg_solve(self._apply_m, self.b, self.opts, self._precondition)
             y = res.x
             self.diagnostics.update({"solver": "cg", "iters": res.iters,
                                      "residual": res.residual, "converged": res.converged})

@@ -66,7 +66,8 @@ class NonFiniteEncountered(NumericalError):
 
 
 class SpdViolation(NumericalError):
-    """A system that must be positive definite is not: CG observed p'Ap <= 0,
+    """A system that must be positive definite is not: CG observed p'Ap <= 0
+    or r'Pr <= 0, a Kronecker preconditioner's shift + min eig(sigma) <= 0,
     or a dense Cholesky factorization failed."""
 
 
@@ -75,7 +76,7 @@ class NotAtOptimum(NumericalError):
 
 
 class NotConverged(NumericalError):
-    """A function-space training run did not reach its residual tolerance."""
+    """A function-space training run or the exact fit did not reach its tolerance."""
 
 
 class PartitionGap(ConfigError):

@@ -70,6 +70,13 @@ class KernelMatrix:
             return self.dense
         return np.kron(self.sigma, np.eye(self.d_out))
 
+    def kron_factor(self) -> np.ndarray:
+        """sigma, or the mean of the d_out diagonal output blocks: nearest sigma (x) I."""
+        if self.sigma is not None:
+            return self.sigma
+        k4 = self.dense.reshape(self.n_rows, self.d_out, self.n_cols, self.d_out)
+        return np.trace(k4, axis1=1, axis2=3) / self.d_out
+
     def submatrix(self, rows, cols) -> "KernelMatrix":
         """Point-index slicing; keeps the Kronecker form when present.
 

@@ -4,8 +4,8 @@ The risk is mean per-point loss plus (lambda/2) ||theta - c||^2, where the
 center c is 0 in ``origin`` mode and, in ``reference`` mode, the linearization
 point of a linearized model or the initialization of a raw network. For
 linearized models the risk is quadratic in theta whenever the loss is squared
-error, which is what makes the exact dense fit below a legitimate
-retrain-from-scratch oracle.
+error, which is what makes the exact fit below (a Kronecker-preconditioned CG
+solve of the dual system) a legitimate retrain-from-scratch oracle.
 """
 
 from __future__ import annotations
@@ -13,19 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .datasets import LabeledDataset
-from .errors import DimensionMismatch, DivergenceDetected, EmptyDataset, NonFiniteEncountered
+from .errors import DimensionMismatch, DivergenceDetected, EmptyDataset, NonFiniteEncountered, NotConverged
 from .kernels import KernelMatrix, empirical_ntk
 from .losses import LOSS_KINDS, SQUARED, loss_grad_batch, loss_hess_batch, loss_value_batch
 from .models import LinearizedModel, Model, _spec_of, linearize, model_outputs
-from .solvers import cholesky_in_place
+from .solvers import CgOptions, cg_solve, kron_preconditioner
 
 CENTER_REFERENCE = "reference"
 CENTER_ORIGIN = "origin"
 
 STATIONARITY_TOL = 1e-6  # gradient norm above which theta is not an optimum
+FIT_REL_TOL, FIT_MAX_ITERS = 1e-13, 1000  # the exact fit's CG: relative residual, iteration cap
 
 
 @dataclass(frozen=True)
@@ -188,8 +188,12 @@ def fit_linearized_exact(lin: LinearizedModel, ds: LabeledDataset, cfg: RiskConf
                          kernel: KernelMatrix | None = None) -> np.ndarray:
     """Exact minimizer of the squared-error linearized risk (retraining oracle).
 
-    Solves the dual system (K + lambda N I) beta = Y - f0 on the Gram side and
-    maps back through J', so no d_theta x d_theta factorization is formed.
+    Solves (K + lambda N I) beta = Y - f0 on the Gram side by CG to relative
+    residual FIT_REL_TOL (1e-13; NotConverged if FIT_MAX_ITERS miss it),
+    preconditioned by (lambda N I + sigma)^{-1} (x) I for sigma =
+    K.kron_factor(), then maps back through J'. Nothing is copied or factored,
+    so positive definiteness is not proven: SpdViolation comes only from
+    lambda N + min eig(sigma) <= 0 or non-positive CG curvature.
     Requires center == linearization point (origin mode needs theta_ref = 0).
     """
     if cfg.loss != SQUARED:
@@ -199,16 +203,15 @@ def fit_linearized_exact(lin: LinearizedModel, ds: LabeledDataset, cfg: RiskConf
         raise ValueError("origin-centered risk requires linearization around 0")
     if kernel is None:
         kernel = empirical_ntk(lin.spec, lin.theta_ref, ds.features)
-    k = kernel.to_dense()
-    if k.shape[0] != ds.n * ds.d_out:
+    if kernel.shape != (ds.n * ds.d_out,) * 2:
         raise DimensionMismatch("kernel does not match dataset size")
     lz = lin.linearization(ds.features)
     rhs = ds.targets_vec - lz.outputs.ravel()
     if not np.all(np.isfinite(rhs)):
         raise NonFiniteEncountered("reference outputs are non-finite")
-    # one copy, factored where it lies; the caller's kernel is not written
-    sys = k.copy()
-    sys[np.diag_indices_from(sys)] += cfg.lam * ds.n
-    # the factor of a checked finite matrix is finite: no second scan
-    beta = scipy.linalg.cho_solve(cholesky_in_place(sys), rhs, check_finite=False)
-    return lin.theta_ref + lz.vjp(beta)
+    shift = cfg.lam * ds.n
+    res = cg_solve(lambda p: kernel.matvec(p) + shift * p, rhs, CgOptions(FIT_REL_TOL, FIT_MAX_ITERS),
+                   kron_preconditioner(kernel.kron_factor(), shift))
+    if not res.converged:
+        raise NotConverged(f"exact fit: CG residual {res.residual:.3e} after {res.iters} iterations")
+    return lin.theta_ref + lz.vjp(res.x)

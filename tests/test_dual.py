@@ -37,7 +37,7 @@ from kinfluence.dual import (
 from kinfluence.experiments import _make_unlearner
 from kinfluence.primal import PrimalUnlearner, attach_test_predictions
 from kinfluence.report import InfluenceReport
-from kinfluence.solvers import CgOptions
+from kinfluence.solvers import CgOptions, cg_solve
 from kinfluence.training import RiskConfig, fit_linearized_exact, risk_value
 
 
@@ -384,6 +384,51 @@ class TestFactoredSolve:
             solver = DualUnlearner(kernel, f_vec, SplitDataset(split.full, n_forget), cfg)
             solver.solve()
             assert solver.diagnostics["solver"] == path
+
+
+class TestPreconditionedCg:
+    """Past DENSE_SOLVE_MAX, scalar blocks on a dense kernel run CG
+    preconditioned with (lambda I + c sigma_rr c) (x) I."""
+
+    @pytest.mark.parametrize("percent", [10.0, 50.0, 90.0])
+    def test_matches_dense_factor(self, percent, monkeypatch):
+        split, cfg, kernel, f_vec = reduced_instance(SQUARED, False, percent)
+        dense = DualUnlearner(kernel, f_vec, split, cfg).solve()
+        monkeypatch.setattr(kinfluence.dual, "DENSE_SOLVE_MAX", 0)
+        solver = DualUnlearner(kernel, f_vec, split, cfg, CgOptions(rel_tol=1e-13))
+        got = solver.solve()
+        assert solver.diagnostics["solver"] == "cg" and solver._precondition is not None
+        err = np.linalg.norm(got.delta_alpha - dense.delta_alpha)
+        assert err <= 1e-10 * np.linalg.norm(dense.delta_alpha)
+
+    @pytest.mark.parametrize("kron, loss", [(True, SQUARED), (False, CROSS_ENTROPY)],
+                             ids=["kron_squared", "dense_cross_entropy"])
+    def test_other_paths_stay_unpreconditioned(self, kron, loss, monkeypatch):
+        split, cfg, kernel, f_vec = reduced_instance(loss, kron, 50.0)
+        monkeypatch.setattr(kinfluence.dual, "DENSE_SOLVE_MAX", 0)
+        solver = DualUnlearner(kernel, f_vec, split, cfg)
+        solver.prepare()
+        assert solver._precondition is None
+
+    def test_halves_iterations_on_fig1_shaped_instance(self, monkeypatch):
+        # fig1's make-up at desk scale: one wide ReLU layer, ten outputs,
+        # squared loss; its empirical kernel is close to sigma (x) I
+        ds = make_blobs(6, 10, d_in=40, seed=7)
+        ds = LabeledDataset(0.3 * ds.features, ds.targets, ds.labels)
+        split = split_forget(ds, 10.0, scope="all", seed=8)
+        spec = ModelSpec((40, 512, 10), init_seed=7)
+        lin = LinearizedModel(spec, spec.init_params())
+        cfg = RiskConfig(lam=0.5, loss=SQUARED)
+        kernel = empirical_ntk(spec, lin.theta_ref, split.full.features)
+        theta_hat = fit_linearized_exact(lin, split.full, cfg, kernel=kernel)
+        f_vec = model_outputs(lin, theta_hat, split.full.features).ravel()
+        monkeypatch.setattr(kinfluence.dual, "DENSE_SOLVE_MAX", 0)
+        opts = CgOptions(rel_tol=1e-12)
+        solver = DualUnlearner(kernel, f_vec, split, cfg, opts)
+        solver.solve()
+        plain = cg_solve(solver._apply_m, solver.b, opts)
+        assert solver.diagnostics["converged"] and plain.converged
+        assert solver.diagnostics["iters"] <= plain.iters // 2
 
 
 class TestPrepareMemory:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinfluence.errors import NonFiniteEncountered, SpdViolation
-from kinfluence.solvers import CgOptions, cg_solve, cholesky_in_place
+from kinfluence.solvers import CgOptions, cg_solve, cholesky_in_place, kron_preconditioner
 
 
 class TestCg:
@@ -69,6 +69,65 @@ class TestCg:
         b = rng.standard_normal(n)
         res = cg_solve(lambda v: a @ v, b, CgOptions(rel_tol=1e-13, max_iters=20 * n))
         assert np.linalg.norm(a @ res.x - b) <= 1e-10 * max(np.linalg.norm(b), 1e-12)
+
+
+class TestPreconditionedCg:
+    @staticmethod
+    def near_kronecker(seed=0, n=30, d=4):
+        """SPD (n d)^2 matrix sigma (x) I plus a small symmetric perturbation."""
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((n, n))
+        e = 0.05 * rng.standard_normal((n * d, n * d))
+        a = np.kron(g @ g.T, np.eye(d)) + e @ e.T + np.eye(n * d)
+        return a, g @ g.T, rng.standard_normal(n * d)
+
+    def test_matches_dense_solver(self):
+        a, sigma, b = self.near_kronecker()
+        res = cg_solve(lambda v: a @ v, b, CgOptions(rel_tol=1e-13, max_iters=500),
+                       kron_preconditioner(sigma, 1.0))
+        oracle = np.linalg.solve(a, b)
+        assert res.converged
+        assert np.linalg.norm(res.x - oracle) <= 1e-10 * np.linalg.norm(oracle)
+        assert np.linalg.norm(a @ res.x - b) <= 1e-12 * np.linalg.norm(b)
+
+    def test_fewer_iterations_than_plain_cg(self):
+        a, sigma, b = self.near_kronecker(1)
+        opts = CgOptions(rel_tol=1e-12, max_iters=500)
+        plain = cg_solve(lambda v: a @ v, b, opts)
+        pcg = cg_solve(lambda v: a @ v, b, opts, kron_preconditioner(sigma, 1.0))
+        assert pcg.iters <= plain.iters // 2
+
+    def test_identity_preconditioner_is_plain_cg(self):
+        a, _sigma, b = self.near_kronecker(2)
+        opts = CgOptions(rel_tol=1e-12, max_iters=500)
+        plain = cg_solve(lambda v: a @ v, b, opts)
+        ident = cg_solve(lambda v: a @ v, b, opts, lambda r: r)
+        assert np.array_equal(plain.x, ident.x) and plain.iters == ident.iters
+
+    @pytest.mark.parametrize("iteration", [0, 1])
+    def test_not_positive_definite_preconditioner(self, iteration):
+        a, _sigma, b = self.near_kronecker(3)
+        calls = []
+
+        def flips(r):
+            calls.append(1)
+            return -r if len(calls) > iteration else r
+        with pytest.raises(SpdViolation):
+            cg_solve(lambda v: a @ v, b, CgOptions(rel_tol=1e-14), flips)
+
+    def test_non_finite_preconditioner_output(self):
+        with pytest.raises(NonFiniteEncountered):
+            cg_solve(lambda v: v, np.ones(3), precondition=lambda r: r * np.nan)
+
+    def test_kron_preconditioner_checks(self):
+        with pytest.raises(SpdViolation):
+            kron_preconditioner(-np.eye(3), 0.5)
+        with pytest.raises(NonFiniteEncountered):
+            kron_preconditioner(np.full((3, 3), np.inf), 0.5)
+        sigma = np.array([[2.0, 1.0], [1.0, 2.0]])
+        r = np.arange(6.0)
+        want = np.linalg.solve(np.kron(sigma + 0.5 * np.eye(2), np.eye(3)), r)
+        np.testing.assert_allclose(kron_preconditioner(sigma, 0.5)(r), want, rtol=1e-14, atol=1e-15)
 
 
 class TestCholeskyInPlace:

@@ -1,15 +1,16 @@
 """Risk derivatives and trainers against closed-form and FD oracles."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from kinfluence import models
+from kinfluence import models, training
 from kinfluence.datasets import make_blobs, split_forget
 from kinfluence.dual import map_to_params
-from kinfluence.errors import DivergenceDetected, NonFiniteEncountered, SpdViolation
+from kinfluence.errors import DivergenceDetected, NonFiniteEncountered, NotConverged, SpdViolation
 from kinfluence.kernels import KernelMatrix, empirical_ntk
 from kinfluence.losses import CROSS_ENTROPY, SQUARED, loss_grad_batch, loss_hess_batch
 from kinfluence.models import (
@@ -361,17 +362,27 @@ class TestTrain:
 
 
 class TestExactFit:
-    def test_matches_normal_equations_oracle(self):
-        spec, lin, ds = small_lin(12)
-        cfg = RiskConfig(lam=0.3, loss=SQUARED)
+    @pytest.mark.parametrize("d_out", [1, 3], ids=["d_out1", "d_out3"])
+    @pytest.mark.parametrize("center", ["reference", "origin"])
+    @pytest.mark.parametrize("parameterization", ["standard", "ntk"])
+    @pytest.mark.parametrize("hidden", [(12,), (12, 7)], ids=["one_hidden", "two_hidden"])
+    def test_matches_normal_equations_oracle(self, hidden, parameterization, center, d_out):
+        # oracle: dense primal normal equations on materialized J, solved by
+        # LAPACK; it shares no code with the fit's CG. Origin mode linearizes
+        # at 0, where the regularizer gradient vanishes as it does at theta_ref.
+        spec = ModelSpec((4, *hidden, d_out), parameterization=parameterization, init_seed=12)
+        theta_ref = spec.init_params() if center == "reference" else np.zeros(spec.num_params)
+        lin = LinearizedModel(spec, theta_ref)
+        ds = (make_blobs(8, 2, d_in=4, seed=12, encoding="pm1") if d_out == 1
+              else make_blobs(6, d_out, d_in=4, seed=12))
+        cfg = RiskConfig(lam=0.3, loss=SQUARED, center=center)
         theta = fit_linearized_exact(lin, ds, cfg)
-        # oracle: dense primal normal equations on materialized J
-        jac = stacked_jacobian(spec, lin.theta_ref, ds.features)
-        f0 = model_outputs(spec, lin.theta_ref, ds.features).ravel()
+        jac = stacked_jacobian(spec, theta_ref, ds.features)
+        f0 = model_outputs(spec, theta_ref, ds.features).ravel()
         lhs = jac.T @ jac / ds.n + cfg.lam * np.eye(spec.num_params)
         rhs = -jac.T @ (f0 - ds.targets_vec) / ds.n
         u = np.linalg.solve(lhs, rhs)
-        np.testing.assert_allclose(theta, lin.theta_ref + u, rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(theta, theta_ref + u, rtol=1e-8, atol=1e-10)
 
     def test_leaves_callers_kernel_unchanged(self):
         spec, lin, ds = small_lin(15)
@@ -397,13 +408,60 @@ class TestExactFit:
 
     @pytest.mark.parametrize("fill, error", [(np.nan, NonFiniteEncountered),
                                              (-10.0, SpdViolation)], ids=["nan", "negative"])
-    def test_failed_factorization_raises_numerical_error(self, fill, error):
+    def test_non_finite_or_indefinite_kernel_raises_numerical_error(self, fill, error):
         spec, lin, ds = small_lin(16)
         side = ds.n * ds.d_out
         dense = np.full((side, side), np.nan) if np.isnan(fill) else fill * np.eye(side)
         with pytest.raises(error):
             fit_linearized_exact(lin, ds, RiskConfig(lam=0.3, loss=SQUARED),
                                  kernel=KernelMatrix(ds.d_out, dense=dense))
+
+    def test_indefinite_kernel_off_its_kronecker_part_raises_spd_violation(self):
+        # sigma = 0 passes the preconditioner's check; CG meets p'Ap <= 0
+        spec, lin, ds = small_lin(16)
+        side = ds.n * ds.d_out
+        dense = np.zeros((side, side))
+        dense[0, 1] = dense[1, 0] = 100.0
+        with pytest.raises(SpdViolation):
+            fit_linearized_exact(lin, ds, RiskConfig(lam=0.3, loss=SQUARED),
+                                 kernel=KernelMatrix(ds.d_out, dense=dense))
+
+    def test_missed_tolerance_raises_not_converged(self, monkeypatch):
+        spec, lin, ds = small_lin(18)
+        monkeypatch.setattr(training, "FIT_MAX_ITERS", 2)
+        with pytest.raises(NotConverged):
+            fit_linearized_exact(lin, ds, RiskConfig(lam=0.3, loss=SQUARED))
+
+    def test_kronecker_kernel_takes_one_iteration(self, monkeypatch):
+        # the preconditioner is the exact inverse of (lambda N I + sigma) (x) I
+        spec, lin, ds = small_lin(19)
+        rng = np.random.default_rng(0)
+        g = rng.standard_normal((ds.n, ds.n))
+        kernel = KernelMatrix(ds.d_out, sigma=g @ g.T)
+        monkeypatch.setattr(training, "FIT_MAX_ITERS", 1)
+        cfg = RiskConfig(lam=0.3, loss=SQUARED)
+        theta = fit_linearized_exact(lin, ds, cfg, kernel=kernel)
+        lz = lin.linearization(ds.features)
+        sys_ = kernel.to_dense() + cfg.lam * ds.n * np.eye(ds.n * ds.d_out)
+        beta = np.linalg.solve(sys_, ds.targets_vec - lz.outputs.ravel())
+        np.testing.assert_allclose(theta, lin.theta_ref + lz.vjp(beta), rtol=1e-12, atol=1e-14)
+
+    def test_allocates_no_kernel_copy(self):
+        # many points, few parameters: the kernel dwarfs every other buffer
+        spec = ModelSpec((4, 8, 3), init_seed=20)
+        lin = LinearizedModel(spec, spec.init_params())
+        ds = make_blobs(100, 3, d_in=4, seed=20)
+        kernel = empirical_ntk(spec, lin.theta_ref, ds.features)
+        cfg = RiskConfig(lam=0.3, loss=SQUARED)
+        lin.linearization(ds.features)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fit_linearized_exact(lin, ds, cfg, kernel=kernel)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * kernel.dense.nbytes
 
     def test_non_finite_reference_outputs_raise(self):
         spec, lin, ds = small_lin(17)
