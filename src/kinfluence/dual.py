@@ -106,6 +106,14 @@ class DualUnlearner:
     scalar blocks on a dense kernel. For scalar blocks and a Kronecker kernel,
     M = (lambda I + c sigma_rr c) (x) I and only the sigma-sized factor is formed;
     with full blocks, forming M would densify the kernel, so CG always runs.
+
+    ``kernel`` is the training kernel in split order, forget block first;
+    an index view of the stored kernel (``submatrix(perm, perm)``) serves and
+    copies nothing. prepare() gathers K_rr (sigma_rr for a Kronecker kernel)
+    once, and K_rf for the one product it takes part in. With scalar blocks
+    it scales the K_rr buffer in place into M, so the dense solve holds only
+    the stored kernel and M; the CG path keeps the gathered K_rr for its
+    matvecs.
     """
 
     def __init__(self, kernel: KernelMatrix, f_vec: np.ndarray, split: SplitDataset,
@@ -130,28 +138,33 @@ class DualUnlearner:
         self.alpha = alpha_star_from_outputs(self.f_vec, split.full, cfg)
         self.delta_f = -self.alpha[:n_f]
         self.c = _psd_sqrt_blocks(retain_hessian_blocks(self.f_vec, split, cfg))
-        # views: the kernel is forget block first
+        # the kernel is forget block first. K_rr is gathered once, into a new
+        # buffer that becomes M. K_rf is gathered for its one product: that
+        # reads |Dr| |Df| entries, where a product through the view would
+        # run over the whole stored kernel
         fi, ri = slice(0, split.n_forget), slice(split.n_forget, split.n)
-        k_rr = self.kernel.submatrix(ri, ri)
+        k_rr = self.kernel.submatrix(ri, ri).gather()
         self.a = (split.n_forget / split.n_retain) * self.alpha[n_f:]
-        self.b = _apply_sqrt(self.c, self.kernel.submatrix(ri, fi).matvec(self.alpha[:n_f])
+        self.b = _apply_sqrt(self.c, self.kernel.submatrix(ri, fi).gather().matvec(self.alpha[:n_f])
                              - k_rr.matvec(self.a))
         # checked once here: the dense solves do not rescan b or the factor
         if not np.all(np.isfinite(self.b)):
             raise NonFiniteEncountered("reduced right-hand side has non-finite entries")
-        kron = k_rr.sigma is not None
+        kron = k_rr.kron
         self.use_dense = ((not kron or self.c.ndim == 1)
                           and split.n_retain * (1 if kron else d) <= DENSE_SOLVE_MAX)
         if self.use_dense:
             # the factorization is part of operator construction (cold work);
-            # warm solves reuse it. M is built once, in one new buffer.
+            # warm solves reuse it
             if self.c.ndim == 1:
-                mat, cf = ((k_rr.sigma, self.c) if kron else
-                           (k_rr.dense, np.repeat(self.c, d)))
-                m = mat * cf[:, None]
+                m, cf = ((k_rr.sigma, self.c) if kron else
+                         (k_rr.dense, np.repeat(self.c, d)))
+                m *= cf[:, None]
                 m *= cf
             else:
-                m = _apply_blockdiag(self.c, _apply_blockdiag(self.c, k_rr.dense).T)
+                half = _apply_blockdiag(self.c, k_rr.dense)
+                del k_rr  # freed before the second product
+                m = _apply_blockdiag(self.c, half.T)
             m[np.diag_indices_from(m)] += cfg.lam
             self._factor = cholesky_in_place(m)
         else:

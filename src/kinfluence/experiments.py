@@ -25,12 +25,13 @@ import numpy as np
 from .datasets import (LabeledDataset, check_encoding, data_dir, load_cifar_binary, load_idx,
                        make_blobs, split_forget, subset_per_class)
 from .dual import DualUnlearner, _require_stationary, map_to_params
-from .errors import CheckpointMismatch, ConfigError
+from .errors import CheckpointMismatch, ConfigError, NumericalError
 from .infinite import AnalyticNtkSpec, infinite_influence
 from .kernels import KernelMatrix, empirical_ntk, read_kernel_cache, write_kernel_cache
 from .losses import CROSS_ENTROPY, SQUARED
 from .models import LinearizedModel, ModelSpec, load_params, model_outputs, save_params
-from .primal import HESSIAN_VARIANTS, PrimalUnlearner, attach_test_predictions
+from .primal import (HESSIAN_UPWEIGHTED, HESSIAN_VARIANTS, PrimalUnlearner,
+                     attach_test_predictions)
 from .report import (
     InfluenceReport,
     MetricsRow,
@@ -125,6 +126,10 @@ class ExperimentConfig:
             raise ConfigError("coefficient-space unlearning requires a linearized model")
         if self.hessian_variant not in HESSIAN_VARIANTS:
             raise ConfigError(f"unknown hessian variant {self.hessian_variant!r}")
+        if self.hessian_variant != HESSIAN_UPWEIGHTED and self.space != SPACE_THETA:
+            # coefficient space solves the retain-Hessian system only
+            raise ConfigError(f"unlearn.hessian = {self.hessian_variant} needs "
+                              f"unlearn.space = theta")
         self.model_spec()  # runs ModelSpec's own checks at load
 
     def spaces(self) -> tuple:
@@ -467,9 +472,9 @@ def _cold_runtime(cfg, seed, percent, space, out_dir, snapshot_path):
            "--out", result_path]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise RuntimeError(
-            f"cold-start child failed (exit {proc.returncode}):\n{proc.stderr}"
-        )
+        # the child's exit code names the class of its failure (see cli)
+        error = {2: ConfigError, 3: NumericalError}.get(proc.returncode, RuntimeError)
+        raise error(f"cold-start child failed (exit {proc.returncode}):\n{proc.stderr}")
     with open(result_path) as f:
         return float(json.load(f)["cold_runtime_s"])
 
@@ -546,8 +551,8 @@ def run_unlearning_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
                 if space == SPACE_DUAL:
                     diag.update(unlearner.diagnostics)
                 append_diagnostics(os.path.join(case_dir, "diagnostics.jsonl"), diag)
-                # frees this case's kernel copy and factor before the next
-                # case's oracle fit and unlearner are built
+                # frees this case's factor of M (or gathered K_rr) before the
+                # next case's oracle fit and unlearner are built
                 del unlearner
         write_metrics_csv(os.path.join(seed_dir, "metrics.csv"), rows)
         all_rows.extend(rows)

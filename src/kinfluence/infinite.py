@@ -94,7 +94,7 @@ class FunctionState:
 
 def stable_kgd_lr(kernel: KernelMatrix, n: int, cfg: RiskConfig, safety: float = 1.8) -> float:
     """Step size from the quadratic stability bound 2 / (h_max lam_max(K)/N + lam)."""
-    mat = kernel.sigma if kernel.sigma is not None else kernel.dense
+    mat = kernel.sigma if kernel.kron else kernel.dense
     lam_max = float(np.linalg.eigvalsh((mat + mat.T) / 2.0).max())
     h_max = 0.5 if cfg.loss == CROSS_ENTROPY else 1.0
     return safety / (h_max * lam_max / n + cfg.lam)
@@ -111,11 +111,13 @@ def kgd_train(kernel: KernelMatrix, ds: LabeledDataset, cfg: RiskConfig,
     NotConverged when the epochs run out first; raises DivergenceDetected
     when the loss stops being finite or grows without bound (the empirical
     stability check of the step size). The step size defaults to
-    stable_kgd_lr's.
+    stable_kgd_lr's. An index view is gathered once, since every epoch reads
+    the kernel.
     """
     d = kernel.d_out
     if kernel.shape[0] != ds.n * d or ds.d_out != d:
         raise DimensionMismatch("kernel does not match the dataset")
+    kernel = kernel.gather()
     if lr is None:
         lr = stable_kgd_lr(kernel, ds.n, cfg)
     f = np.zeros(ds.n * d)

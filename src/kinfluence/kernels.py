@@ -1,19 +1,19 @@
-"""Tangent-kernel matrices: assembly, block slicing, sharded matvec, caching.
+"""Tangent-kernel matrices: assembly, index views, sharded matvec, caching.
 
 The empirical kernel between two batches is the Gram matrix of parameter
 Jacobians at a shared reference point, assembled layer by layer from cached
 activations and backprop signals so the Jacobian itself is never materialized.
 Analytic infinite-width kernels factor as sigma (x) I_{d_out} and keep that
-Kronecker form through slicing and matvecs.
+Kronecker form through index views and matvecs.
 """
 
 from __future__ import annotations
 
+import copy
 import os
 import struct
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,88 +27,106 @@ _CACHE_HEADER = 58  # magic 8, N and d_out 8 each, source tag 1, form 1, spec ha
 _ASSEMBLY_BLOCK = 64  # points per kernel-assembly row block
 
 
-@dataclass
 class KernelMatrix:
     """Block-structured kernel, (point, output-dim) indexed, point-major rows.
 
-    Exactly one of ``dense`` (d_out*N1, d_out*N2) or ``sigma`` (N1, N2, the
-    Kronecker factor of sigma (x) I_{d_out}) is set.
+    A kernel stores exactly one of ``dense`` (d_out*N1, d_out*N2) or ``sigma``
+    (N1, N2, the Kronecker factor of sigma (x) I_{d_out}). ``submatrix`` gives
+    an index view: the same stored matrix plus the stored points it selects,
+    so a view copies nothing. A view's matvec scatters the vector onto the
+    stored columns, runs one product with the stored matrix and keeps the
+    selected rows. On a view, ``gather`` and the block accessors (``dense``,
+    ``sigma``, ``to_dense``, ``kron_factor``) copy out the selected block.
     """
 
-    d_out: int
-    dense: np.ndarray | None = None
-    sigma: np.ndarray | None = None
-    spec_hash: bytes = b"\x00" * 32
-
-    def __post_init__(self):
-        if (self.dense is None) == (self.sigma is None):
+    def __init__(self, d_out: int, dense: np.ndarray | None = None,
+                 sigma: np.ndarray | None = None, spec_hash: bytes = b"\x00" * 32):
+        if (dense is None) == (sigma is None):
             raise ValueError("exactly one of dense/sigma must be given")
-        if self.dense is not None and (
-            self.dense.shape[0] % self.d_out or self.dense.shape[1] % self.d_out
-        ):
+        self.d_out = d_out
+        self.spec_hash = spec_hash
+        self.kron = sigma is not None
+        self._mat = sigma if self.kron else dense
+        self._unit = 1 if self.kron else d_out  # stored matrix rows per point
+        if self._mat.shape[0] % self._unit or self._mat.shape[1] % self._unit:
             raise DimensionMismatch("dense kernel shape must be a multiple of d_out")
+        self.rows = self.cols = None  # the stored points a view selects
+
+    @property
+    def dense(self) -> np.ndarray | None:
+        """The dense matrix (gathered on a view); None for a Kronecker kernel."""
+        return None if self.kron else self._block()
+
+    @property
+    def sigma(self) -> np.ndarray | None:
+        """The Kronecker factor (gathered on a view); None for a dense kernel."""
+        return self._block() if self.kron else None
 
     @property
     def n_rows(self) -> int:
         """Row count in points (not matrix rows)."""
-        if self.dense is not None:
-            return self.dense.shape[0] // self.d_out
-        return self.sigma.shape[0]
+        return self._mat.shape[0] // self._unit if self.rows is None else len(self.rows)
 
     @property
     def n_cols(self) -> int:
-        if self.dense is not None:
-            return self.dense.shape[1] // self.d_out
-        return self.sigma.shape[1]
+        return self._mat.shape[1] // self._unit if self.cols is None else len(self.cols)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.n_rows * self.d_out, self.n_cols * self.d_out)
 
+    def _block(self) -> np.ndarray:
+        if self.rows is None:
+            return self._mat
+        # one 2-D gather: no intermediate larger than the block
+        return self._mat[np.ix_(_expand(self.rows, self._unit), _expand(self.cols, self._unit))]
+
+    def gather(self) -> "KernelMatrix":
+        """A stored kernel of the selected block: a view's block is copied out
+        into a new array, a stored kernel is returned as it is."""
+        if self.rows is None:
+            return self
+        return KernelMatrix(self.d_out, **{"sigma" if self.kron else "dense": self._block()},
+                            spec_hash=self.spec_hash)
+
     def to_dense(self) -> np.ndarray:
-        if self.dense is not None:
-            return self.dense
-        return np.kron(self.sigma, np.eye(self.d_out))
+        return np.kron(self.sigma, np.eye(self.d_out)) if self.kron else self.dense
 
     def kron_factor(self) -> np.ndarray:
         """sigma, or the mean of the d_out diagonal output blocks: nearest sigma (x) I."""
-        if self.sigma is not None:
+        if self.kron:
             return self.sigma
-        k4 = self.dense.reshape(self.n_rows, self.d_out, self.n_cols, self.d_out)
-        return np.trace(k4, axis1=1, axis2=3) / self.d_out
+        d = self.d_out
+        k4 = self._mat.reshape(self._mat.shape[0] // d, d, self._mat.shape[1] // d, d)
+        factor = np.trace(k4, axis1=1, axis2=3) / d
+        return factor if self.rows is None else factor[np.ix_(self.rows, self.cols)]
 
     def submatrix(self, rows, cols) -> "KernelMatrix":
-        """Point-index slicing; keeps the Kronecker form when present.
-
-        Two step-1 slices give a read-only view of this kernel; index arrays
-        (or strided slices) give a copy."""
-        rows, cols = _points(rows, self.n_rows), _points(cols, self.n_cols)
-        kron = self.sigma is not None
-        mat, d = (self.sigma, 1) if kron else (self.dense, self.d_out)
-        if isinstance(rows, range) and isinstance(cols, range):
-            sub = mat[rows.start * d:rows.stop * d, cols.start * d:cols.stop * d]
-            sub.flags.writeable = False
-        else:
-            r, c = ((np.asarray(i)[:, None] * d + np.arange(d)).ravel() for i in (rows, cols))
-            sub = mat[np.ix_(r, c)]
-        return KernelMatrix(self.d_out, **{"sigma" if kron else "dense": sub},
-                            spec_hash=self.spec_hash)
+        """An index view of the points ``rows`` x ``cols`` (slices or index
+        arrays, as numpy indexes a 1-D array); keeps the Kronecker form. A
+        view of a view composes the indices, so every view reads the stored
+        matrix directly and nothing is copied."""
+        view = copy.copy(self)
+        view.rows = np.asarray((np.arange(self.n_rows) if self.rows is None else self.rows)[rows])
+        view.cols = np.asarray((np.arange(self.n_cols) if self.cols is None else self.cols)[cols])
+        return view
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.shape[1],):
             raise DimensionMismatch(f"vector length {v.shape} != {self.shape[1]}")
-        if self.dense is not None:
-            return self.dense @ v
-        return (self.sigma @ v.reshape(self.n_cols, self.d_out)).ravel()
+        d = self.d_out
+        if self.cols is not None:
+            # bincount adds the entries of a point selected twice
+            v = np.bincount(_expand(self.cols, d), weights=v,
+                            minlength=self._mat.shape[1] // self._unit * d)
+        out = (self._mat @ v.reshape(-1, d)).ravel() if self.kron else self._mat @ v
+        return out if self.rows is None else out.reshape(-1, d)[self.rows].ravel()
 
 
-def _points(idx, n: int):
-    """A step-1 slice of n points as a range, anything else as an index array."""
-    if isinstance(idx, slice):
-        span = range(n)[idx]
-        return span if span.step == 1 else np.asarray(span)
-    return np.asarray(idx)
+def _expand(points: np.ndarray, unit: int) -> np.ndarray:
+    """Matrix rows of the given points, ``unit`` consecutive rows each."""
+    return (points[:, None] * unit + np.arange(unit)).ravel()
 
 
 def empirical_ntk(spec: ModelSpec, theta_ref: np.ndarray, X1: np.ndarray,
@@ -243,11 +261,12 @@ def write_kernel_cache(path: str, kernel: KernelMatrix) -> None:
     """Header (magic, N, d_out, source tag, form, spec hash) + f64 LE payload.
 
     The source tag repeats the form (0 empirical and dense, 1 analytic and
-    Kronecker), the only pairs the assemblers produce."""
+    Kronecker), the only pairs the assemblers produce. A view is written as
+    the block it selects, gathered first."""
     if kernel.n_rows != kernel.n_cols:
         raise DimensionMismatch("cache stores square train kernels only")
-    form = _FORM_DENSE if kernel.dense is not None else _FORM_KRON
-    payload = kernel.dense if kernel.dense is not None else kernel.sigma
+    form = _FORM_KRON if kernel.kron else _FORM_DENSE
+    payload = kernel.sigma if kernel.kron else kernel.dense
     with open(path, "wb") as f:
         f.write(CACHE_MAGIC)
         f.write(struct.pack("<QQBB", kernel.n_rows, kernel.d_out, form, form))

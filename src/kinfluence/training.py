@@ -191,9 +191,11 @@ def fit_linearized_exact(lin: LinearizedModel, ds: LabeledDataset, cfg: RiskConf
     Solves (K + lambda N I) beta = Y - f0 on the Gram side by CG to relative
     residual FIT_REL_TOL (1e-13; NotConverged if FIT_MAX_ITERS miss it),
     preconditioned by (lambda N I + sigma)^{-1} (x) I for sigma =
-    K.kron_factor(), then maps back through J'. Nothing is copied or factored,
-    so positive definiteness is not proven: SpdViolation comes only from
-    lambda N + min eig(sigma) <= 0 or non-positive CG curvature.
+    K.kron_factor(), then maps back through J'. Nothing is factored, so
+    positive definiteness is not proven: SpdViolation comes only from
+    lambda N + min eig(sigma) <= 0 or non-positive CG curvature. A stored
+    kernel is used as it is; an index view is gathered once, since CG reads
+    the kernel once per iteration.
     Requires center == linearization point (origin mode needs theta_ref = 0).
     """
     if cfg.loss != SQUARED:
@@ -205,6 +207,7 @@ def fit_linearized_exact(lin: LinearizedModel, ds: LabeledDataset, cfg: RiskConf
         kernel = empirical_ntk(lin.spec, lin.theta_ref, ds.features)
     if kernel.shape != (ds.n * ds.d_out,) * 2:
         raise DimensionMismatch("kernel does not match dataset size")
+    kernel = kernel.gather()
     lz = lin.linearization(ds.features)
     rhs = ds.targets_vec - lz.outputs.ravel()
     if not np.all(np.isfinite(rhs)):

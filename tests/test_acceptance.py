@@ -379,6 +379,6 @@ class TestAcceptance:
                 assert ra.forget_acc_unlearned == rb.forget_acc_unlearned
                 assert ra.forget_acc_retrained == rb.forget_acc_retrained
             for case in ("p30_theta", "p30_dual", "p70_theta", "p70_dual"):
-                fa = open(tmp_path / "a" / "seed_0" / case / "influence.csv", "rb").read()
-                fb = open(tmp_path / "b" / "seed_0" / case / "influence.csv", "rb").read()
+                fa = (tmp_path / "a" / "seed_0" / case / "influence.csv").read_bytes()
+                fb = (tmp_path / "b" / "seed_0" / case / "influence.csv").read_bytes()
                 assert fa == fb, f"{case} influence outputs differ between reruns"

@@ -458,6 +458,24 @@ class TestPrepareMemory:
         assert solver.use_dense
         assert peak <= 1.25 * side * side * 8
 
+    def test_permuted_view_prepare_peak_is_one_matrix(self):
+        # the callers' submatrix(perm, perm) copies nothing, and K_rr is
+        # gathered into the buffer that becomes M
+        solver, side = self.dense_solver()
+        perm = solver.split.permutation
+        out = []
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out.append(DualUnlearner(solver.kernel.submatrix(perm, perm), solver.f_vec,
+                                     solver.split, solver.cfg))
+            out[0].prepare()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out[0].use_dense
+        assert peak <= 1.25 * side * side * 8
+
     def test_warm_dense_solve_does_not_rescan_factor(self):
         # a finiteness scan of the factor would allocate a side^2 bool mask
         solver, side = self.dense_solver()

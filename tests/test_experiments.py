@@ -4,6 +4,7 @@ import csv
 import glob
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -112,7 +113,7 @@ class TestConfig:
 
     def test_readme_lists_every_key(self):
         readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-        section = open(readme).read().split("### Config keys", 1)[1]
+        section = pathlib.Path(readme).read_text().split("### Config keys", 1)[1]
         table = [line for line in section.split("\n\n")[1].splitlines()
                  if line.startswith("|")]
         listed = set(re.findall(r"`([^`]+)`", "\n".join(table)))
@@ -246,7 +247,7 @@ class TestUnlearningProtocol:
         run_unlearning_experiment(cfg)
         for space in ("theta", "dual"):
             diag = os.path.join(str(tmp_path), "seed_0", f"p50_{space}", "diagnostics.jsonl")
-            (record,) = [json.loads(line) for line in open(diag)]
+            (record,) = [json.loads(line) for line in pathlib.Path(diag).read_text().splitlines()]
             assert not record["converged"] and record["iters"] == 1
             assert [n.split(":")[0] for n in record["notes"]] == ["MaxItersReached"]
 
@@ -266,8 +267,8 @@ class TestUnlearningProtocol:
             assert ra.baseline_rel_l2 == rb.baseline_rel_l2
             assert ra.forget_acc_unlearned == rb.forget_acc_unlearned
         for case in ("p50_theta", "p50_dual"):
-            fa = open(os.path.join(out_a, "seed_0", case, "influence.csv"), "rb").read()
-            fb = open(os.path.join(out_b, "seed_0", case, "influence.csv"), "rb").read()
+            fa = pathlib.Path(out_a, "seed_0", case, "influence.csv").read_bytes()
+            fb = pathlib.Path(out_b, "seed_0", case, "influence.csv").read_bytes()
             assert fa == fb
 
     def test_five_solves_per_case(self, tmp_path, monkeypatch):
@@ -395,7 +396,7 @@ class TestCli:
                                      "--percent", "50", "--space", "dual", "--out", out],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        data = json.load(open(out))
+        data = json.loads(pathlib.Path(out).read_text())
         assert data["space"] == "dual" and data["cold_runtime_s"] > 0
 
     def test_train_writes_checkpoint(self, tmp_path):
@@ -423,7 +424,7 @@ class TestCli:
 
     def test_config_error_exit_code(self, tmp_path):
         bad = os.path.join(str(tmp_path), "bad.cfg")
-        open(bad, "w").write("nonsense.key = 1\n")
+        pathlib.Path(bad).write_text("nonsense.key = 1\n")
         proc = subprocess.run(CLI + ["unlearn", "--config", bad], capture_output=True)
         assert proc.returncode == 2
 
@@ -451,12 +452,14 @@ class TestCli:
         ({"dataset.feature_scale": "0"}, True),
         ({"dataset.kind": "svhn"}, True),
         ({"dataset.per_class": "0"}, True),
+        ({"unlearn.hessian": "full", "unlearn.space": "dual"}, True),
+        ({"unlearn.hessian": "full", "unlearn.space": "both"}, True),
         ({"model.widths": "5,8,2"}, False),
         ({"model.widths": "4,8,3"}, False),
     ], ids=["hessian", "activation", "parameterization", "zero_width", "loss", "targets",
             "pm1_three_classes", "pm1_cross_entropy", "feature_scale_above_1",
-            "feature_scale_0", "dataset_kind", "per_class_0", "d_in_mismatch",
-            "d_out_mismatch"])
+            "feature_scale_0", "dataset_kind", "per_class_0", "full_hessian_dual",
+            "full_hessian_both", "d_in_mismatch", "d_out_mismatch"])
     def test_bad_value_exit_code(self, tmp_path, capsys, command, bad, at_load):
         # 20 points of 4 features in 2 classes, trained by gd
         cfgp = write_cfg(tmp_path, **{"dataset.per_class": "10", "dataset.d_in": "4",
@@ -488,7 +491,7 @@ class TestCli:
         out = os.path.join(str(tmp_path), "cold.json")
         assert cli.main(["unlearn", "--config", cfgp, "--cold", "--percent", "50",
                          "--space", "dual", "--out", out]) == 0
-        assert json.load(open(out))["cold_runtime_s"] > 0
+        assert json.loads(pathlib.Path(out).read_text())["cold_runtime_s"] > 0
         assert not os.path.exists(os.path.join(os.path.dirname(path), "metrics.csv"))
 
     @pytest.mark.parametrize("extra", [{}, {"model.linearized": "false", "train.kind": "gd",
@@ -543,6 +546,18 @@ class TestCli:
                          "--space", "dual", "--out", out]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("code, message", [(2, "configuration error"),
+                                               (3, "numerical failure")])
+    def test_cold_child_failure_exit_code(self, tmp_path, capsys, monkeypatch, code, message):
+        # a failed cold child exits as its failure's class, with its stderr
+        def failed_child(cmd, **kwargs):
+            return subprocess.CompletedProcess(cmd, code, "", "child: the reason\n")
+        monkeypatch.setattr(experiments.subprocess, "run", failed_child)
+        cfgp = write_cfg(tmp_path, **{"bench.cold": "subprocess", "unlearn.space": "dual"})
+        assert cli.main(["unlearn", "--config", cfgp]) == code
+        err = capsys.readouterr().err
+        assert message in err and "child: the reason" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("percent, code", [("50", 0), ("10,30", 2), ("x", 2)])
     def test_ntk_infinite_percent_flag(self, tmp_path, capsys, percent, code):
         cfgp = write_cfg(tmp_path, **{"dataset.targets": "pm1", "bench.test_size": "4",
@@ -569,7 +584,7 @@ class TestCli:
         assert cli.main(["unlearn", "--config", cfgp, "--space", "theta"]) == 0
         diag = os.path.join(str(tmp_path), "results", "seed_0", "p50_theta",
                             "diagnostics.jsonl")
-        (record,) = [json.loads(line) for line in open(diag)]
+        (record,) = [json.loads(line) for line in pathlib.Path(diag).read_text().splitlines()]
         assert any(note.startswith("NotAtOptimum") for note in record["notes"])
 
     def test_numerical_failure_exit_code(self, tmp_path):

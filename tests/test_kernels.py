@@ -180,31 +180,72 @@ class TestKron:
 
 
 class TestSubmatrixViews:
+    """submatrix gives an index view of the stored matrix; only gathers copy."""
+
     @pytest.mark.parametrize("kron", [False, True], ids=["dense", "kron"])
-    def test_slices_share_memory_and_match_index_arrays(self, kron):
+    def test_slices_and_index_arrays_select_alike(self, kron):
         rng = np.random.default_rng(4)
         if kron:
             k = KernelMatrix(3, sigma=rng.standard_normal((7, 7)))
-            base = k.sigma
+            stored = k.sigma
         else:
             k = KernelMatrix(3, dense=rng.standard_normal((21, 21)))
-            base = k.dense
+            stored = k.dense
+        unit = 1 if kron else 3
         for rows, cols in [(slice(2, 7), slice(0, 2)), (slice(0, 7), slice(3, None)),
-                           (slice(-2, None), slice(1, 6))]:
+                           (slice(-2, None), slice(1, 6)), (slice(0, 4, 2), slice(None))]:
             view = k.submatrix(rows, cols)
-            copy = k.submatrix(np.arange(7)[rows], np.arange(7)[cols])
-            got, want = (view.sigma, copy.sigma) if kron else (view.dense, copy.dense)
-            assert np.shares_memory(got, base)
-            assert not np.shares_memory(want, base)
-            np.testing.assert_array_equal(got, want)
-            with pytest.raises(ValueError):  # nothing writes through a view
-                got[0, 0] = 0.0
+            same = k.submatrix(np.arange(7)[rows], np.arange(7)[cols])
+            np.testing.assert_array_equal(view.rows, same.rows)
+            np.testing.assert_array_equal(view.cols, same.cols)
+            block = view.sigma if kron else view.dense
+            # a gathered block, never the stored matrix
+            assert not np.shares_memory(block, stored)
+            r, c = ((np.arange(7)[i][:, None] * unit + np.arange(unit)).ravel()
+                    for i in (rows, cols))
+            np.testing.assert_array_equal(block, stored[np.ix_(r, c)])
+            block[0, 0] = np.inf
+            assert np.all(np.isfinite(stored))
 
-    def test_strided_slice_copies(self):
-        k = KernelMatrix(2, dense=np.arange(64.0).reshape(8, 8))
-        sub = k.submatrix(slice(0, 4, 2), slice(None))
-        assert not np.shares_memory(sub.dense, k.dense)
-        np.testing.assert_array_equal(sub.dense, k.dense[[0, 1, 4, 5]])
+    def test_views_copy_nothing(self):
+        k = KernelMatrix(10, dense=np.random.default_rng(5).standard_normal((1000, 1000)))
+        perm = np.random.default_rng(6).permutation(100)
+        peak = traced_peak(lambda: k.submatrix(perm, perm).submatrix(slice(10, None, 2),
+                                                                      perm[:30]))
+        assert peak < 0.01 * k.dense.nbytes
+        view = k.submatrix(slice(0, 4, 2), slice(None))
+        assert view.shape == (20, 1000)
+        np.testing.assert_array_equal(view.dense, k.dense[np.r_[0:10, 20:30]])
+
+    @pytest.mark.parametrize("select", ["row_subset", "column_subset", "permutation",
+                                        "view_of_view", "repeated_points"])
+    @pytest.mark.parametrize("kron", [False, True], ids=["dense", "kron"])
+    def test_view_matches_gathered_matrix(self, kron, select):
+        rng = np.random.default_rng(7)
+        n, d = 9, 3
+        a = rng.standard_normal((n * (1 if kron else d), 40))
+        stored = a @ a.T
+        k = KernelMatrix(d, sigma=stored) if kron else KernelMatrix(d, dense=stored)
+        perm, sub = rng.permutation(n), np.array([7, 2, 5, 0])
+        rows, cols = {"row_subset": (sub, np.arange(n)), "column_subset": (np.arange(n), sub),
+                      "permutation": (perm, perm), "view_of_view": (perm[sub], perm[sub[::-1]]),
+                      "repeated_points": (np.array([3, 3, 1]), np.array([4, 0, 4, 4]))}[select]
+        if select == "view_of_view":
+            view = k.submatrix(perm, perm).submatrix(sub, sub[::-1])
+        else:
+            view = k.submatrix(rows, cols)
+        unit = 1 if kron else d
+        r, c = ((i[:, None] * unit + np.arange(unit)).ravel() for i in (rows, cols))
+        block = stored[np.ix_(r, c)]
+        ref = KernelMatrix(d, sigma=block) if kron else KernelMatrix(d, dense=block)
+        assert view.shape == ref.shape and view.kron == kron
+        v = rng.standard_normal(view.shape[1])
+        for got, want in [(view.matvec(v), ref.matvec(v)),
+                          (view.kron_factor(), ref.kron_factor()),
+                          (view.to_dense(), ref.to_dense()),
+                          (view.gather().sigma if kron else view.gather().dense, block)]:
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestShardedMatvec:
@@ -267,6 +308,18 @@ class TestCache:
         np.testing.assert_array_equal(sigma, k2.sigma)
         assert k2.dense is None
         assert (tmp_path / "k.bin").read_bytes()[24:26] == bytes([1, 1])
+
+    @pytest.mark.parametrize("kron", [False, True], ids=["dense", "kron"])
+    def test_view_written_as_its_block(self, tmp_path, kron):
+        rng = np.random.default_rng(12)
+        k = (KernelMatrix(2, sigma=rng.standard_normal((5, 5))) if kron else
+             KernelMatrix(2, dense=rng.standard_normal((10, 10))))
+        view = k.submatrix([4, 1, 2], [4, 1, 2])
+        p = str(tmp_path / "k.bin")
+        write_kernel_cache(p, view)
+        back = read_kernel_cache(p)
+        assert back.kron == kron and back.n_rows == 3
+        np.testing.assert_array_equal(back.to_dense(), view.to_dense())
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk.bin"

@@ -266,7 +266,7 @@ class TestCheckpoints:
         spec = ModelSpec((1, 1), bias=False)
         p = str(tmp_path / "theta.bin")
         save_params(p, spec, np.array([1.0]))
-        raw = open(p, "rb").read()
+        raw = (tmp_path / "theta.bin").read_bytes()
         assert raw[:8] == (1).to_bytes(8, "little")
         assert raw[40:] == np.array([1.0], dtype="<f8").tobytes()
 

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import os
+import pathlib
 import re
 
 import numpy as np
@@ -11,7 +12,7 @@ README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def test_library_example_matches_retraining():
-    section = open(README).read().split("## Library use", 1)[1]
+    section = pathlib.Path(README).read_text().split("## Library use", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     scope = {}
     with contextlib.redirect_stdout(io.StringIO()):
