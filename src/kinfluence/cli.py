@@ -19,7 +19,7 @@ from .experiments import (
     run_training,
     run_unlearning_experiment,
 )
-from .report import METRICS_HEADER
+from .report import METRICS_HEADER, write_metrics_csv, write_table
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -81,10 +81,7 @@ def _cmd_unlearn(args) -> int:
             json.dump({"cold_runtime_s": cold, "seed": seed,
                        "percent": cfg.percents[0], "space": cfg.space}, f)
         return 0
-    rows = run_unlearning_experiment(cfg)
-    print(",".join(METRICS_HEADER))
-    for row in rows:
-        print(",".join(str(v) for v in row.as_list()))
+    write_metrics_csv(sys.stdout, run_unlearning_experiment(cfg))
     return 0
 
 
@@ -99,9 +96,8 @@ def _cmd_report(args) -> int:
             found.extend(rows[1:])
     if not found:
         raise ConfigError(f"no per-seed metrics.csv files under {args.out}")
-    print(",".join(METRICS_HEADER))
-    for row in sorted(found, key=lambda r: (int(r[0]), float(r[1]), r[2])):
-        print(",".join(row))
+    write_table(sys.stdout, METRICS_HEADER,
+                sorted(found, key=lambda r: (int(r[0]), float(r[1]), r[2])))
     return 0
 
 

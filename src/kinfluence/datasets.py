@@ -2,7 +2,7 @@
 
 Feature matrices are float64 with values in [0, 1]; targets are either one-hot
 rows (multi-class) or a single +-1 column (binary scalar models). The forget
-set always occupies the first ``forget_count`` rows of a split — downstream
+set always occupies the first ``n_forget`` rows of a split — downstream
 influence code indexes blocks by that convention.
 """
 
@@ -94,18 +94,18 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class SplitDataset:
-    """A dataset whose first ``forget_count`` rows are the forget set."""
+    """A dataset whose first ``n_forget`` rows are the forget set."""
 
     full: LabeledDataset
-    forget_count: int
+    n_forget: int
     # row i of ``full`` is row permutation[i] of the unsplit data: the index
     # that gathers the split's kernel from one assembled in unsplit order
     permutation: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
-        if not 0 < self.forget_count < self.full.n:
+        if not 0 < self.n_forget < self.full.n:
             raise DegenerateSplit(
-                f"forget_count must satisfy 0 < {self.forget_count} < {self.full.n}"
+                f"n_forget must satisfy 0 < {self.n_forget} < {self.full.n}"
             )
 
     @property
@@ -113,20 +113,16 @@ class SplitDataset:
         return self.full.n
 
     @property
-    def n_forget(self) -> int:
-        return self.forget_count
-
-    @property
     def n_retain(self) -> int:
-        return self.full.n - self.forget_count
+        return self.full.n - self.n_forget
 
     @property
     def forget(self) -> LabeledDataset:
-        return self.full.take(np.arange(self.forget_count), name=self.full.name + "/forget")
+        return self.full.take(np.arange(self.n_forget), name=self.full.name + "/forget")
 
     @property
     def retain(self) -> LabeledDataset:
-        return self.full.take(np.arange(self.forget_count, self.full.n), name=self.full.name + "/retain")
+        return self.full.take(np.arange(self.n_forget, self.full.n), name=self.full.name + "/retain")
 
 
 # --------------------------------------------------------------------------

@@ -26,12 +26,12 @@ import numpy as np
 import scipy.linalg
 
 from .datasets import SplitDataset
-from .errors import DimensionMismatch, NonFiniteEncountered, NotAtOptimum
+from .errors import DimensionMismatch, NonFiniteEncountered
 from .kernels import KernelMatrix
 from .losses import loss_grad_batch, loss_hess_batch
 from .models import LinearizedModel
 from .solvers import CgOptions, cg_solve, cholesky_in_place, kron_preconditioner
-from .training import RiskConfig, stationarity_gap
+from .training import RiskConfig
 
 DENSE_SOLVE_MAX = 4096
 
@@ -41,17 +41,6 @@ class DualCoefficients(NamedTuple):
 
     alpha_star: np.ndarray
     delta_alpha: np.ndarray
-
-
-def _require_stationary(lin: LinearizedModel, theta_hat: np.ndarray, ds, cfg: RiskConfig) -> None:
-    """Raise NotAtOptimum unless theta_hat is a stationary point of the risk.
-
-    The representer identity theta_hat - theta_ref = J' alpha, on which every
-    coefficient-space answer rests, fails away from the optimum.
-    """
-    gap = stationarity_gap(lin, theta_hat, ds, cfg)
-    if gap is not None:
-        raise NotAtOptimum(gap)
 
 
 def alpha_star_from_outputs(f_vec: np.ndarray, ds, cfg: RiskConfig) -> np.ndarray:

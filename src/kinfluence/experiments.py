@@ -24,8 +24,8 @@ import numpy as np
 
 from .datasets import (LabeledDataset, check_encoding, data_dir, load_cifar_binary, load_idx,
                        make_blobs, split_forget, subset_per_class)
-from .dual import DualUnlearner, _require_stationary, map_to_params
-from .errors import CheckpointMismatch, ConfigError, NumericalError
+from .dual import DualUnlearner, map_to_params
+from .errors import CheckpointMismatch, ConfigError, NotAtOptimum, NumericalError
 from .infinite import AnalyticNtkSpec, infinite_influence
 from .kernels import KernelMatrix, empirical_ntk, read_kernel_cache, write_kernel_cache
 from .losses import CROSS_ENTROPY, SQUARED
@@ -33,16 +33,20 @@ from .models import LinearizedModel, ModelSpec, load_params, model_outputs, save
 from .primal import (HESSIAN_UPWEIGHTED, HESSIAN_VARIANTS, PrimalUnlearner,
                      attach_test_predictions)
 from .report import (
+    INFINITE_LOSS_HEADER,
+    INFINITE_OUT_HEADER,
+    SWEEP_HEADER,
     InfluenceReport,
     MetricsRow,
     append_diagnostics,
     write_influence_csv,
     write_metrics_csv,
+    write_table,
     write_train_csv,
 )
 from .solvers import CgOptions
 from .training import (Optimizer, RiskConfig, StopRule, TrainReport, fit_linearized_exact,
-                       risk_grad, risk_value_and_grad, train)
+                       risk_grad, risk_value_and_grad, stationarity_gap, train)
 
 WARM_REPEATS = 5
 
@@ -130,7 +134,12 @@ class ExperimentConfig:
             # coefficient space solves the retain-Hessian system only
             raise ConfigError(f"unlearn.hessian = {self.hessian_variant} needs "
                               f"unlearn.space = theta")
+        if self.ntk_epochs < 1 or self.ntk_tol <= 0:
+            raise ConfigError("ntk.epochs must be at least 1 and ntk.tol positive")
+        if any(lam <= 0 for lam in self.sweep_lambdas):
+            raise ConfigError("every sweep.lambdas value must be positive")
         self.model_spec()  # runs ModelSpec's own checks at load
+        self.ntk_spec()    # and AnalyticNtkSpec's
 
     def spaces(self) -> tuple:
         return (SPACE_THETA, SPACE_DUAL) if self.space == "both" else (self.space,)
@@ -139,6 +148,10 @@ class ExperimentConfig:
         return ModelSpec(self.widths, activation=self.activation,
                          init_seed=self.init_seed + seed,
                          parameterization=self.parameterization)
+
+    def ntk_spec(self, d_out: int = 1) -> AnalyticNtkSpec:
+        return AnalyticNtkSpec(self.ntk_hidden_layers, sigma_w2=self.ntk_sigma_w2,
+                               sigma_b2=self.ntk_sigma_b2, d_out=d_out)
 
 
 # --------------------------------------------------------------------------
@@ -213,7 +226,7 @@ CONFIG_KEYS = (
     ConfigKey("risk.lambda", float, _float_text, field="risk.lam"),
     ConfigKey("risk.loss", str),
     ConfigKey("risk.center", str),
-    ConfigKey("train.kind", str, field="trainer", alias="opt.kind"),
+    ConfigKey("train.kind", str, field="trainer"),
     ConfigKey("opt.lr", float, _float_text),
     ConfigKey("opt.beta", float, _float_text),
     ConfigKey("stop.max_epochs", int),
@@ -372,6 +385,7 @@ class _SeedContext:
     train_ds: LabeledDataset
     test_ds: LabeledDataset
     kernel: KernelMatrix | None
+    grad_norm: float                    # ||grad R(theta_hat)|| over train_ds
     trained: TrainReport | None = None  # the gd/momentum fit that gave theta_hat
 
 
@@ -392,7 +406,8 @@ def _build_seed_context(cfg: ExperimentConfig, seed: int, stored: bool = False) 
     """With ``stored``, the theta_hat and kernel the protocol run wrote are read
     back when they exist, instead of being fitted and assembled again; the
     kernel only when the dual needs it or theta_hat still has to be fitted.
-    A run whose config snapshot differs from ``cfg`` in a fit setting is rejected."""
+    A run whose config snapshot differs from ``cfg`` in a fit setting is rejected.
+    The risk gradient at theta_hat is measured here, once per seed."""
     train_ds, test_ds = make_experiment_data(cfg)
     spec = _spec_for_data(cfg, train_ds, seed)
     theta_ref = np.zeros(spec.num_params) if cfg.risk.center == "origin" else spec.init_params()
@@ -416,7 +431,9 @@ def _build_seed_context(cfg: ExperimentConfig, seed: int, stored: bool = False) 
     elif theta_hat is None:
         trained = train(model, train_ds, cfg.risk, cfg.opt, cfg.stop)
         theta_hat = trained.final_params
-    return _SeedContext(cfg, seed, model, theta_hat, train_ds, test_ds, kernel, trained)
+    grad_norm = float(np.linalg.norm(risk_grad(model, theta_hat, train_ds, cfg.risk)))
+    return _SeedContext(cfg, seed, model, theta_hat, train_ds, test_ds, kernel, grad_norm,
+                        trained)
 
 
 def _retrain_oracle(ctx: _SeedContext, split) -> np.ndarray:
@@ -433,7 +450,11 @@ def _make_unlearner(ctx: _SeedContext, split, space: str):
     if space == SPACE_THETA:
         return PrimalUnlearner(ctx.model, ctx.theta_hat, split, cfg.risk, cfg.cg,
                                variant=cfg.hessian_variant)
-    _require_stationary(ctx.model, ctx.theta_hat, split.full, cfg.risk)
+    # every coefficient-space answer rests on the representer identity
+    # theta_hat - theta_ref = J' alpha, which fails away from the optimum
+    gap = stationarity_gap(ctx.grad_norm)
+    if gap is not None:
+        raise NotAtOptimum(gap)
     k_perm = ctx.kernel.submatrix(split.permutation, split.permutation)
     f_vec = model_outputs(ctx.model, ctx.theta_hat, split.full.features).ravel()
     return DualUnlearner(k_perm, f_vec, split, cfg.risk, cfg.cg)
@@ -564,10 +585,6 @@ def run_unlearning_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
 # Training-dynamics sweep over regularization strengths
 # --------------------------------------------------------------------------
 
-SWEEP_HEADER = ["epoch", "rel_param_dist", "output_rmse",
-                "acc_model", "acc_linear", "grad_norm_model", "grad_norm_linear"]
-
-
 def run_lambda_sweep(cfg: ExperimentConfig, record_every: int = 1) -> dict:
     """Train a raw network and its linearization side by side for each lambda.
 
@@ -604,24 +621,14 @@ def run_lambda_sweep(cfg: ExperimentConfig, record_every: int = 1) -> dict:
                 ))
             theta_nl -= cfg.opt.lr * g_nl
             theta_li -= cfg.opt.lr * g_li
-        arr = np.array(series)
-        results[lam] = arr
-        path = os.path.join(cfg.out_dir, f"sweep_lambda_{lam:g}.csv")
-        with open(path, "w") as f:
-            f.write(",".join(SWEEP_HEADER) + "\n")
-            for row in series:
-                f.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+        results[lam] = np.array(series)
+        write_table(os.path.join(cfg.out_dir, f"sweep_lambda_{lam:g}.csv"), SWEEP_HEADER, series)
     return results
 
 
 # --------------------------------------------------------------------------
 # Infinite-width experiment
 # --------------------------------------------------------------------------
-
-INFINITE_OUT_HEADER = ["test_index", "output_dim", "est_output_change", "act_output_change"]
-INFINITE_LOSS_HEADER = ["test_index", "est_loss_change_raw", "est_loss_change_reg",
-                        "act_loss_change"]
-
 
 def run_infinite_experiment(cfg: ExperimentConfig):
     """Estimate-vs-actual table for the infinitely wide network, at the one
@@ -633,23 +640,14 @@ def run_infinite_experiment(cfg: ExperimentConfig):
     train_ds, test_ds = make_experiment_data(cfg)
     split = split_forget(train_ds, percent, scope=cfg.scope,
                          seed=_split_seed(cfg.seeds[0], percent))
-    ntk_spec = AnalyticNtkSpec(hidden_layers=cfg.ntk_hidden_layers,
-                               sigma_w2=cfg.ntk_sigma_w2, sigma_b2=cfg.ntk_sigma_b2,
-                               d_out=train_ds.d_out)
-    res = infinite_influence(ntk_spec, split, test_ds, cfg.risk, cfg.cg,
+    res = infinite_influence(cfg.ntk_spec(train_ds.d_out), split, test_ds, cfg.risk, cfg.cg,
                              epochs=cfg.ntk_epochs, tol=cfg.ntk_tol)
     write_kernel_cache(os.path.join(cfg.out_dir, "kernel.bin"), res.kernel)
-    with open(os.path.join(cfg.out_dir, "infinite_outputs.csv"), "w") as f:
-        f.write(",".join(INFINITE_OUT_HEADER) + "\n")
-        for t in range(test_ds.n):
-            for k in range(train_ds.d_out):
-                f.write(f"{t},{k},{float(res.est_output[t, k])!r},"
-                        f"{float(res.act_output[t, k])!r}\n")
-    with open(os.path.join(cfg.out_dir, "infinite_loss.csv"), "w") as f:
-        f.write(",".join(INFINITE_LOSS_HEADER) + "\n")
-        for t in range(test_ds.n):
-            f.write(f"{t},{float(res.est_loss_raw[t])!r},{float(res.est_loss_reg[t])!r},"
-                    f"{float(res.act_loss[t])!r}\n")
+    write_table(os.path.join(cfg.out_dir, "infinite_outputs.csv"), INFINITE_OUT_HEADER,
+                ((t, k, res.est_output[t, k], res.act_output[t, k])
+                 for t in range(test_ds.n) for k in range(train_ds.d_out)))
+    write_table(os.path.join(cfg.out_dir, "infinite_loss.csv"), INFINITE_LOSS_HEADER,
+                zip(range(test_ds.n), res.est_loss_raw, res.est_loss_reg, res.act_loss))
     append_diagnostics(os.path.join(cfg.out_dir, "diagnostics.jsonl"),
                        {"percent": percent, **res.diagnostics})
     return res
@@ -665,9 +663,7 @@ def run_training(cfg: ExperimentConfig):
     spec = ctx.model.spec if cfg.linearized else ctx.model
     save_params(os.path.join(cfg.out_dir, "theta_hat.bin"), spec, ctx.theta_hat)
     if ctx.trained is None:
-        gnorm = float(np.linalg.norm(risk_grad(ctx.model, ctx.theta_hat,
-                                               ctx.train_ds, cfg.risk)))
-        write_train_csv(os.path.join(cfg.out_dir, "train.csv"), [np.nan], [gnorm])
+        write_train_csv(os.path.join(cfg.out_dir, "train.csv"), [np.nan], [ctx.grad_norm])
     else:
         write_train_csv(os.path.join(cfg.out_dir, "train.csv"),
                         ctx.trained.loss_history, ctx.trained.grad_norm_history)

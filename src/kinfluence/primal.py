@@ -61,7 +61,8 @@ class PrimalUnlearner:
         self._rhs = None
 
     def prepare(self) -> None:
-        gap = stationarity_gap(self.model, self.theta_star, self.split.full, self.cfg)
+        gap = stationarity_gap(float(np.linalg.norm(
+            risk_grad(self.model, self.theta_star, self.split.full, self.cfg))))
         if gap is not None:
             self.notes.append(f"NotAtOptimum: {gap}")
         self._op, self._rhs = removal_system(self.model, self.theta_star, self.split,

@@ -1,7 +1,10 @@
 """Result containers and the CSV / JSON-lines emission formats.
 
-Column orders are frozen interfaces (golden-file tested): influence CSV rows
-are one per test point with per-dimension output changes plus the raw and
+write_table is the only table writer: every CSV file and every table the CLI
+prints goes through it, comma-separated with LF line ends, floats as their
+repr (which round-trips) and ints and strings as they are. Column orders are
+frozen interfaces (golden-file tested): influence CSV rows are one per test
+point with per-dimension output changes plus the raw and
 regularizer-included loss-change variants; metrics CSV carries one row per
 (seed, percent, space).
 """
@@ -47,13 +50,21 @@ def influence_csv_header(d_out: int) -> list[str]:
             + ["loss_change_raw", "loss_change_reg"])
 
 
+def write_table(out, header: list[str], rows) -> None:
+    """Write ``header`` and ``rows`` to ``out``, a path or an open text stream."""
+    if isinstance(out, str):
+        with open(out, "w", newline="") as f:
+            write_table(f, header, rows)
+        return
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(header)
+    w.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
+
+
 def write_influence_csv(path: str, report: InfluenceReport, d_out: int) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(influence_csv_header(d_out))
-        for i, pt in enumerate(report.per_test):
-            w.writerow([i] + [repr(float(v)) for v in pt.output_change]
-                       + [repr(float(pt.loss_change_raw)), repr(float(pt.loss_change_reg))])
+    write_table(path, influence_csv_header(d_out),
+                ([i, *pt.output_change, pt.loss_change_raw, pt.loss_change_reg]
+                 for i, pt in enumerate(report.per_test)))
 
 
 @dataclass
@@ -69,19 +80,12 @@ class MetricsRow:
     forget_acc_retrained: float
     baseline_rel_l2: float
 
-    def as_list(self) -> list:
-        return [repr(float(v)) if isinstance(v, float) else v for v in astuple(self)]
-
 
 METRICS_HEADER = [f.name for f in fields(MetricsRow)]
 
 
-def write_metrics_csv(path: str, rows: list[MetricsRow]) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(METRICS_HEADER)
-        for row in rows:
-            w.writerow(row.as_list())
+def write_metrics_csv(out, rows: list[MetricsRow]) -> None:
+    write_table(out, METRICS_HEADER, map(astuple, rows))
 
 
 def append_diagnostics(path: str, record: dict) -> None:
@@ -90,11 +94,12 @@ def append_diagnostics(path: str, record: dict) -> None:
 
 
 TRAIN_HEADER = ["epoch", "loss", "grad_norm"]
+SWEEP_HEADER = ["epoch", "rel_param_dist", "output_rmse",
+                "acc_model", "acc_linear", "grad_norm_model", "grad_norm_linear"]
+INFINITE_OUT_HEADER = ["test_index", "output_dim", "est_output_change", "act_output_change"]
+INFINITE_LOSS_HEADER = ["test_index", "est_loss_change_raw", "est_loss_change_reg",
+                        "act_loss_change"]
 
 
 def write_train_csv(path: str, losses, grad_norms) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(TRAIN_HEADER)
-        for i, (lo, gn) in enumerate(zip(losses, grad_norms)):
-            w.writerow([i, repr(float(lo)), repr(float(gn))])
+    write_table(path, TRAIN_HEADER, zip(range(len(losses)), losses, grad_norms))

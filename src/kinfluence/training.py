@@ -61,6 +61,10 @@ class StopRule:
     max_epochs: int = 1000
     grad_tol: float = 1e-10
 
+    def __post_init__(self):
+        if self.max_epochs < 1 or self.grad_tol < 0:
+            raise ValueError("max_epochs must be at least 1 and grad_tol non-negative")
+
 
 @dataclass
 class TrainReport:
@@ -115,14 +119,13 @@ def risk_grad(model: Model, theta: np.ndarray, ds: LabeledDataset, cfg: RiskConf
     return risk_value_and_grad(model, theta, ds, cfg)[1]
 
 
-def stationarity_gap(model: Model, theta: np.ndarray, ds: LabeledDataset,
-                     cfg: RiskConfig) -> str | None:
-    """Why ``theta`` is not a stationary point of the risk, or None if it is.
+def stationarity_gap(gnorm: float) -> str | None:
+    """Why a point whose risk gradient has norm ``gnorm`` is not stationary,
+    or None if it is.
 
-    Influence estimates assume a stationary theta; callers decide whether a
-    gap is an error or a note on the report.
+    Influence estimates assume a stationary theta; callers measure the
+    gradient and decide whether a gap is an error or a note on the report.
     """
-    gnorm = float(np.linalg.norm(risk_grad(model, theta, ds, cfg)))
     return f"||grad|| = {gnorm:.3e} exceeds {STATIONARITY_TOL}" if gnorm > STATIONARITY_TOL else None
 
 

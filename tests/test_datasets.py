@@ -176,7 +176,7 @@ class TestSplitForget:
     def test_fifty_percent(self):
         ds = make_blobs(1000, 2, d_in=4, seed=3)
         sp = split_forget(ds, 50.0, scope="all", seed=0)
-        assert sp.forget_count == 1000 and sp.n_retain == 1000
+        assert sp.n_forget == 1000 and sp.n_retain == 1000
 
     def test_hundred_percent_rejected(self):
         ds = make_blobs(20, 2, d_in=3, seed=0)
@@ -187,7 +187,7 @@ class TestSplitForget:
         # enumeration oracle: 10% of the 1000 class-0 rows = 100, all labeled 0
         ds = make_blobs(1000, 2, d_in=4, seed=4)
         sp = split_forget(ds, 10.0, scope=0, seed=1)
-        assert sp.forget_count == 100
+        assert sp.n_forget == 100
         assert np.all(sp.forget.labels == 0)
 
     def test_permutation_preserves_multiset(self):
@@ -203,7 +203,7 @@ class TestSplitForget:
         ds = make_blobs(50, 2, d_in=3, seed=6)
         sp = split_forget(ds, 20.0, scope=1, seed=3)
         perm = sp.permutation
-        m = sp.forget_count
+        m = sp.n_forget
         assert np.all(np.diff(perm[:m]) > 0) and np.all(np.diff(perm[m:]) > 0)
 
     def test_deterministic(self):

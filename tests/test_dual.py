@@ -7,6 +7,7 @@ reparameterized risk, and exact retraining fits.
 """
 
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,17 +29,18 @@ from kinfluence.dual import (
     DENSE_SOLVE_MAX,
     DualUnlearner,
     _apply_blockdiag,
-    _require_stationary,
     alpha_star_from_outputs,
     map_to_params,
     predict_changes_dual,
     retain_hessian_blocks,
 )
-from kinfluence.experiments import _make_unlearner
+from kinfluence.experiments import (DatasetConfig, ExperimentConfig, _build_seed_context,
+                                    _make_unlearner)
 from kinfluence.primal import PrimalUnlearner, attach_test_predictions
 from kinfluence.report import InfluenceReport
 from kinfluence.solvers import CgOptions, cg_solve
-from kinfluence.training import RiskConfig, fit_linearized_exact, risk_value
+from kinfluence.training import (STATIONARITY_TOL, RiskConfig, StopRule, fit_linearized_exact,
+                                 risk_grad, risk_value)
 
 
 def quadratic_setup(seed=0, widths=(5, 24, 2), n_per_class=8, lam=0.3, percent=25.0):
@@ -138,10 +140,21 @@ class TestAlphaStar:
         assert np.linalg.norm(lhs - jac.T @ a) / np.linalg.norm(lhs) < 1e-6
 
     def test_not_at_optimum_hard_error(self):
-        spec, lin, split, cfg, theta_hat, kernel, f_vec = quadratic_setup(seed=3)
-        _require_stationary(lin, theta_hat, split.full, cfg)
+        # the seed context measures ||grad R(theta_hat)|| over the training
+        # set once; the coefficient-space unlearner raises from that number
+        cfg = ExperimentConfig(dataset=DatasetConfig(per_class=8, d_in=5), widths=(5, 24, 2),
+                               risk=RiskConfig(lam=0.3), percents=(25.0,), test_size=4)
+        ctx = _build_seed_context(cfg, 0)
+        assert ctx.grad_norm == np.linalg.norm(risk_grad(ctx.model, ctx.theta_hat,
+                                                         ctx.train_ds, cfg.risk))
+        assert ctx.grad_norm <= STATIONARITY_TOL
+        split = split_forget(ctx.train_ds, 25.0, scope="all", seed=1)
+        assert isinstance(_make_unlearner(ctx, split, "dual"), DualUnlearner)
+        # five gd epochs leave theta_hat far from stationary
+        gd = _build_seed_context(replace(cfg, trainer="gd", stop=StopRule(max_epochs=5)), 0)
+        assert gd.grad_norm > STATIONARITY_TOL
         with pytest.raises(NotAtOptimum):
-            _require_stationary(lin, theta_hat + 0.1, split.full, cfg)
+            _make_unlearner(gd, split, "dual")
 
 
 class TestBlocks:
@@ -620,12 +633,15 @@ class TestEndToEnd:
         assert [n.split(":")[0] for n in rep.notes] == ["MaxItersReached"]
 
     def test_not_at_optimum_raises(self):
-        # the harness's coefficient-space unlearner refuses a non-stationary theta_hat
+        # the harness's coefficient-space unlearner refuses a non-stationary
+        # theta_hat, judged by the gradient norm its seed context measured
         spec, lin, split, cfg, theta_hat, kernel, f_vec = quadratic_setup(seed=22)
         exp_cfg = SimpleNamespace(risk=cfg, cg=CgOptions())
-        ctx = SimpleNamespace(cfg=exp_cfg, model=lin, theta_hat=theta_hat, kernel=kernel)
+        ctx = SimpleNamespace(cfg=exp_cfg, model=lin, theta_hat=theta_hat, kernel=kernel,
+                              grad_norm=np.linalg.norm(risk_grad(lin, theta_hat, split.full, cfg)))
         assert isinstance(_make_unlearner(ctx, split, "dual"), DualUnlearner)
         ctx.theta_hat = theta_hat + 0.05
+        ctx.grad_norm = np.linalg.norm(risk_grad(lin, ctx.theta_hat, split.full, cfg))
         with pytest.raises(NotAtOptimum):
             _make_unlearner(ctx, split, "dual")
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import kinfluence.dual
-from kinfluence import cli, experiments
+from kinfluence import cli, experiments, primal, training
 from kinfluence.datasets import make_blobs, split_forget
 from kinfluence.dual import DualUnlearner, predict_changes_dual
 from kinfluence.errors import CheckpointMismatch, ConfigError
@@ -38,7 +38,8 @@ from kinfluence.kernels import KernelMatrix, empirical_ntk, write_kernel_cache
 from kinfluence.losses import SQUARED, loss_value_batch
 from kinfluence.models import LinearizedModel, ModelSpec, model_outputs, save_params
 from kinfluence.primal import PrimalUnlearner
-from kinfluence.report import METRICS_HEADER, influence_csv_header
+from kinfluence.report import (INFINITE_LOSS_HEADER, INFINITE_OUT_HEADER, METRICS_HEADER,
+                               SWEEP_HEADER, TRAIN_HEADER, influence_csv_header)
 from kinfluence.training import RiskConfig, fit_linearized_exact
 
 
@@ -285,6 +286,19 @@ class TestUnlearningProtocol:
         # one unlearner per (percent, space); `solved` keeps them alive, so ids differ
         assert sorted(Counter(map(id, solved)).values()) == [5, 5, 5, 5]
 
+    def test_stationarity_measured_once_per_seed(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, _grad=training.risk_grad, **kwargs):
+            calls.append(1)
+            return _grad(*args, **kwargs)
+        for module in (training, experiments, primal):
+            monkeypatch.setattr(module, "risk_grad", counted)
+        cfg = config_from_values(tiny_values(str(tmp_path), **{
+            "unlearn.space": "dual", "unlearn.percents": "30,50,70", "bench.cold": "skip"}))
+        run_unlearning_experiment(cfg)
+        assert len(calls) == 1
+
     def test_gd_trainer_path(self, tmp_path):
         cfg = config_from_values(tiny_values(
             str(tmp_path), **{"train.kind": "gd", "opt.lr": "0.05",
@@ -432,7 +446,8 @@ class TestCli:
                                             ("dual.materialize_hrr", "true"),
                                             ("unlearn.shards", "3"),
                                             ("dual.dense_threshold", "4096"),
-                                            ("ntk.lr", "0.3")])
+                                            ("ntk.lr", "0.3"),
+                                            ("opt.kind", "momentum")])
     def test_removed_key_exit_code(self, tmp_path, key, value):
         cfgp = write_cfg(tmp_path, **{key: value})
         assert cli.main(["unlearn", "--config", cfgp]) == 2
@@ -470,6 +485,24 @@ class TestCli:
         assert "configuration error" in err and "Traceback" not in err
         # values the config alone rules out fail before the output directory exists
         assert os.path.exists(os.path.join(str(tmp_path), "results")) != at_load
+
+    @pytest.mark.parametrize("command, bad", [
+        ("ntk-infinite", {"ntk.hidden_layers": "-1"}),
+        ("ntk-infinite", {"ntk.sigma_w2": "0"}),
+        ("ntk-infinite", {"ntk.epochs": "0"}),
+        ("ntk-infinite", {"ntk.tol": "-1"}),
+        ("sweep-lambda", {"sweep.lambdas": "0.1,-1"}),
+        ("train", {"stop.max_epochs": "0", "train.kind": "gd"}),
+    ], ids=["hidden_layers", "sigma_w2", "ntk_epochs", "ntk_tol", "sweep_lambda",
+            "max_epochs"])
+    def test_ruled_out_value_exit_code(self, tmp_path, capsys, command, bad):
+        # each value fails at load, before the output directory exists
+        cfgp = write_cfg(tmp_path, **{"dataset.per_class": "10", "dataset.d_in": "4",
+                                      "model.widths": "4,8,2", **bad})
+        assert cli.main([command, "--config", cfgp]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Traceback" not in err
+        assert not os.path.exists(os.path.join(str(tmp_path), "results"))
 
     def test_cold_child_reads_stored_kernel(self, tmp_path, monkeypatch):
         cfgp = write_cfg(tmp_path)
@@ -597,8 +630,6 @@ class TestCli:
 
 class TestSchemas:
     def test_golden_headers(self):
-        from kinfluence.experiments import INFINITE_LOSS_HEADER, INFINITE_OUT_HEADER, SWEEP_HEADER
-        from kinfluence.report import TRAIN_HEADER
         assert METRICS_HEADER == [
             "seed", "percent", "space",
             "cold_runtime_s", "warm_runtime_mean_s", "warm_runtime_std_s",
@@ -617,10 +648,32 @@ class TestSchemas:
                                         "est_loss_change_reg", "act_loss_change"]
         assert TRAIN_HEADER == ["epoch", "loss", "grad_norm"]
 
+    def test_one_dialect(self, tmp_path):
+        # every table: LF line ends, its golden header, floats that round-trip
+        headers = {"metrics.csv": METRICS_HEADER, "influence.csv": influence_csv_header(2),
+                   "train.csv": TRAIN_HEADER, "infinite_outputs.csv": INFINITE_OUT_HEADER,
+                   "infinite_loss.csv": INFINITE_LOSS_HEADER}
+        for command in ("unlearn", "train", "sweep-lambda", "ntk-infinite"):
+            (tmp_path / command).mkdir()
+            cfgp = write_cfg(tmp_path / command, **{
+                "dataset.per_class": "10", "dataset.d_in": "4", "model.widths": "4,8,2",
+                "bench.cold": "skip", "stop.max_epochs": "20", "sweep.lambdas": "0.1,1",
+                "ntk.tol": "1e-8"})
+            assert cli.main([command, "--config", cfgp]) == 0
+        tables = glob.glob(str(tmp_path / "**" / "*.csv"), recursive=True)
+        names = {re.sub(r"sweep_lambda_.*", "sweep", os.path.basename(p)) for p in tables}
+        assert names == set(headers) | {"sweep"}
+        for path in tables:
+            data = pathlib.Path(path).read_bytes()
+            assert b"\r" not in data and data.endswith(b"\n"), path
+            header, *rows = [line.split(",") for line in data.decode().splitlines()]
+            assert header == headers.get(os.path.basename(path), SWEEP_HEADER), path
+            assert rows and all(len(row) == len(header) for row in rows), path
+            floats = [c for row in rows for c in row if not re.fullmatch(r"-?\d+|[a-z]+", c)]
+            assert floats and all(repr(float(c)) == c for c in floats), path
+
     def test_seed_and_opt_kind_aliases(self):
-        vals = parse_config_text("seed = 7\nopt.kind = momentum\n")
+        # seed is the one alias left; opt.kind is a removed key
+        vals = parse_config_text("seed = 7\n")
         assert vals["seeds"] == "7"
-        assert vals["train.kind"] == "momentum"
-        cfg = config_from_values({**vals, "model.linearized": "true",
-                                  "risk.loss": "squared"})
-        assert cfg.seeds == (7,) and cfg.opt.kind == "momentum"
+        assert config_from_values(vals).seeds == (7,)

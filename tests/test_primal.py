@@ -40,7 +40,7 @@ def dense_hessian(spec, lin, ds, cfg):
 class TestHessianOperator:
     def test_empty_forget_rejected(self):
         spec, lin, split, cfg, theta = quadratic_instance()
-        bad = type(split)(split.full, split.forget_count)  # fine
+        bad = type(split)(split.full, split.n_forget)  # fine
         with pytest.raises(DegenerateSplit):
             split_forget(split.full, 0.01, scope="all", seed=0)  # rounds to 0 forget rows
 

@@ -1,0 +1,40 @@
+"""Leftovers in the package source: imports a module never uses, and private
+top-level functions or classes that nothing in the package references."""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "kinfluence"
+TREES = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def test_no_unused_imports():
+    # __init__.py imports to re-export
+    unused = []
+    for name, tree in TREES.items():
+        if name == "__init__.py":
+            continue
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                unused += [f"{name}: {b}" for b in bound if b not in used]
+    assert unused == []
+
+
+def test_no_unreferenced_private_definitions():
+    refs = set()
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                refs.update(alias.name for alias in node.names)
+    orphans = [f"{name}: {node.name}" for name, tree in TREES.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")
+               and node.name not in refs]
+    assert orphans == []
