@@ -30,7 +30,8 @@ from .errors import DimensionMismatch, NonFiniteEncountered
 from .kernels import KernelMatrix
 from .losses import loss_grad_batch, loss_hess_batch
 from .models import LinearizedModel
-from .solvers import CgOptions, cg_solve, cholesky_in_place, kron_preconditioner
+from .solvers import (CgOptions, cg_solve, cholesky_in_place, kron_preconditioner, rfp_cholesky,
+                      rfp_place, rfp_solve)
 from .training import RiskConfig
 
 DENSE_SOLVE_MAX = 4096
@@ -51,12 +52,6 @@ def alpha_star_from_outputs(f_vec: np.ndarray, ds, cfg: RiskConfig) -> np.ndarra
     # single fused denominator so -alpha's forget block reproduces the known
     # value grad/(N lam) bitwise
     return -g / (cfg.lam * ds.n)
-
-
-def _apply_blockdiag(blocks: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """(blockdiag B) @ mat for per-point (d,d) blocks; mat has N*d rows."""
-    n, d, _ = blocks.shape
-    return np.einsum("nij,njc->nic", blocks, mat.reshape(n, d, -1)).reshape(n * d, -1)
 
 
 def _psd_sqrt_blocks(blocks: np.ndarray) -> np.ndarray:
@@ -83,6 +78,39 @@ def retain_hessian_blocks(f_vec: np.ndarray, split: SplitDataset, cfg: RiskConfi
     return loss_hess_batch(cfg.loss, f, retain.targets) / split.n_retain
 
 
+def _packed_system(kernel: KernelMatrix, n_forget: int, c: np.ndarray, lam: float,
+                   v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """M = lam I + C K_rr C in lower RFP layout (solvers.rfp_place) and K_r. v,
+    from one pass over a dense kernel's retain rows, a few points at a time.
+    C scales rows, then columns, so the packed array is bitwise the lower
+    triangle of the square M scaled by columns, then rows, however the rows
+    chunk."""
+    d, n_f = kernel.d_out, n_forget * kernel.d_out
+    n = kernel.shape[0] - n_f
+    packed, kv = np.empty(n * (n + 1) // 2), np.zeros(n)
+    # each of a chunk's two buffers holds up to 1/32 of the packed entries, or one point
+    step = max(1, n * n // (64 * d * kernel.shape[1]))
+    for p0 in range(0, n // d, step):
+        p1 = min(p0 + step, n // d)
+        r0, r1 = p0 * d, p1 * d
+        blk = kernel.rows_block(np.arange(n_forget + p0, n_forget + p1),
+                                np.r_[:n_forget, n_forget + p0:kernel.n_rows])
+        ku = blk[:, n_f:]
+        kv[r0:r1] += blk[:, :n_f] @ v[:n_f] + ku @ v[n_f + r0:]
+        kv[r1:] += ku[:, r1 - r0:].T @ v[n_f + r0:n_f + r1]  # K_rr's other triangle
+        k4 = ku.reshape(p1 - p0, d, -1, d)
+        if c.ndim == 1:
+            k4 *= c[p0:p1, None, None, None]
+            k4 *= c[p0:, None]
+        else:
+            k4 = sum(c[p0:p1, :, j, None, None] * k4[:, None, j] for j in range(d))
+            k4 = sum(k4[..., j, None] * c[p0:, :, j] for j in range(d))
+        m = k4.reshape(r1 - r0, -1)
+        m[np.arange(r1 - r0), np.arange(r1 - r0)] += lam
+        rfp_place(packed, n, r0, m)
+    return packed, kv
+
+
 class DualUnlearner:
     """Prepares the reduced system once; repeated reduced solves reuse it.
 
@@ -98,11 +126,13 @@ class DualUnlearner:
 
     ``kernel`` is the training kernel in split order, forget block first;
     an index view of the stored kernel (``submatrix(perm, perm)``) serves and
-    copies nothing. prepare() gathers K_rr (sigma_rr for a Kronecker kernel)
-    once, and K_rf for the one product it takes part in. With scalar blocks
-    it scales the K_rr buffer in place into M, so the dense solve holds only
-    the stored kernel and M; the CG path keeps the gathered K_rr for its
-    matvecs.
+    copies nothing. On a dense kernel, prepare() builds M packed (n(n+1)/2
+    entries) from one pass over the retain rows, so the dense solve holds
+    only the stored kernel and packed M, and a warm solve runs in numpy
+    alone. Otherwise it gathers K_rr (sigma_rr for a Kronecker kernel) once,
+    and K_rf for the one product it takes part in; the CG path keeps the
+    gathered K_rr for its matvecs. A factored solve records
+    cond_lower = (max L_ii / min L_ii)^2 <= cond(M) in ``diagnostics``.
     """
 
     def __init__(self, kernel: KernelMatrix, f_vec: np.ndarray, split: SplitDataset,
@@ -127,39 +157,45 @@ class DualUnlearner:
         self.alpha = alpha_star_from_outputs(self.f_vec, split.full, cfg)
         self.delta_f = -self.alpha[:n_f]
         self.c = _psd_sqrt_blocks(retain_hessian_blocks(self.f_vec, split, cfg))
-        # the kernel is forget block first. K_rr is gathered once, into a new
-        # buffer that becomes M. K_rf is gathered for its one product: that
-        # reads |Dr| |Df| entries, where a product through the view would
-        # run over the whole stored kernel
-        fi, ri = slice(0, split.n_forget), slice(split.n_forget, split.n)
-        k_rr = self.kernel.submatrix(ri, ri).gather()
         self.a = (split.n_forget / split.n_retain) * self.alpha[n_f:]
-        self.b = _apply_sqrt(self.c, self.kernel.submatrix(ri, fi).gather().matvec(self.alpha[:n_f])
-                             - k_rr.matvec(self.a))
+        kron = self.kernel.kron
+        self.use_dense = ((not kron or self.c.ndim == 1)
+                          and split.n_retain * (1 if kron else d) <= DENSE_SOLVE_MAX)
+        # the kernel is forget block first. A dense M is built packed from
+        # the retain rows, which also give K_rf alpha_f - K_rr a. Otherwise
+        # K_rr is gathered once, and K_rf for its one product: that reads
+        # |Dr| |Df| entries, where a product through the view would run over
+        # the whole stored kernel
+        if self.use_dense and not kron:
+            packed, kv = _packed_system(self.kernel, split.n_forget, self.c, cfg.lam,
+                                        np.concatenate([self.alpha[:n_f], -self.a]))
+        else:
+            fi, ri = slice(0, split.n_forget), slice(split.n_forget, split.n)
+            k_rr = self.kernel.submatrix(ri, ri).gather()
+            kv = (self.kernel.submatrix(ri, fi).gather().matvec(self.alpha[:n_f])
+                  - k_rr.matvec(self.a))
+        self.b = _apply_sqrt(self.c, kv)
         # checked once here: the dense solves do not rescan b or the factor
         if not np.all(np.isfinite(self.b)):
             raise NonFiniteEncountered("reduced right-hand side has non-finite entries")
-        kron = k_rr.kron
-        self.use_dense = ((not kron or self.c.ndim == 1)
-                          and split.n_retain * (1 if kron else d) <= DENSE_SOLVE_MAX)
-        if self.use_dense:
-            # the factorization is part of operator construction (cold work);
-            # warm solves reuse it
-            if self.c.ndim == 1:
-                m, cf = ((k_rr.sigma, self.c) if kron else
-                         (k_rr.dense, np.repeat(self.c, d)))
-                m *= cf[:, None]
-                m *= cf
-            else:
-                half = _apply_blockdiag(self.c, k_rr.dense)
-                del k_rr  # freed before the second product
-                m = _apply_blockdiag(self.c, half.T)
-            m[np.diag_indices_from(m)] += cfg.lam
-            self._factor = cholesky_in_place(m)
-        else:
+        # the factorization is part of operator construction (cold work);
+        # warm solves reuse it
+        if not self.use_dense:
             self.k_rr = k_rr
             self._precondition = (None if kron or self.c.ndim > 1 else kron_preconditioner(
                 self.c[:, None] * k_rr.kron_factor() * self.c, cfg.lam))
+        elif kron:
+            m = k_rr.sigma
+            m *= self.c[:, None]
+            m *= self.c
+            m[np.diag_indices_from(m)] += cfg.lam
+            self._factor = cholesky_in_place(m)
+            diag = self._factor[0].diagonal()
+        else:
+            self._factor = rfp_cholesky(packed, len(kv))
+            diag = np.concatenate([self._factor[0].diagonal(), self._factor[2].diagonal()])
+        if self.use_dense:  # cond(M) = cond(L)^2 >= (max L_ii / min L_ii)^2
+            self.diagnostics["cond_lower"] = float((diag.max() / diag.min()) ** 2)
         self._prepared = True
 
     def _apply_m(self, v: np.ndarray) -> np.ndarray:
@@ -170,10 +206,11 @@ class DualUnlearner:
         if not self._prepared:
             self.prepare()
         if self.use_dense:
-            side = self._factor[0].shape[0]
-            # the factor of a checked finite M: no second scan
-            y = scipy.linalg.cho_solve(self._factor, self.b.reshape(side, -1),
-                                       check_finite=False).ravel()
+            # the factor of a checked finite M: no second scan. The packed
+            # solve runs in numpy alone, with no call into scipy's BLAS
+            y = (scipy.linalg.cho_solve(self._factor, self.b.reshape(len(self._factor[0]), -1),
+                                        check_finite=False).ravel()
+                 if self.kernel.kron else rfp_solve(self._factor, self.b))
             self.diagnostics.update({"solver": "dense", "iters": 0, "residual": 0.0,
                                      "converged": True})
         else:

@@ -449,7 +449,7 @@ def _make_unlearner(ctx: _SeedContext, split, space: str):
     cfg = ctx.cfg
     if space == SPACE_THETA:
         return PrimalUnlearner(ctx.model, ctx.theta_hat, split, cfg.risk, cfg.cg,
-                               variant=cfg.hessian_variant)
+                               variant=cfg.hessian_variant, grad_norm=ctx.grad_norm)
     # every coefficient-space answer rests on the representer identity
     # theta_hat - theta_ref = J' alpha, which fails away from the optimum
     gap = stationarity_gap(ctx.grad_norm)

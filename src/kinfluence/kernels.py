@@ -89,6 +89,15 @@ class KernelMatrix:
         return KernelMatrix(self.d_out, **{"sigma" if self.kron else "dense": self._block()},
                             spec_hash=self.spec_hash)
 
+    def rows_block(self, rows, cols) -> np.ndarray:
+        """The block of a few points ``rows`` x ``cols`` (as ``submatrix``
+        takes them): whole stored rows, then the columns in runs of a point's
+        entries. Faster than ``dense``'s 2-D gather, with a stored-row-wide
+        intermediate."""
+        view, u = self.submatrix(rows, cols), self._unit
+        whole = self._mat[_expand(view.rows, u)].reshape(len(view.rows) * u, -1, u)
+        return np.take(whole, view.cols, axis=1).reshape(len(view.rows) * u, -1)
+
     def to_dense(self) -> np.ndarray:
         return np.kron(self.sigma, np.eye(self.d_out)) if self.kron else self.dense
 

@@ -44,25 +44,30 @@ class PrimalUnlearner:
 
     ``prepare()`` builds the operator and right-hand side (cold work);
     ``solve()`` runs CG. Cold timing covers prepare + first solve, warm
-    timing covers a solve alone.
+    timing covers a solve alone. ``grad_norm``, ||grad R(theta_star)|| over
+    the full set when the caller has measured it, spares prepare() that
+    gradient.
     """
 
     def __init__(self, model: Model, theta_star: np.ndarray, split: SplitDataset,
                  cfg: RiskConfig, opts: CgOptions = CgOptions(),
-                 variant: str = HESSIAN_UPWEIGHTED):
+                 variant: str = HESSIAN_UPWEIGHTED, grad_norm: float | None = None):
         self.model = model
         self.theta_star = np.asarray(theta_star, dtype=np.float64)
         self.split = split
         self.cfg = cfg
         self.opts = opts
         self.variant = variant
+        self.grad_norm = grad_norm
         self.notes: list[str] = []
         self._op = None
         self._rhs = None
 
     def prepare(self) -> None:
-        gap = stationarity_gap(float(np.linalg.norm(
-            risk_grad(self.model, self.theta_star, self.split.full, self.cfg))))
+        if self.grad_norm is None:
+            self.grad_norm = float(np.linalg.norm(
+                risk_grad(self.model, self.theta_star, self.split.full, self.cfg)))
+        gap = stationarity_gap(self.grad_norm)
         if gap is not None:
             self.notes.append(f"NotAtOptimum: {gap}")
         self._op, self._rhs = removal_system(self.model, self.theta_star, self.split,

@@ -1,5 +1,6 @@
 """Solvers for SPD systems: conjugate gradients given only a matvec, optionally
-Kronecker-preconditioned, and an in-place dense Cholesky factorization.
+Kronecker-preconditioned, an in-place dense Cholesky factorization, and one
+of a matrix held packed, whose solves run in numpy alone.
 
 CG is hand-rolled rather than scipy's so the influence paths get the
 diagnostics they are contracted to report: exact iteration counts, the p'Ap
@@ -103,6 +104,68 @@ def kron_preconditioner(sigma: np.ndarray, shift: float):
         raise SpdViolation(f"shift + min eig(sigma) = {w[0] + shift:.3e} <= 0: not positive definite")
     inv = (v / (w + shift)) @ v.T
     return lambda r: (inv @ r.reshape(inv.shape[0], -1)).ravel()
+
+
+def rfp_place(packed: np.ndarray, n: int, r0: int, rows: np.ndarray) -> None:
+    """Writes ``rows`` = M[r0:r1, r0:], of the n x n symmetric M, into
+    ``packed``, M in LAPACK's lower RFP layout (TRANSR='N'; Gustavson et al.
+    2010). The layout is a C-ordered (R, n + s) matrix, R = ceil(n/2) and
+    s = 1 for even n. It holds M[j, j:] from column s + j of row j < R, and
+    M[R + t, R:R + t + 1] from column 0 of row t + 1 - s. So the given rows
+    below R land as one rectangle and one triangle, and those from R on too,
+    transposed.
+    """
+    r, s = n - n // 2, 1 - n % 2
+    rfp, r1 = packed.reshape(r, n + s), r0 + len(rows)
+    o = 1 - s - r  # the RFP row of M's row c >= R is c + o
+    for a, b in ((r0, min(r1, r)), (max(r0, r), r1)):
+        if a < b:
+            rect, tri = ((rfp[a:b, s + b:], rfp[a:b, s + a:s + b]) if a < r else
+                         (rfp[b + o:, a - r:b - r].T, rfp[a + o:b + o, a - r:b - r].T))
+            rect[...] = rows[a - r0:b - r0, b - r0:]
+            np.copyto(tri, rows[a - r0:b - r0, a - r0:b - r0],
+                      where=~np.tri(b - a, k=-1, dtype=bool))
+
+
+def rfp_cholesky(packed: np.ndarray, n: int):
+    """Cholesky factor L, in place, of the n x n SPD matrix ``packed`` holds in
+    lower RFP layout, for rfp_solve: the views L11^T, L21^T and L22 of
+    ``packed`` and the inverted diagonal blocks of L11^T and L22, with which
+    the solves run in numpy alone. Raises as cholesky_in_place does."""
+    packed, info = scipy.linalg.lapack.dpftrf(n, packed, "N", "L", overwrite_a=1)
+    r, s = n - n // 2, 1 - n % 2  # rfp_place's layout
+    rfp = packed.reshape(r, n + s)
+    u11, l22 = rfp[:, s:s + r], rfp[1 - s:1 - s + n // 2, :n // 2]
+    # a non-finite entry ends as a failed pivot or on the factor's diagonal
+    if info or not np.isfinite(u11.diagonal().sum() + l22.diagonal().sum()):
+        if np.all(np.isfinite(packed)):
+            raise SpdViolation(f"packed Cholesky factorization failed at pivot {info}")
+        raise NonFiniteEncountered("matrix to factor has non-finite entries")
+    nb = max(64, n // 16)  # at most 16 blocks; their inverses hold n nb entries
+    inverses = [[(np.tril if lower else np.triu)(
+        scipy.linalg.lapack.dtrtri(t[i:i + nb, i:i + nb], lower=lower)[0])
+        for i in range(0, len(t), nb)] for t, lower in ((u11, 0), (l22, 1))]
+    return u11, rfp[:, s + r:], l22, *inverses
+
+
+def _substitute(t: np.ndarray, inverses, x: np.ndarray, forward: bool) -> np.ndarray:
+    """x <- T^{-1} x in place, T triangular (lower when ``forward``), by block
+    substitution with T's inverted diagonal blocks: numpy GEMVs only."""
+    nb = len(inverses[0]) if inverses else 0
+    for k in range(len(inverses))[::1 if forward else -1]:
+        i0, i1 = k * nb, min((k + 1) * nb, len(x))
+        done = slice(0, i0) if forward else slice(i1, None)
+        x[i0:i1] = inverses[k] @ (x[i0:i1] - t[i0:i1, done] @ x[done])
+    return x
+
+
+def rfp_solve(factor, b: np.ndarray) -> np.ndarray:
+    """M^{-1} b for the rfp_cholesky factor of M = L L^T."""
+    u11, l21t, l22, inv11, inv22 = factor
+    y1 = _substitute(u11.T, [i.T for i in inv11], b[:len(u11)].copy(), True)
+    y2 = _substitute(l22, inv22, b[len(u11):] - l21t.T @ y1, True)
+    _substitute(l22.T, [i.T for i in inv22], y2, False)
+    return np.concatenate([_substitute(u11, inv11, y1 - l21t @ y2, False), y2])
 
 
 def cholesky_in_place(m: np.ndarray):

@@ -12,6 +12,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.linalg.lapack import dtrttf
 
 import kinfluence.dual
 from kinfluence.datasets import LabeledDataset, SplitDataset, make_blobs, split_forget
@@ -28,7 +30,7 @@ from kinfluence.models import (
 from kinfluence.dual import (
     DENSE_SOLVE_MAX,
     DualUnlearner,
-    _apply_blockdiag,
+    _packed_system,
     alpha_star_from_outputs,
     map_to_params,
     predict_changes_dual,
@@ -38,7 +40,7 @@ from kinfluence.experiments import (DatasetConfig, ExperimentConfig, _build_seed
                                     _make_unlearner)
 from kinfluence.primal import PrimalUnlearner, attach_test_predictions
 from kinfluence.report import InfluenceReport
-from kinfluence.solvers import CgOptions, cg_solve
+from kinfluence.solvers import CgOptions, cg_solve, rfp_cholesky, rfp_solve
 from kinfluence.training import (STATIONARITY_TOL, RiskConfig, StopRule, fit_linearized_exact,
                                  risk_grad, risk_value)
 
@@ -80,6 +82,12 @@ def unreduced_solution(kernel, f_vec, split, cfg):
     return np.linalg.solve(h, rhs), alpha
 
 
+def apply_blockdiag(blocks: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """(blockdiag B) @ mat for per-point (d,d) blocks; mat has N*d rows."""
+    n, d, _ = blocks.shape
+    return np.einsum("nij,njc->nic", blocks, mat.reshape(n, d, -1)).reshape(n * d, -1)
+
+
 def dual_hessian_block(kernel: KernelMatrix, b_r: np.ndarray, split: SplitDataset,
                        cfg: RiskConfig, i: str, j: str) -> np.ndarray:
     """Dense block H^{ij} = (|Dr|/|D|) (K_ir B_r K_rj + lambda K_ij)."""
@@ -90,7 +98,7 @@ def dual_hessian_block(kernel: KernelMatrix, b_r: np.ndarray, split: SplitDatase
     k_rj = kernel.submatrix(idx["r"], idx[j]).to_dense()
     k_ij = kernel.submatrix(idx[i], idx[j]).to_dense()
     scale = split.n_retain / split.n
-    return scale * (k_ir @ _apply_blockdiag(b_r, k_rj) + cfg.lam * k_ij)
+    return scale * (k_ir @ apply_blockdiag(b_r, k_rj) + cfg.lam * k_ij)
 
 
 def dual_rhs(kernel: KernelMatrix, f_vec: np.ndarray, split: SplitDataset,
@@ -445,7 +453,8 @@ class TestPreconditionedCg:
 
 
 class TestPrepareMemory:
-    """The dense reduced solve materializes M once and factors it in place."""
+    """The dense reduced solve builds M packed, n(n+1)/2 entries, and factors
+    it in place."""
 
     @staticmethod
     def dense_solver():
@@ -469,11 +478,11 @@ class TestPrepareMemory:
         finally:
             tracemalloc.stop()
         assert solver.use_dense
-        assert peak <= 1.25 * side * side * 8
+        assert peak <= 0.6 * side * side * 8
 
     def test_permuted_view_prepare_peak_is_one_matrix(self):
-        # the callers' submatrix(perm, perm) copies nothing, and K_rr is
-        # gathered into the buffer that becomes M
+        # the callers' submatrix(perm, perm) copies nothing, and M is built
+        # packed from the retain rows, a few points at a time
         solver, side = self.dense_solver()
         perm = solver.split.permutation
         out = []
@@ -487,7 +496,7 @@ class TestPrepareMemory:
         finally:
             tracemalloc.stop()
         assert out[0].use_dense
-        assert peak <= 1.25 * side * side * 8
+        assert peak <= 0.6 * side * side * 8
 
     def test_warm_dense_solve_does_not_rescan_factor(self):
         # a finiteness scan of the factor would allocate a side^2 bool mask
@@ -514,6 +523,114 @@ class TestPrepareMemory:
         monkeypatch.setattr(kinfluence.dual, "DENSE_SOLVE_MAX", cap)
         DualUnlearner(kernel, f_vec, split, cfg).solve()
         np.testing.assert_array_equal(mat, before)
+
+
+def packed_instance(d, n_retain, block, seed=0):
+    """A permuted view of a random SPD kernel with 3 forget points, retain
+    blocks C (per-point scalars or symmetric (d, d) blocks) and lambda."""
+    rng = np.random.default_rng(seed)
+    n = n_retain + 3
+    a = rng.standard_normal((n * d, n * d + 7))
+    perm = rng.permutation(n)
+    kernel = KernelMatrix(d, dense=a @ a.T / a.shape[1]).submatrix(perm, perm)
+    if block:
+        b = rng.standard_normal((n_retain, d, d))
+        c = b @ b.transpose(0, 2, 1) / d
+    else:
+        c = rng.uniform(0.5, 2.0, n_retain)
+    return kernel, c, 0.3, rng.standard_normal(n * d)
+
+
+def dense_m(kernel, c, lam):
+    """lam I + C K_rr C over the full square: C applied to the columns, then
+    to the rows, each sum over a block in ascending order."""
+    d = kernel.d_out
+    k_rr = kernel.to_dense()[3 * d:, 3 * d:]
+    n = k_rr.shape[0] // d
+    if c.ndim == 1:
+        cf = np.repeat(c, d)
+        m = (k_rr * cf) * cf[:, None]
+    else:
+        k4 = k_rr.reshape(n, d, n, d)
+        right = sum(k4[..., x, None] * c[:, :, x] for x in range(d))
+        m = sum(c[:, :, j, None, None] * right[:, None, j] for j in range(d)).reshape(n * d, -1)
+    m[np.diag_indices_from(m)] += lam
+    return m
+
+
+PACKED_SHAPES = [(1, 1), (1, 2), (1, 3), (1, 257), (1, 300), (3, 87), (2, 150)]
+PACKED_IDS = [f"d{d}-n{d * n}" for d, n in PACKED_SHAPES]
+
+
+class TestPackedSystem:
+    """M in LAPACK's lower RFP layout, built from the retain rows in one pass;
+    its factor is solved in numpy."""
+
+    @pytest.mark.parametrize("block", [False, True], ids=["scalar", "block"])
+    @pytest.mark.parametrize("d, n_retain", PACKED_SHAPES, ids=PACKED_IDS)
+    def test_equals_dtrttf_of_dense_m(self, d, n_retain, block):
+        kernel, c, lam, v = packed_instance(d, n_retain, block)
+        packed, kv = _packed_system(kernel, 3, c, lam, v)
+        want, info = dtrttf(dense_m(kernel, c, lam), transr="N", uplo="L")
+        assert info == 0
+        np.testing.assert_array_equal(packed, want)
+        k_r = kernel.to_dense()[3 * d:]
+        np.testing.assert_allclose(kv, k_r @ v, rtol=1e-12, atol=1e-13 * np.abs(k_r @ v).max())
+
+    @pytest.mark.parametrize("block", [False, True], ids=["scalar", "block"])
+    @pytest.mark.parametrize("d, n_retain", PACKED_SHAPES, ids=PACKED_IDS)
+    def test_solve_matches_cho_solve(self, d, n_retain, block):
+        kernel, c, lam, v = packed_instance(d, n_retain, block)
+        packed, _ = _packed_system(kernel, 3, c, lam, v)
+        m = dense_m(kernel, c, lam)
+        b = np.random.default_rng(1).standard_normal(len(m))
+        got = rfp_solve(rfp_cholesky(packed, len(m)), b)
+        want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(m, lower=True), b)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("n", [1, 4, 257, 300])
+    @pytest.mark.parametrize("where, fill, error", [
+        ("diag", np.nan, NonFiniteEncountered), ("off", np.nan, NonFiniteEncountered),
+        ("diag", np.inf, NonFiniteEncountered), ("off", np.inf, NonFiniteEncountered),
+        ("diag", -10.0, SpdViolation)])
+    def test_factor_failures(self, n, where, fill, error):
+        m = np.eye(n) + 0.1
+        i = n - 1
+        j = i if where == "diag" or n == 1 else n // 2
+        m[i, j] = m[j, i] = fill
+        with pytest.raises(error):
+            rfp_cholesky(dtrttf(m, transr="N", uplo="L")[0], n)
+
+    def test_warm_solve_calls_no_scipy(self, monkeypatch):
+        # dpftrs in the warm loop ran its threaded GEMV against numpy's BLAS
+        # pool and cost 31% of the warm repeats
+        split, cfg, kernel, f_vec = reduced_instance(SQUARED, False, 30.0)
+        solver = DualUnlearner(kernel, f_vec, split, cfg)
+        solver.prepare()
+        first = solver.solve()
+
+        class Raising:
+            def __getattr__(self, name):
+                raise AssertionError(f"warm solve called scipy.linalg.lapack.{name}")
+
+        def no_cho_solve(*args, **kwargs):
+            raise AssertionError("warm solve called scipy.linalg.cho_solve")
+        monkeypatch.setattr(scipy.linalg, "lapack", Raising())
+        monkeypatch.setattr(scipy.linalg, "cho_solve", no_cho_solve)
+        warm = solver.solve()
+        assert solver.diagnostics["solver"] == "dense"
+        np.testing.assert_array_equal(warm.delta_alpha, first.delta_alpha)
+
+    @pytest.mark.parametrize("kron", [False, True], ids=["packed", "sigma"])
+    def test_cond_lower_bounds_cond(self, kron):
+        split, cfg, kernel, f_vec = reduced_instance(SQUARED, kron, 50.0)
+        solver = DualUnlearner(kernel, f_vec, split, cfg)
+        solver.solve()
+        ri = np.arange(split.n_forget, split.n)
+        k_rr = kernel.submatrix(ri, ri)
+        c = solver.c if kron else np.repeat(solver.c, kernel.d_out)
+        m = cfg.lam * np.eye(len(c)) + c[:, None] * (k_rr.sigma if kron else k_rr.dense) * c
+        assert 1.0 <= solver.diagnostics["cond_lower"] <= np.linalg.cond(m)
 
 
 class TestMapAndPredict:

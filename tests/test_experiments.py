@@ -252,6 +252,17 @@ class TestUnlearningProtocol:
             assert not record["converged"] and record["iters"] == 1
             assert [n.split(":")[0] for n in record["notes"]] == ["MaxItersReached"]
 
+    def test_factored_solve_records_cond_lower(self, tmp_path):
+        cfg = config_from_values(tiny_values(str(tmp_path), **{"bench.cold": "skip"}))
+        run_unlearning_experiment(cfg)
+        records = {}
+        for space in ("theta", "dual"):
+            diag = os.path.join(str(tmp_path), "seed_0", f"p50_{space}", "diagnostics.jsonl")
+            (records[space],) = [json.loads(line)
+                                 for line in pathlib.Path(diag).read_text().splitlines()]
+        assert records["dual"]["solver"] == "dense" and records["dual"]["cond_lower"] >= 1.0
+        assert "cond_lower" not in records["theta"]
+
     def test_single_class_scope(self, tmp_path):
         cfg = config_from_values(tiny_values(str(tmp_path), **{"unlearn.scope": "1",
                                                                "unlearn.percents": "40"}))
@@ -287,17 +298,21 @@ class TestUnlearningProtocol:
         assert sorted(Counter(map(id, solved)).values()) == [5, 5, 5, 5]
 
     def test_stationarity_measured_once_per_seed(self, tmp_path, monkeypatch):
+        # full-set gradients only: parameter space also takes one over each
+        # forget set for its right-hand side
         calls = []
 
-        def counted(*args, _grad=training.risk_grad, **kwargs):
-            calls.append(1)
-            return _grad(*args, **kwargs)
+        def counted(model, theta, ds, cfg, _grad=training.risk_grad):
+            calls.append(ds.n)
+            return _grad(model, theta, ds, cfg)
         for module in (training, experiments, primal):
             monkeypatch.setattr(module, "risk_grad", counted)
-        cfg = config_from_values(tiny_values(str(tmp_path), **{
-            "unlearn.space": "dual", "unlearn.percents": "30,50,70", "bench.cold": "skip"}))
-        run_unlearning_experiment(cfg)
-        assert len(calls) == 1
+        for space in ("dual", "both"):
+            calls.clear()
+            cfg = config_from_values(tiny_values(str(tmp_path / space), **{
+                "unlearn.space": space, "unlearn.percents": "30,50,70", "bench.cold": "skip"}))
+            run_unlearning_experiment(cfg)
+            assert calls.count(max(calls)) == 1, space
 
     def test_gd_trainer_path(self, tmp_path):
         cfg = config_from_values(tiny_values(

@@ -240,10 +240,14 @@ class TestSubmatrixViews:
         ref = KernelMatrix(d, sigma=block) if kron else KernelMatrix(d, dense=block)
         assert view.shape == ref.shape and view.kron == kron
         v = rng.standard_normal(view.shape[1])
+        part = ref.submatrix([2, 0], slice(1, None))
+        part = part.sigma if kron else part.dense
         for got, want in [(view.matvec(v), ref.matvec(v)),
                           (view.kron_factor(), ref.kron_factor()),
                           (view.to_dense(), ref.to_dense()),
-                          (view.gather().sigma if kron else view.gather().dense, block)]:
+                          (view.gather().sigma if kron else view.gather().dense, block),
+                          (view.rows_block(slice(None), slice(None)), block),
+                          (view.rows_block([2, 0], slice(1, None)), part)]:
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
