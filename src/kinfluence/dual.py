@@ -23,15 +23,14 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .datasets import SplitDataset
 from .errors import DimensionMismatch, NonFiniteEncountered
 from .kernels import KernelMatrix
 from .losses import loss_grad_batch, loss_hess_batch
 from .models import LinearizedModel
-from .solvers import (CgOptions, cg_solve, cholesky_in_place, kron_preconditioner, rfp_cholesky,
-                      rfp_place, rfp_solve)
+from .solvers import (CgOptions, cg_solve, cho_solve, cholesky_in_place, kron_preconditioner,
+                      rfp_cholesky, rfp_place, rfp_solve)
 from .training import RiskConfig
 
 DENSE_SOLVE_MAX = 4096
@@ -206,10 +205,8 @@ class DualUnlearner:
         if not self._prepared:
             self.prepare()
         if self.use_dense:
-            # the factor of a checked finite M: no second scan. The packed
-            # solve runs in numpy alone, with no call into scipy's BLAS
-            y = (scipy.linalg.cho_solve(self._factor, self.b.reshape(len(self._factor[0]), -1),
-                                        check_finite=False).ravel()
+            # the factor of a checked finite M: no second scan
+            y = (cho_solve(self._factor, self.b.reshape(len(self._factor[0]), -1)).ravel()
                  if self.kernel.kron else rfp_solve(self._factor, self.b))
             self.diagnostics.update({"solver": "dense", "iters": 0, "residual": 0.0,
                                      "converged": True})

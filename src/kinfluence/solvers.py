@@ -1,6 +1,7 @@
-"""Solvers for SPD systems: conjugate gradients given only a matvec, optionally
-Kronecker-preconditioned, an in-place dense Cholesky factorization, and one
-of a matrix held packed, whose solves run in numpy alone.
+"""Solvers for SPD systems, in numpy: conjugate gradients given only a matvec,
+optionally Kronecker-preconditioned, and a blocked Cholesky factorization of a
+matrix held packed, with its solves. Only cholesky_in_place and cho_solve, for
+the Kronecker factor, call scipy; each imports it when called.
 
 CG is hand-rolled rather than scipy's so the influence paths get the
 diagnostics they are contracted to report: exact iteration counts, the p'Ap
@@ -13,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NonFiniteEncountered, SpdViolation
 
@@ -130,22 +130,43 @@ def rfp_place(packed: np.ndarray, n: int, r0: int, rows: np.ndarray) -> None:
 def rfp_cholesky(packed: np.ndarray, n: int):
     """Cholesky factor L, in place, of the n x n SPD matrix ``packed`` holds in
     lower RFP layout, for rfp_solve: the views L11^T, L21^T and L22 of
-    ``packed`` and the inverted diagonal blocks of L11^T and L22, with which
-    the solves run in numpy alone. Raises as cholesky_in_place does."""
-    packed, info = scipy.linalg.lapack.dpftrf(n, packed, "N", "L", overwrite_a=1)
+    ``packed`` and the inverted diagonal blocks of L11^T and L22. Blocked and
+    left-looking, in numpy (Golub & Van Loan 4.2): a block column takes its GEMM
+    update on the stored triangle only, np.linalg.cholesky factors its diagonal
+    block, and its panel is a GEMM with that block's inverse. Raises
+    NonFiniteEncountered for non-finite entries, else SpdViolation."""
     r, s = n - n // 2, 1 - n % 2  # rfp_place's layout
     rfp = packed.reshape(r, n + s)
-    u11, l22 = rfp[:, s:s + r], rfp[1 - s:1 - s + n // 2, :n // 2]
-    # a non-finite entry ends as a failed pivot or on the factor's diagonal
-    if info or not np.isfinite(u11.diagonal().sum() + l22.diagonal().sum()):
-        if np.all(np.isfinite(packed)):
-            raise SpdViolation(f"packed Cholesky factorization failed at pivot {info}")
-        raise NonFiniteEncountered("matrix to factor has non-finite entries")
+    u11, l21t, l22 = rfp[:, s:s + r], rfp[:, s + r:], rfp[1 - s:1 - s + n // 2, :n // 2]
+
+    def part(c0, c1, r0, r1):  # L[r0:r1, c0:c1], each range on one side of r
+        if c0 >= r:
+            return l22[r0 - r:r1 - r, c0 - r:c1 - r]
+        return (u11[c0:c1, r0:r1] if r1 <= r else l21t[c0:c1, r0 - r:r1 - r]).T
+
     nb = max(64, n // 16)  # at most 16 blocks; their inverses hold n nb entries
-    inverses = [[(np.tril if lower else np.triu)(
-        scipy.linalg.lapack.dtrtri(t[i:i + nb, i:i + nb], lower=lower)[0])
-        for i in range(0, len(t), nb)] for t, lower in ((u11, 0), (l22, 1))]
-    return u11, rfp[:, s + r:], l22, *inverses
+    edges, inverses = [*range(0, r, nb), *range(r, n, nb), n], []
+    try:  # a non-finite entry ends as a failed block or on the factor's diagonal
+        with np.errstate(invalid="ignore", over="ignore"):
+            for k0, k1 in zip(edges, edges[1:]):
+                rows = [(a, b, part(k0, k1, a, b)) for a, b in ((k0, r), (max(k0, r), n)) if a < b]
+                for c0, c1 in ((0, min(k0, r)), (r, k0)):
+                    for a, b, t in rows if c0 < c1 else ():
+                        np.subtract(t, part(c0, c1, a, b) @ part(c0, c1, k0, k1).T, out=t,
+                                    where=np.tri(b - a, k1 - k0, a - k0, dtype=bool))
+                diag = part(k0, k1, k0, k1)
+                lkk = np.linalg.cholesky(diag)
+                np.copyto(diag, lkk, where=np.tri(k1 - k0, dtype=bool))
+                inverses.append(np.tril(np.linalg.inv(lkk)))
+                for a, b, t in rows:  # the panel, below the diagonal block
+                    t[max(k1 - a, 0):] = t[max(k1 - a, 0):] @ inverses[-1].T
+            if not np.isfinite(u11.diagonal().sum() + l22.diagonal().sum()):
+                raise np.linalg.LinAlgError("non-finite diagonal")
+    except np.linalg.LinAlgError as e:
+        if np.all(np.isfinite(packed)):
+            raise SpdViolation(f"packed Cholesky factorization failed: {e}") from e
+        raise NonFiniteEncountered("matrix to factor has non-finite entries") from e
+    return u11, l21t, l22, [t.T for t in inverses[:edges.index(r)]], inverses[edges.index(r):]
 
 
 def _substitute(t: np.ndarray, inverses, x: np.ndarray, forward: bool) -> np.ndarray:
@@ -176,9 +197,16 @@ def cholesky_in_place(m: np.ndarray):
     NonFiniteEncountered for non-finite entries and SpdViolation when m is
     not positive definite.
     """
+    import scipy.linalg
     try:
         return scipy.linalg.cho_factor(m.T, lower=True, overwrite_a=True)
     except np.linalg.LinAlgError as e:  # a subclass of ValueError, so caught first
         raise SpdViolation(f"Cholesky factorization failed: {e}") from e
     except ValueError as e:  # check_finite found a NaN or Inf
         raise NonFiniteEncountered("matrix to factor has non-finite entries") from e
+
+
+def cho_solve(factor, b: np.ndarray) -> np.ndarray:
+    """M^{-1} b for the cholesky_in_place factor of a finite M; b is not scanned."""
+    import scipy.linalg
+    return scipy.linalg.cho_solve(factor, b, check_finite=False)

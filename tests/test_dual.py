@@ -6,6 +6,9 @@ unreduced coefficient system solved densely, finite differences of the
 reparameterized risk, and exact retraining fits.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -13,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.linalg.lapack import dtrttf
+from scipy.linalg.lapack import dpftrf, dtrttf
 
 import kinfluence.dual
 from kinfluence.datasets import LabeledDataset, SplitDataset, make_blobs, split_forget
@@ -560,6 +563,9 @@ def dense_m(kernel, c, lam):
 
 PACKED_SHAPES = [(1, 1), (1, 2), (1, 3), (1, 257), (1, 300), (3, 87), (2, 150)]
 PACKED_IDS = [f"d{d}-n{d * n}" for d, n in PACKED_SHAPES]
+# the factor's blocks are 64 wide below side 1024: one block, one more, two
+FACTOR_SHAPES = PACKED_SHAPES + [(1, 64), (1, 65), (1, 127)]
+FACTOR_IDS = [f"d{d}-n{d * n}" for d, n in FACTOR_SHAPES]
 
 
 class TestPackedSystem:
@@ -578,7 +584,18 @@ class TestPackedSystem:
         np.testing.assert_allclose(kv, k_r @ v, rtol=1e-12, atol=1e-13 * np.abs(k_r @ v).max())
 
     @pytest.mark.parametrize("block", [False, True], ids=["scalar", "block"])
-    @pytest.mark.parametrize("d, n_retain", PACKED_SHAPES, ids=PACKED_IDS)
+    @pytest.mark.parametrize("d, n_retain", FACTOR_SHAPES, ids=FACTOR_IDS)
+    def test_factor_matches_dpftrf(self, d, n_retain, block):
+        kernel, c, lam, v = packed_instance(d, n_retain, block)
+        m = dense_m(kernel, c, lam)
+        want, info = dpftrf(len(m), dtrttf(m, transr="N", uplo="L")[0], transr="N", uplo="L")
+        assert info == 0
+        packed, _ = _packed_system(kernel, 3, c, lam, v)
+        rfp_cholesky(packed, len(m))
+        assert np.linalg.norm(packed - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("block", [False, True], ids=["scalar", "block"])
+    @pytest.mark.parametrize("d, n_retain", FACTOR_SHAPES, ids=FACTOR_IDS)
     def test_solve_matches_cho_solve(self, d, n_retain, block):
         kernel, c, lam, v = packed_instance(d, n_retain, block)
         packed, _ = _packed_system(kernel, 3, c, lam, v)
@@ -631,6 +648,43 @@ class TestPackedSystem:
         c = solver.c if kron else np.repeat(solver.c, kernel.d_out)
         m = cfg.lam * np.eye(len(c)) + c[:, None] * (k_rr.sigma if kron else k_rr.dense) * c
         assert 1.0 <= solver.diagnostics["cond_lower"] <= np.linalg.cond(m)
+
+
+SCIPY_PROBE = """
+import sys
+import numpy as np
+from kinfluence import (SQUARED, AnalyticNtkSpec, DualUnlearner, LinearizedModel, ModelSpec,
+                        RiskConfig, analytic_ntk, empirical_ntk, make_blobs, map_to_params,
+                        split_forget)
+
+def scipy_loaded():
+    return any(name.split(".")[0] == "scipy" for name in sys.modules)
+
+ds = make_blobs(8, 3, d_in=5, seed=0)
+split = split_forget(ds, 30.0, scope="all", seed=1)
+f_vec = np.random.default_rng(0).normal(scale=0.5, size=split.n * 3)
+spec = ModelSpec((5, 16, 3), init_seed=0)
+lin = LinearizedModel(spec, spec.init_params())
+kernel = empirical_ntk(spec, lin.theta_ref, split.full.features)
+cfg = RiskConfig(lam=0.1, loss=SQUARED)
+dense = DualUnlearner(kernel, f_vec, split, cfg)
+dense.prepare()
+map_to_params(lin, lin.theta_ref, dense.solve().delta_alpha, split.full.features)
+print(dense.diagnostics["solver"], scipy_loaded())
+kron = analytic_ntk(AnalyticNtkSpec(hidden_layers=2, d_out=3), split.full.features)
+sigma = DualUnlearner(kron, f_vec, split, cfg)
+sigma.solve()
+print(sigma.use_dense, scipy_loaded())
+"""
+
+
+def test_only_the_kronecker_factor_loads_scipy():
+    # scipy's OpenBLAS keeps its workers spinning after a factorization and
+    # slows numpy's GEMMs that follow; a dense kernel's solve never loads it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", SCIPY_PROBE], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.split() == ["dense", "False", "True", "True"]
 
 
 class TestMapAndPredict:

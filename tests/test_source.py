@@ -1,5 +1,6 @@
-"""Leftovers in the package source: imports a module never uses, and private
-top-level functions or classes that nothing in the package references."""
+"""Leftovers in the package source: imports a module never uses, private
+top-level functions or classes that nothing in the package references, and
+scipy imported when a module loads."""
 
 import ast
 import pathlib
@@ -38,3 +39,16 @@ def test_no_unreferenced_private_definitions():
                and node.name.startswith("_") and not node.name.startswith("__")
                and node.name not in refs]
     assert orphans == []
+
+
+def test_scipy_imported_only_inside_functions():
+    # scipy brings its own OpenBLAS; only the Kronecker factor's calls load it
+    local = {id(node) for tree in TREES.values() for f in ast.walk(tree)
+             if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) for node in ast.walk(f)}
+    found = [f"{name}:{node.lineno}" for name, tree in TREES.items() for node in ast.walk(tree)
+             if id(node) not in local and (
+                 isinstance(node, ast.Import) and any(a.name.split(".")[0] == "scipy"
+                                                      for a in node.names)
+                 or isinstance(node, ast.ImportFrom) and node.level == 0
+                 and node.module.split(".")[0] == "scipy")]
+    assert found == []
