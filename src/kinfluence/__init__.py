@@ -18,6 +18,7 @@ from .dual import (
 from .infinite import (
     AnalyticNtkSpec,
     FunctionState,
+    InfiniteInfluenceResult,
     analytic_ntk,
     infinite_influence,
     infinite_predict,

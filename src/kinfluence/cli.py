@@ -28,7 +28,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output directory (or file for --cold)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kinf",
                                      description="influence-function unlearning benchmark")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -102,7 +102,7 @@ def _cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "train":
             cfg = load_config(args.config, _overrides(args))

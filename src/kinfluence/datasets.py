@@ -197,7 +197,7 @@ def check_encoding(encoding: str, n_classes: int) -> None:
         raise ValueError("pm1 encoding needs exactly two classes")
 
 
-def encode_targets(labels: np.ndarray, classes, encoding: str) -> np.ndarray:
+def _encode_targets(labels: np.ndarray, classes, encoding: str) -> np.ndarray:
     """Re-encode integer labels over ``classes`` as one-hot or +-1 columns."""
     classes = np.asarray(sorted(int(c) for c in classes))
     check_encoding(encoding, classes.shape[0])
@@ -230,7 +230,7 @@ def subset_per_class(ds: LabeledDataset, classes, per_class: int, seed: int,
     idx = np.concatenate(picked)
     labels = ds.labels[idx]
     return LabeledDataset(
-        ds.features[idx], encode_targets(labels, classes, encoding), labels,
+        ds.features[idx], _encode_targets(labels, classes, encoding), labels,
         f"{ds.name}/subset{classes}x{per_class}",
     )
 
@@ -280,4 +280,4 @@ def make_blobs(n_per_class: int, n_classes: int, d_in: int, seed: int,
     labels = np.repeat(np.arange(n_classes), n_per_class)
     perm = rng.permutation(labels.shape[0])
     feats, labels = np.clip(feats[perm], 0.0, 1.0), labels[perm]
-    return LabeledDataset(feats, encode_targets(labels, range(n_classes), encoding), labels, name)
+    return LabeledDataset(feats, _encode_targets(labels, range(n_classes), encoding), labels, name)

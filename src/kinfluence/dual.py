@@ -29,8 +29,8 @@ from .errors import DimensionMismatch, NonFiniteEncountered
 from .kernels import KernelMatrix
 from .losses import loss_grad_batch, loss_hess_batch
 from .models import LinearizedModel
-from .solvers import (CgOptions, cg_solve, cho_solve, cholesky_in_place, kron_preconditioner,
-                      rfp_cholesky, rfp_place, rfp_solve)
+from .solvers import (CgOptions, block_cholesky, block_solve, cg_solve, cho_solve,
+                      cholesky_in_place, kron_preconditioner)
 from .training import RiskConfig
 
 DENSE_SOLVE_MAX = 4096
@@ -78,36 +78,39 @@ def retain_hessian_blocks(f_vec: np.ndarray, split: SplitDataset, cfg: RiskConfi
 
 
 def _packed_system(kernel: KernelMatrix, n_forget: int, c: np.ndarray, lam: float,
-                   v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """M = lam I + C K_rr C in lower RFP layout (solvers.rfp_place) and K_r. v,
-    from one pass over a dense kernel's retain rows, a few points at a time.
-    C scales rows, then columns, so the packed array is bitwise the lower
-    triangle of the square M scaled by columns, then rows, however the rows
-    chunk."""
+                   v: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """M = lam I + C K_rr C as its upper block rows (solvers.block_cholesky) and
+    K_r. v, from one pass over a dense kernel's retain rows, a few points at a
+    time: at most 20 block rows of whole points, each of at least 64 rows but
+    the last. C scales rows, then columns, so each entry is bitwise the same
+    however the rows chunk."""
     d, n_f = kernel.d_out, n_forget * kernel.d_out
     n = kernel.shape[0] - n_f
-    packed, kv = np.empty(n * (n + 1) // 2), np.zeros(n)
-    # each of a chunk's two buffers holds up to 1/32 of the packed entries, or one point
+    size = max(-(-64 // d), -(-n // (20 * d)))  # points per block row
+    rows, kv = [], np.zeros(n)
+    # each of a chunk's two buffers holds up to 1/64 of M's entries, or one point
     step = max(1, n * n // (64 * d * kernel.shape[1]))
-    for p0 in range(0, n // d, step):
-        p1 = min(p0 + step, n // d)
-        r0, r1 = p0 * d, p1 * d
-        blk = kernel.rows_block(np.arange(n_forget + p0, n_forget + p1),
-                                np.r_[:n_forget, n_forget + p0:kernel.n_rows])
-        ku = blk[:, n_f:]
-        kv[r0:r1] += blk[:, :n_f] @ v[:n_f] + ku @ v[n_f + r0:]
-        kv[r1:] += ku[:, r1 - r0:].T @ v[n_f + r0:n_f + r1]  # K_rr's other triangle
-        k4 = ku.reshape(p1 - p0, d, -1, d)
-        if c.ndim == 1:
-            k4 *= c[p0:p1, None, None, None]
-            k4 *= c[p0:, None]
-        else:
-            k4 = sum(c[p0:p1, :, j, None, None] * k4[:, None, j] for j in range(d))
-            k4 = sum(k4[..., j, None] * c[p0:, :, j] for j in range(d))
-        m = k4.reshape(r1 - r0, -1)
-        m[np.arange(r1 - r0), np.arange(r1 - r0)] += lam
-        rfp_place(packed, n, r0, m)
-    return packed, kv
+    for e in range(0, n // d, size):
+        row = np.empty((min(size * d, n - e * d), n - e * d))
+        for p0 in range(e, e + len(row) // d, step):
+            p1 = min(p0 + step, e + len(row) // d)
+            r0, r1, o = p0 * d, p1 * d, (p0 - e) * d
+            blk = kernel.rows_block(np.arange(n_forget + p0, n_forget + p1),
+                                    np.r_[:n_forget, n_forget + e:kernel.n_rows])
+            ku = blk[:, n_f:]  # K_rr[r0:r1, e d:]
+            kv[r0:r1] += blk[:, :n_f] @ v[:n_f] + ku[:, o:] @ v[n_f + r0:]
+            kv[r1:] += ku[:, o + r1 - r0:].T @ v[n_f + r0:n_f + r1]  # K_rr's other triangle
+            k4 = ku.reshape(p1 - p0, d, -1, d)
+            if c.ndim == 1:
+                k4 *= c[p0:p1, None, None, None]
+                k4 *= c[e:, None]
+            else:
+                k4 = sum(c[p0:p1, :, j, None, None] * k4[:, None, j] for j in range(d))
+                k4 = sum(k4[..., j, None] * c[e:, :, j] for j in range(d))
+            row[o:o + r1 - r0] = k4.reshape(r1 - r0, -1)
+        row[np.arange(len(row)), np.arange(len(row))] += lam
+        rows.append(row)
+    return rows, kv
 
 
 class DualUnlearner:
@@ -125,12 +128,13 @@ class DualUnlearner:
 
     ``kernel`` is the training kernel in split order, forget block first;
     an index view of the stored kernel (``submatrix(perm, perm)``) serves and
-    copies nothing. On a dense kernel, prepare() builds M packed (n(n+1)/2
-    entries) from one pass over the retain rows, so the dense solve holds
-    only the stored kernel and packed M, and a warm solve runs in numpy
-    alone. Otherwise it gathers K_rr (sigma_rr for a Kronecker kernel) once,
-    and K_rf for the one product it takes part in; the CG path keeps the
-    gathered K_rr for its matvecs. A factored solve records
+    copies nothing. On a dense kernel, prepare() builds M as its upper block
+    rows (about n(n+1)/2 entries) from one pass over the retain rows and
+    factors them in place, so the dense solve holds only the stored kernel
+    and half of M, and a warm solve runs in numpy alone. Otherwise it
+    gathers K_rr (sigma_rr for a Kronecker kernel) once, and K_rf for the
+    one product it takes part in; the CG path keeps the gathered K_rr for
+    its matvecs. A factored solve records
     cond_lower = (max L_ii / min L_ii)^2 <= cond(M) in ``diagnostics``.
     """
 
@@ -160,14 +164,14 @@ class DualUnlearner:
         kron = self.kernel.kron
         self.use_dense = ((not kron or self.c.ndim == 1)
                           and split.n_retain * (1 if kron else d) <= DENSE_SOLVE_MAX)
-        # the kernel is forget block first. A dense M is built packed from
-        # the retain rows, which also give K_rf alpha_f - K_rr a. Otherwise
+        # the kernel is forget block first. A dense M is built in block rows
+        # from the retain rows, which also give K_rf alpha_f - K_rr a. Otherwise
         # K_rr is gathered once, and K_rf for its one product: that reads
         # |Dr| |Df| entries, where a product through the view would run over
         # the whole stored kernel
         if self.use_dense and not kron:
-            packed, kv = _packed_system(self.kernel, split.n_forget, self.c, cfg.lam,
-                                        np.concatenate([self.alpha[:n_f], -self.a]))
+            rows, kv = _packed_system(self.kernel, split.n_forget, self.c, cfg.lam,
+                                      np.concatenate([self.alpha[:n_f], -self.a]))
         else:
             fi, ri = slice(0, split.n_forget), slice(split.n_forget, split.n)
             k_rr = self.kernel.submatrix(ri, ri).gather()
@@ -191,8 +195,9 @@ class DualUnlearner:
             self._factor = cholesky_in_place(m)
             diag = self._factor[0].diagonal()
         else:
-            self._factor = rfp_cholesky(packed, len(kv))
-            diag = np.concatenate([self._factor[0].diagonal(), self._factor[2].diagonal()])
+            block_cholesky(rows)
+            self._factor = rows
+            diag = np.concatenate([p.diagonal() for p in rows])  # 1/U_ii: the same max/min
         if self.use_dense:  # cond(M) = cond(L)^2 >= (max L_ii / min L_ii)^2
             self.diagnostics["cond_lower"] = float((diag.max() / diag.min()) ** 2)
         self._prepared = True
@@ -207,7 +212,7 @@ class DualUnlearner:
         if self.use_dense:
             # the factor of a checked finite M: no second scan
             y = (cho_solve(self._factor, self.b.reshape(len(self._factor[0]), -1)).ravel()
-                 if self.kernel.kron else rfp_solve(self._factor, self.b))
+                 if self.kernel.kron else block_solve(self._factor, self.b))
             self.diagnostics.update({"solver": "dense", "iters": 0, "residual": 0.0,
                                      "converged": True})
         else:

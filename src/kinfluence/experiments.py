@@ -134,6 +134,12 @@ class ExperimentConfig:
             # coefficient space solves the retain-Hessian system only
             raise ConfigError(f"unlearn.hessian = {self.hessian_variant} needs "
                               f"unlearn.space = theta")
+        # blobs are labelled 0..len(classes)-1, the read datasets keep their ids
+        labels = (range(len(self.dataset.classes)) if self.dataset.kind == "blobs"
+                  else self.dataset.classes)
+        if self.scope != "all" and self.scope not in labels:
+            raise ConfigError(f"unlearn.scope = {self.scope} is not a class label of the "
+                              f"dataset ({', '.join(map(str, labels))})")
         if self.ntk_epochs < 1 or self.ntk_tol <= 0:
             raise ConfigError("ntk.epochs must be at least 1 and ntk.tol positive")
         if any(lam <= 0 for lam in self.sweep_lambdas):
@@ -193,7 +199,7 @@ def _list_text(fmt):
     return lambda values: ",".join(map(fmt, values))
 
 
-class ConfigKey(NamedTuple):
+class _ConfigKey(NamedTuple):
     name: str                   # as written in config files
     parse: Callable[[str], object]
     fmt: Callable[[object], str] = str
@@ -209,46 +215,46 @@ class ConfigKey(NamedTuple):
 
 # Every config key, once. Defaults are ExperimentConfig()'s.
 CONFIG_KEYS = (
-    ConfigKey("experiment.name", str, field="name"),
-    ConfigKey("dataset.kind", str),
-    ConfigKey("dataset.classes", _ints, _list_text(str)),
-    ConfigKey("dataset.per_class", int),
-    ConfigKey("dataset.d_in", int),
-    ConfigKey("dataset.noise", float, _float_text),
-    ConfigKey("dataset.feature_scale", float, _float_text),
-    ConfigKey("dataset.targets", str),
-    ConfigKey("dataset.seed", int),
-    ConfigKey("model.widths", _ints, _list_text(str), field="widths"),
-    ConfigKey("model.activation", str, field="activation"),
-    ConfigKey("model.parameterization", str, field="parameterization"),
-    ConfigKey("model.init_seed", int, field="init_seed"),
-    ConfigKey("model.linearized", _bool, _bool_text, field="linearized"),
-    ConfigKey("risk.lambda", float, _float_text, field="risk.lam"),
-    ConfigKey("risk.loss", str),
-    ConfigKey("risk.center", str),
-    ConfigKey("train.kind", str, field="trainer"),
-    ConfigKey("opt.lr", float, _float_text),
-    ConfigKey("opt.beta", float, _float_text),
-    ConfigKey("stop.max_epochs", int),
-    ConfigKey("stop.grad_tol", float, _float_text),
-    ConfigKey("unlearn.percents", _floats, _list_text(_float_text), field="percents",
+    _ConfigKey("experiment.name", str, field="name"),
+    _ConfigKey("dataset.kind", str),
+    _ConfigKey("dataset.classes", _ints, _list_text(str)),
+    _ConfigKey("dataset.per_class", int),
+    _ConfigKey("dataset.d_in", int),
+    _ConfigKey("dataset.noise", float, _float_text),
+    _ConfigKey("dataset.feature_scale", float, _float_text),
+    _ConfigKey("dataset.targets", str),
+    _ConfigKey("dataset.seed", int),
+    _ConfigKey("model.widths", _ints, _list_text(str), field="widths"),
+    _ConfigKey("model.activation", str, field="activation"),
+    _ConfigKey("model.parameterization", str, field="parameterization"),
+    _ConfigKey("model.init_seed", int, field="init_seed"),
+    _ConfigKey("model.linearized", _bool, _bool_text, field="linearized"),
+    _ConfigKey("risk.lambda", float, _float_text, field="risk.lam"),
+    _ConfigKey("risk.loss", str),
+    _ConfigKey("risk.center", str),
+    _ConfigKey("train.kind", str, field="trainer"),
+    _ConfigKey("opt.lr", float, _float_text),
+    _ConfigKey("opt.beta", float, _float_text),
+    _ConfigKey("stop.max_epochs", int),
+    _ConfigKey("stop.grad_tol", float, _float_text),
+    _ConfigKey("unlearn.percents", _floats, _list_text(_float_text), field="percents",
               flag="--percent"),
-    ConfigKey("unlearn.scope", lambda v: v if v == "all" else int(v), field="scope"),
-    ConfigKey("unlearn.space", str, field="space", flag="--space"),
-    ConfigKey("unlearn.hessian", str, field="hessian_variant"),
-    ConfigKey("cg.rel_tol", float, _float_text),
-    ConfigKey("cg.max_iters", int),
-    ConfigKey("bench.cold", str, field="cold"),
-    ConfigKey("bench.test_size", int, field="test_size"),
-    ConfigKey("seeds", _ints, _list_text(str), alias="seed", flag="--seed"),
-    ConfigKey("ntk.hidden_layers", int, field="ntk_hidden_layers"),
-    ConfigKey("ntk.sigma_w2", float, _float_text, field="ntk_sigma_w2"),
-    ConfigKey("ntk.sigma_b2", float, _float_text, field="ntk_sigma_b2"),
-    ConfigKey("ntk.epochs", int, field="ntk_epochs"),
-    ConfigKey("ntk.tol", float, _float_text, field="ntk_tol"),
-    ConfigKey("sweep.lambdas", _floats, _list_text(_float_text), field="sweep_lambdas",
+    _ConfigKey("unlearn.scope", lambda v: v if v == "all" else int(v), field="scope"),
+    _ConfigKey("unlearn.space", str, field="space", flag="--space"),
+    _ConfigKey("unlearn.hessian", str, field="hessian_variant"),
+    _ConfigKey("cg.rel_tol", float, _float_text),
+    _ConfigKey("cg.max_iters", int),
+    _ConfigKey("bench.cold", str, field="cold"),
+    _ConfigKey("bench.test_size", int, field="test_size"),
+    _ConfigKey("seeds", _ints, _list_text(str), alias="seed", flag="--seed"),
+    _ConfigKey("ntk.hidden_layers", int, field="ntk_hidden_layers"),
+    _ConfigKey("ntk.sigma_w2", float, _float_text, field="ntk_sigma_w2"),
+    _ConfigKey("ntk.sigma_b2", float, _float_text, field="ntk_sigma_b2"),
+    _ConfigKey("ntk.epochs", int, field="ntk_epochs"),
+    _ConfigKey("ntk.tol", float, _float_text, field="ntk_tol"),
+    _ConfigKey("sweep.lambdas", _floats, _list_text(_float_text), field="sweep_lambdas",
               flag="--lambdas"),
-    ConfigKey("out", str, field="out_dir", flag="--out"),
+    _ConfigKey("out", str, field="out_dir", flag="--out"),
 )
 
 _KEY_BY_NAME = {name: key for key in CONFIG_KEYS for name in (key.name, key.alias) if name}

@@ -1,7 +1,8 @@
 """Solvers for SPD systems, in numpy: conjugate gradients given only a matvec,
 optionally Kronecker-preconditioned, and a blocked Cholesky factorization of a
-matrix held packed, with its solves. Only cholesky_in_place and cho_solve, for
-the Kronecker factor, call scipy; each imports it when called.
+matrix held as its upper block rows, with its solves. Only cholesky_in_place
+and cho_solve, for the Kronecker factor, call scipy; each imports it when
+called.
 
 CG is hand-rolled rather than scipy's so the influence paths get the
 diagnostics they are contracted to report: exact iteration counts, the p'Ap
@@ -106,87 +107,46 @@ def kron_preconditioner(sigma: np.ndarray, shift: float):
     return lambda r: (inv @ r.reshape(inv.shape[0], -1)).ravel()
 
 
-def rfp_place(packed: np.ndarray, n: int, r0: int, rows: np.ndarray) -> None:
-    """Writes ``rows`` = M[r0:r1, r0:], of the n x n symmetric M, into
-    ``packed``, M in LAPACK's lower RFP layout (TRANSR='N'; Gustavson et al.
-    2010). The layout is a C-ordered (R, n + s) matrix, R = ceil(n/2) and
-    s = 1 for even n. It holds M[j, j:] from column s + j of row j < R, and
-    M[R + t, R:R + t + 1] from column 0 of row t + 1 - s. So the given rows
-    below R land as one rectangle and one triangle, and those from R on too,
-    transposed.
-    """
-    r, s = n - n // 2, 1 - n % 2
-    rfp, r1 = packed.reshape(r, n + s), r0 + len(rows)
-    o = 1 - s - r  # the RFP row of M's row c >= R is c + o
-    for a, b in ((r0, min(r1, r)), (max(r0, r), r1)):
-        if a < b:
-            rect, tri = ((rfp[a:b, s + b:], rfp[a:b, s + a:s + b]) if a < r else
-                         (rfp[b + o:, a - r:b - r].T, rfp[a + o:b + o, a - r:b - r].T))
-            rect[...] = rows[a - r0:b - r0, b - r0:]
-            np.copyto(tri, rows[a - r0:b - r0, a - r0:b - r0],
-                      where=~np.tri(b - a, k=-1, dtype=bool))
-
-
-def rfp_cholesky(packed: np.ndarray, n: int):
-    """Cholesky factor L, in place, of the n x n SPD matrix ``packed`` holds in
-    lower RFP layout, for rfp_solve: the views L11^T, L21^T and L22 of
-    ``packed`` and the inverted diagonal blocks of L11^T and L22. Blocked and
-    left-looking, in numpy (Golub & Van Loan 4.2): a block column takes its GEMM
-    update on the stored triangle only, np.linalg.cholesky factors its diagonal
-    block, and its panel is a GEMM with that block's inverse. Raises
-    NonFiniteEncountered for non-finite entries, else SpdViolation."""
-    r, s = n - n // 2, 1 - n % 2  # rfp_place's layout
-    rfp = packed.reshape(r, n + s)
-    u11, l21t, l22 = rfp[:, s:s + r], rfp[:, s + r:], rfp[1 - s:1 - s + n // 2, :n // 2]
-
-    def part(c0, c1, r0, r1):  # L[r0:r1, c0:c1], each range on one side of r
-        if c0 >= r:
-            return l22[r0 - r:r1 - r, c0 - r:c1 - r]
-        return (u11[c0:c1, r0:r1] if r1 <= r else l21t[c0:c1, r0 - r:r1 - r]).T
-
-    nb = max(64, n // 16)  # at most 16 blocks; their inverses hold n nb entries
-    edges, inverses = [*range(0, r, nb), *range(r, n, nb), n], []
+def block_cholesky(rows: list[np.ndarray]) -> None:
+    """Cholesky factor U, M = U^T U, in place, of the n x n SPD matrix M held as
+    its upper block rows: rows[k] = M[e:e + b, e:], C-ordered, with
+    e = n - rows[k].shape[1]. Row k then holds U[e:e + b, e + b:] and, in place
+    of the diagonal block U_kk, its inverse, for block_solve. Blocked and
+    left-looking, in numpy (Golub & Van Loan 4.2): a block row takes one GEMM
+    update from each row above it, np.linalg.cholesky factors its diagonal
+    block from the upper triangle, and the rest of the row is one GEMM with
+    that block's inverse. Raises NonFiniteEncountered for non-finite entries,
+    else SpdViolation."""
     try:  # a non-finite entry ends as a failed block or on the factor's diagonal
         with np.errstate(invalid="ignore", over="ignore"):
-            for k0, k1 in zip(edges, edges[1:]):
-                rows = [(a, b, part(k0, k1, a, b)) for a, b in ((k0, r), (max(k0, r), n)) if a < b]
-                for c0, c1 in ((0, min(k0, r)), (r, k0)):
-                    for a, b, t in rows if c0 < c1 else ():
-                        np.subtract(t, part(c0, c1, a, b) @ part(c0, c1, k0, k1).T, out=t,
-                                    where=np.tri(b - a, k1 - k0, a - k0, dtype=bool))
-                diag = part(k0, k1, k0, k1)
-                lkk = np.linalg.cholesky(diag)
-                np.copyto(diag, lkk, where=np.tri(k1 - k0, dtype=bool))
-                inverses.append(np.tril(np.linalg.inv(lkk)))
-                for a, b, t in rows:  # the panel, below the diagonal block
-                    t[max(k1 - a, 0):] = t[max(k1 - a, 0):] @ inverses[-1].T
-            if not np.isfinite(u11.diagonal().sum() + l22.diagonal().sum()):
-                raise np.linalg.LinAlgError("non-finite diagonal")
+            for k, p in enumerate(rows):
+                b = len(p)
+                for q in rows[:k]:
+                    u = q[:, q.shape[1] - p.shape[1]:]  # U[rows of q, e:]
+                    p -= u[:, :b].T @ u
+                ukk = np.linalg.cholesky(p[:, :b].T).T
+                if not np.isfinite(ukk.trace()):
+                    raise np.linalg.LinAlgError("non-finite diagonal")
+                p[:, :b] = np.triu(np.linalg.inv(ukk))
+                p[:, b:] = p[:, :b].T @ p[:, b:]
     except np.linalg.LinAlgError as e:
-        if np.all(np.isfinite(packed)):
-            raise SpdViolation(f"packed Cholesky factorization failed: {e}") from e
+        if all(np.all(np.isfinite(p)) for p in rows):
+            raise SpdViolation(f"block Cholesky factorization failed: {e}") from e
         raise NonFiniteEncountered("matrix to factor has non-finite entries") from e
-    return u11, l21t, l22, [t.T for t in inverses[:edges.index(r)]], inverses[edges.index(r):]
 
 
-def _substitute(t: np.ndarray, inverses, x: np.ndarray, forward: bool) -> np.ndarray:
-    """x <- T^{-1} x in place, T triangular (lower when ``forward``), by block
-    substitution with T's inverted diagonal blocks: numpy GEMVs only."""
-    nb = len(inverses[0]) if inverses else 0
-    for k in range(len(inverses))[::1 if forward else -1]:
-        i0, i1 = k * nb, min((k + 1) * nb, len(x))
-        done = slice(0, i0) if forward else slice(i1, None)
-        x[i0:i1] = inverses[k] @ (x[i0:i1] - t[i0:i1, done] @ x[done])
+def block_solve(rows: list[np.ndarray], b: np.ndarray) -> np.ndarray:
+    """M^{-1} b for M = U^T U factored by block_cholesky: one forward block
+    substitution with U^T and one backward with U, numpy GEMVs only."""
+    x, n = b.copy(), len(b)
+    for p in rows:  # U^T y = b; each solved block updates the rest
+        e, k = n - p.shape[1], len(p)
+        x[e:e + k] = p[:, :k].T @ x[e:e + k]
+        x[e + k:] -= p[:, k:].T @ x[e:e + k]
+    for p in rows[::-1]:  # U x = y
+        e, k = n - p.shape[1], len(p)
+        x[e:e + k] = p[:, :k] @ (x[e:e + k] - p[:, k:] @ x[e + k:])
     return x
-
-
-def rfp_solve(factor, b: np.ndarray) -> np.ndarray:
-    """M^{-1} b for the rfp_cholesky factor of M = L L^T."""
-    u11, l21t, l22, inv11, inv22 = factor
-    y1 = _substitute(u11.T, [i.T for i in inv11], b[:len(u11)].copy(), True)
-    y2 = _substitute(l22, inv22, b[len(u11):] - l21t.T @ y1, True)
-    _substitute(l22.T, [i.T for i in inv22], y2, False)
-    return np.concatenate([_substitute(u11, inv11, y1 - l21t @ y2, False), y2])
 
 
 def cholesky_in_place(m: np.ndarray):

@@ -16,7 +16,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.linalg.lapack import dpftrf, dtrttf
 
 import kinfluence.dual
 from kinfluence.datasets import LabeledDataset, SplitDataset, make_blobs, split_forget
@@ -43,7 +42,7 @@ from kinfluence.experiments import (DatasetConfig, ExperimentConfig, _build_seed
                                     _make_unlearner)
 from kinfluence.primal import PrimalUnlearner, attach_test_predictions
 from kinfluence.report import InfluenceReport
-from kinfluence.solvers import CgOptions, cg_solve, rfp_cholesky, rfp_solve
+from kinfluence.solvers import CgOptions, block_cholesky, block_solve, cg_solve
 from kinfluence.training import (STATIONARITY_TOL, RiskConfig, StopRule, fit_linearized_exact,
                                  risk_grad, risk_value)
 
@@ -456,23 +455,28 @@ class TestPreconditionedCg:
 
 
 class TestPrepareMemory:
-    """The dense reduced solve builds M packed, n(n+1)/2 entries, and factors
-    it in place."""
+    """The dense reduced solve builds M as its upper block rows, about half its
+    entries, and factors them in place: prepare() peaks below 0.6 of one
+    square matrix at every forget fraction."""
 
-    @staticmethod
-    def dense_solver():
+    # points per class (4 classes) for a retain side of 1080, 1080 and 2160
+    POINTS = {10.0: 75, 50.0: 135, 90.0: 1350}
+
+    @classmethod
+    def dense_solver(cls, percent=10.0):
+        # a zero-stride stored kernel: prepare() allocates the same for any
+        # values, and at 90% forget a stored dense kernel is 100 times M
         d = 4
-        ds = make_blobs(75, d, d_in=5, seed=3)
-        split = split_forget(ds, 10.0, scope="all", seed=4)
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((split.n * d, 60))
-        kernel = KernelMatrix(d, dense=a @ a.T)
-        f_vec = rng.normal(scale=0.5, size=split.n * d)
+        ds = make_blobs(cls.POINTS[percent], d, d_in=5, seed=3)
+        split = split_forget(ds, percent, scope="all", seed=4)
+        kernel = KernelMatrix(d, dense=np.broadcast_to(1.0, (split.n * d,) * 2))
+        f_vec = np.random.default_rng(5).normal(scale=0.5, size=split.n * d)
         solver = DualUnlearner(kernel, f_vec, split, RiskConfig(lam=0.1))
         return solver, split.n_retain * d
 
-    def test_dense_prepare_peak_is_one_matrix(self):
-        solver, side = self.dense_solver()
+    @pytest.mark.parametrize("percent", POINTS)
+    def test_dense_prepare_peak_is_one_matrix(self, percent):
+        solver, side = self.dense_solver(percent)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -483,10 +487,11 @@ class TestPrepareMemory:
         assert solver.use_dense
         assert peak <= 0.6 * side * side * 8
 
-    def test_permuted_view_prepare_peak_is_one_matrix(self):
+    @pytest.mark.parametrize("percent", POINTS)
+    def test_permuted_view_prepare_peak_is_one_matrix(self, percent):
         # the callers' submatrix(perm, perm) copies nothing, and M is built
-        # packed from the retain rows, a few points at a time
-        solver, side = self.dense_solver()
+        # from the retain rows, a few points at a time
+        solver, side = self.dense_solver(percent)
         perm = solver.split.permutation
         out = []
         tracemalloc.start()
@@ -561,47 +566,74 @@ def dense_m(kernel, c, lam):
     return m
 
 
-PACKED_SHAPES = [(1, 1), (1, 2), (1, 3), (1, 257), (1, 300), (3, 87), (2, 150)]
+def block_rows(m, b):
+    """The upper block rows of m, b rows each but the last."""
+    return [m[e:e + b, e:].copy() for e in range(0, len(m), b)]
+
+
+def upper_factor(rows):
+    """U, M = U^T U, from block_cholesky's rows: its inverted diagonal blocks
+    inverted back."""
+    n = rows[0].shape[1]
+    u = np.zeros((n, n))
+    for p in rows:
+        e, k = n - p.shape[1], len(p)
+        u[e:e + k, e:] = p
+        u[e:e + k, e:e + k] = np.linalg.inv(p[:, :k])
+    return u
+
+
+# d = 3 and 7 do not divide 64; the last block row of d3-n69, d7-n287 and
+# d1-n65 holds a single point; d2-n1320 is cut into 20 block rows of 66
+PACKED_SHAPES = [(1, 1), (1, 2), (1, 3), (1, 257), (1, 300), (3, 87), (2, 150), (3, 23),
+                 (7, 41), (2, 660)]
 PACKED_IDS = [f"d{d}-n{d * n}" for d, n in PACKED_SHAPES]
-# the factor's blocks are 64 wide below side 1024: one block, one more, two
+# below side 1280 the block rows are 64 rows, or the next multiple of d: one
+# block row, one more, two
 FACTOR_SHAPES = PACKED_SHAPES + [(1, 64), (1, 65), (1, 127)]
 FACTOR_IDS = [f"d{d}-n{d * n}" for d, n in FACTOR_SHAPES]
 
 
 class TestPackedSystem:
-    """M in LAPACK's lower RFP layout, built from the retain rows in one pass;
-    its factor is solved in numpy."""
+    """M as its upper block rows, built from the retain rows in one pass, and
+    its factor and solves in numpy, against the dense M and LAPACK."""
 
     @pytest.mark.parametrize("block", [False, True], ids=["scalar", "block"])
     @pytest.mark.parametrize("d, n_retain", PACKED_SHAPES, ids=PACKED_IDS)
-    def test_equals_dtrttf_of_dense_m(self, d, n_retain, block):
+    def test_equals_dense_m(self, d, n_retain, block):
         kernel, c, lam, v = packed_instance(d, n_retain, block)
-        packed, kv = _packed_system(kernel, 3, c, lam, v)
-        want, info = dtrttf(dense_m(kernel, c, lam), transr="N", uplo="L")
-        assert info == 0
-        np.testing.assert_array_equal(packed, want)
+        rows, kv = _packed_system(kernel, 3, c, lam, v)
+        # the build scales rows first, dense_m columns first
+        want, e = dense_m(kernel, c, lam).T, 0
+        # at most 20 block rows of whole points, each of at least 64 rows but the last
+        assert len(rows) <= 20 and all(len(p) % d == 0 for p in rows)
+        assert all(len(p) >= 64 for p in rows[:-1])
+        for p in rows:
+            assert p.flags.c_contiguous
+            np.testing.assert_array_equal(p, want[e:e + len(p), e:])
+            e += len(p)
+        assert e == len(want)
         k_r = kernel.to_dense()[3 * d:]
         np.testing.assert_allclose(kv, k_r @ v, rtol=1e-12, atol=1e-13 * np.abs(k_r @ v).max())
 
     @pytest.mark.parametrize("block", [False, True], ids=["scalar", "block"])
     @pytest.mark.parametrize("d, n_retain", FACTOR_SHAPES, ids=FACTOR_IDS)
-    def test_factor_matches_dpftrf(self, d, n_retain, block):
+    def test_factor_matches_scipy_cholesky(self, d, n_retain, block):
         kernel, c, lam, v = packed_instance(d, n_retain, block)
-        m = dense_m(kernel, c, lam)
-        want, info = dpftrf(len(m), dtrttf(m, transr="N", uplo="L")[0], transr="N", uplo="L")
-        assert info == 0
-        packed, _ = _packed_system(kernel, 3, c, lam, v)
-        rfp_cholesky(packed, len(m))
-        assert np.linalg.norm(packed - want) <= 1e-13 * np.linalg.norm(want)
+        want = scipy.linalg.cholesky(dense_m(kernel, c, lam).T)
+        rows, _ = _packed_system(kernel, 3, c, lam, v)
+        block_cholesky(rows)
+        assert np.linalg.norm(upper_factor(rows) - want) <= 1e-13 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("block", [False, True], ids=["scalar", "block"])
     @pytest.mark.parametrize("d, n_retain", FACTOR_SHAPES, ids=FACTOR_IDS)
     def test_solve_matches_cho_solve(self, d, n_retain, block):
         kernel, c, lam, v = packed_instance(d, n_retain, block)
-        packed, _ = _packed_system(kernel, 3, c, lam, v)
+        rows, _ = _packed_system(kernel, 3, c, lam, v)
         m = dense_m(kernel, c, lam)
         b = np.random.default_rng(1).standard_normal(len(m))
-        got = rfp_solve(rfp_cholesky(packed, len(m)), b)
+        block_cholesky(rows)
+        got = block_solve(rows, b)
         want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(m, lower=True), b)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
@@ -616,7 +648,7 @@ class TestPackedSystem:
         j = i if where == "diag" or n == 1 else n // 2
         m[i, j] = m[j, i] = fill
         with pytest.raises(error):
-            rfp_cholesky(dtrttf(m, transr="N", uplo="L")[0], n)
+            block_cholesky(block_rows(m, 64))
 
     def test_warm_solve_calls_no_scipy(self, monkeypatch):
         # dpftrs in the warm loop ran its threaded GEMV against numpy's BLAS

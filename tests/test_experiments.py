@@ -65,7 +65,7 @@ NON_DEFAULT = {
     "risk.lambda": "0.00123456789", "risk.center": "origin",
     "train.kind": "momentum", "opt.lr": "0.05", "opt.beta": "0.8",
     "stop.max_epochs": "77", "stop.grad_tol": "1e-9",
-    "unlearn.percents": "12.3456789,50", "unlearn.scope": "1", "unlearn.space": "theta",
+    "unlearn.percents": "12.3456789,50", "unlearn.scope": "5", "unlearn.space": "theta",
     "unlearn.hessian": "full",
     "cg.rel_tol": "1e-7", "cg.max_iters": "99",
     "bench.cold": "skip", "bench.test_size": "7", "seeds": "1,2",
@@ -268,6 +268,13 @@ class TestUnlearningProtocol:
                                                                "unlearn.percents": "40"}))
         rows = run_unlearning_experiment(cfg)
         assert all(r.rel_l2 < 1e-6 for r in rows)
+        # blobs are labelled 0..len(classes)-1, mnist keeps its digits
+        for scope, kind in (("2", "blobs"), ("7", "blobs"), ("1", "mnist")):
+            with pytest.raises(ConfigError, match="unlearn.scope"):
+                config_from_values(tiny_values(str(tmp_path), **{
+                    "unlearn.scope": scope, "dataset.kind": kind, "dataset.classes": "3,5"}))
+        assert config_from_values(tiny_values(str(tmp_path), **{
+            "unlearn.scope": "5", "dataset.kind": "mnist", "dataset.classes": "3,5"})).scope == 5
 
     def test_determinism_across_reruns(self, tmp_path):
         out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -508,8 +515,9 @@ class TestCli:
         ("ntk-infinite", {"ntk.tol": "-1"}),
         ("sweep-lambda", {"sweep.lambdas": "0.1,-1"}),
         ("train", {"stop.max_epochs": "0", "train.kind": "gd"}),
+        ("unlearn", {"unlearn.scope": "7"}),
     ], ids=["hidden_layers", "sigma_w2", "ntk_epochs", "ntk_tol", "sweep_lambda",
-            "max_epochs"])
+            "max_epochs", "scope"])
     def test_ruled_out_value_exit_code(self, tmp_path, capsys, command, bad):
         # each value fails at load, before the output directory exists
         cfgp = write_cfg(tmp_path, **{"dataset.per_class": "10", "dataset.d_in": "4",

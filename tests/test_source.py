@@ -1,9 +1,11 @@
 """Leftovers in the package source: imports a module never uses, private
-top-level functions or classes that nothing in the package references, and
-scipy imported when a module loads."""
+top-level functions or classes that nothing in the package references, public
+ones that nothing outside their module names, and scipy imported when a
+module loads."""
 
 import ast
 import pathlib
+import re
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "kinfluence"
 TREES = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
@@ -52,3 +54,18 @@ def test_scipy_imported_only_inside_functions():
                  or isinstance(node, ast.ImportFrom) and node.level == 0
                  and node.module.split(".")[0] == "scipy")]
     assert found == []
+
+
+def test_no_unreferenced_public_definitions():
+    # a public top-level function or class that no other module, test,
+    # benchmark script or the README names is dead code
+    root = SRC.parent.parent
+    others = [*SRC.glob("*.py"), *(root / "tests").glob("*.py"),
+              *(root / "perfbench").glob("*.py"), root / "README.md"]
+    texts = {path: path.read_text() for path in others}
+    orphans = [f"{name}: {node.name}" for name, tree in TREES.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")
+               and not any(re.search(rf"\b{node.name}\b", text)
+                           for path, text in texts.items() if path != SRC / name)]
+    assert orphans == []
