@@ -16,9 +16,10 @@ import os
 import subprocess
 import sys
 import time
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from operator import attrgetter
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,7 +92,7 @@ class ExperimentConfig:
     opt: Optimizer = Optimizer()   # its kind follows trainer
     stop: StopRule = StopRule()
     percents: tuple = (10.0, 30.0, 50.0, 70.0, 90.0)
-    scope: object = "all"
+    scope: object = "all"          # all, or a class label
     space: str = "both"            # theta | dual | both
     hessian_variant: str = "upweighted"
     cg: CgOptions = CgOptions()
@@ -137,6 +138,9 @@ class ExperimentConfig:
         # blobs are labelled 0..len(classes)-1, the read datasets keep their ids
         labels = (range(len(self.dataset.classes)) if self.dataset.kind == "blobs"
                   else self.dataset.classes)
+        if self.scope != "all":
+            with suppress(ValueError):  # a scope that is not an integer fails below
+                object.__setattr__(self, "scope", int(self.scope))
         if self.scope != "all" and self.scope not in labels:
             raise ConfigError(f"unlearn.scope = {self.scope} is not a class label of the "
                               f"dataset ({', '.join(map(str, labels))})")
@@ -149,6 +153,12 @@ class ExperimentConfig:
 
     def spaces(self) -> tuple:
         return (SPACE_THETA, SPACE_DUAL) if self.space == "both" else (self.space,)
+
+    def one_seed(self) -> int:
+        """The seed of a command that runs one; ConfigError for a seed list."""
+        if len(self.seeds) != 1:
+            raise ConfigError(f"this command runs one seed, not {len(self.seeds)}: use --seed")
+        return self.seeds[0]
 
     def model_spec(self, seed: int = 0) -> ModelSpec:
         return ModelSpec(self.widths, activation=self.activation,
@@ -164,45 +174,8 @@ class ExperimentConfig:
 # Key-value config files
 # --------------------------------------------------------------------------
 
-def _floats(val: str) -> tuple:
-    try:
-        return tuple(float(v) for v in val.split(",") if v.strip())
-    except ValueError as e:
-        raise ConfigError(f"bad numeric list {val!r}") from e
-
-
-def _ints(val: str) -> tuple:
-    try:
-        return tuple(int(v) for v in val.split(",") if v.strip())
-    except ValueError as e:
-        raise ConfigError(f"bad integer list {val!r}") from e
-
-
-def _bool(val: str) -> bool:
-    if val.lower() in ("true", "1", "yes"):
-        return True
-    if val.lower() in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"bad boolean {val!r}")
-
-
-def _float_text(v) -> str:
-    # repr round-trips every float exactly
-    return repr(float(v))
-
-
-def _bool_text(v) -> str:
-    return str(v).lower()
-
-
-def _list_text(fmt):
-    return lambda values: ",".join(map(fmt, values))
-
-
 class _ConfigKey(NamedTuple):
     name: str                   # as written in config files
-    parse: Callable[[str], object]
-    fmt: Callable[[object], str] = str
     field: str | None = None    # ExperimentConfig attribute, dotted into nested
                                 # configs; None when it is spelled like the key
     alias: str | None = None    # single-value spelling accepted as a synonym
@@ -213,51 +186,50 @@ class _ConfigKey(NamedTuple):
         return self.field or self.name
 
 
-# Every config key, once. Defaults are ExperimentConfig()'s.
+# Every config key, once; its value is read and written as its default's type.
 CONFIG_KEYS = (
-    _ConfigKey("experiment.name", str, field="name"),
-    _ConfigKey("dataset.kind", str),
-    _ConfigKey("dataset.classes", _ints, _list_text(str)),
-    _ConfigKey("dataset.per_class", int),
-    _ConfigKey("dataset.d_in", int),
-    _ConfigKey("dataset.noise", float, _float_text),
-    _ConfigKey("dataset.feature_scale", float, _float_text),
-    _ConfigKey("dataset.targets", str),
-    _ConfigKey("dataset.seed", int),
-    _ConfigKey("model.widths", _ints, _list_text(str), field="widths"),
-    _ConfigKey("model.activation", str, field="activation"),
-    _ConfigKey("model.parameterization", str, field="parameterization"),
-    _ConfigKey("model.init_seed", int, field="init_seed"),
-    _ConfigKey("model.linearized", _bool, _bool_text, field="linearized"),
-    _ConfigKey("risk.lambda", float, _float_text, field="risk.lam"),
-    _ConfigKey("risk.loss", str),
-    _ConfigKey("risk.center", str),
-    _ConfigKey("train.kind", str, field="trainer"),
-    _ConfigKey("opt.lr", float, _float_text),
-    _ConfigKey("opt.beta", float, _float_text),
-    _ConfigKey("stop.max_epochs", int),
-    _ConfigKey("stop.grad_tol", float, _float_text),
-    _ConfigKey("unlearn.percents", _floats, _list_text(_float_text), field="percents",
-              flag="--percent"),
-    _ConfigKey("unlearn.scope", lambda v: v if v == "all" else int(v), field="scope"),
-    _ConfigKey("unlearn.space", str, field="space", flag="--space"),
-    _ConfigKey("unlearn.hessian", str, field="hessian_variant"),
-    _ConfigKey("cg.rel_tol", float, _float_text),
-    _ConfigKey("cg.max_iters", int),
-    _ConfigKey("bench.cold", str, field="cold"),
-    _ConfigKey("bench.test_size", int, field="test_size"),
-    _ConfigKey("seeds", _ints, _list_text(str), alias="seed", flag="--seed"),
-    _ConfigKey("ntk.hidden_layers", int, field="ntk_hidden_layers"),
-    _ConfigKey("ntk.sigma_w2", float, _float_text, field="ntk_sigma_w2"),
-    _ConfigKey("ntk.sigma_b2", float, _float_text, field="ntk_sigma_b2"),
-    _ConfigKey("ntk.epochs", int, field="ntk_epochs"),
-    _ConfigKey("ntk.tol", float, _float_text, field="ntk_tol"),
-    _ConfigKey("sweep.lambdas", _floats, _list_text(_float_text), field="sweep_lambdas",
-              flag="--lambdas"),
-    _ConfigKey("out", str, field="out_dir", flag="--out"),
+    _ConfigKey("experiment.name", "name"),
+    _ConfigKey("dataset.kind"),
+    _ConfigKey("dataset.classes"),
+    _ConfigKey("dataset.per_class"),
+    _ConfigKey("dataset.d_in"),
+    _ConfigKey("dataset.noise"),
+    _ConfigKey("dataset.feature_scale"),
+    _ConfigKey("dataset.targets"),
+    _ConfigKey("dataset.seed"),
+    _ConfigKey("model.widths", "widths"),
+    _ConfigKey("model.activation", "activation"),
+    _ConfigKey("model.parameterization", "parameterization"),
+    _ConfigKey("model.init_seed", "init_seed"),
+    _ConfigKey("model.linearized", "linearized"),
+    _ConfigKey("risk.lambda", "risk.lam"),
+    _ConfigKey("risk.loss"),
+    _ConfigKey("risk.center"),
+    _ConfigKey("train.kind", "trainer"),
+    _ConfigKey("opt.lr"),
+    _ConfigKey("opt.beta"),
+    _ConfigKey("stop.max_epochs"),
+    _ConfigKey("stop.grad_tol"),
+    _ConfigKey("unlearn.percents", "percents", flag="--percent"),
+    _ConfigKey("unlearn.scope", "scope"),
+    _ConfigKey("unlearn.space", "space", flag="--space"),
+    _ConfigKey("unlearn.hessian", "hessian_variant"),
+    _ConfigKey("cg.rel_tol"),
+    _ConfigKey("cg.max_iters"),
+    _ConfigKey("bench.cold", "cold"),
+    _ConfigKey("bench.test_size", "test_size"),
+    _ConfigKey("seeds", alias="seed", flag="--seed"),
+    _ConfigKey("ntk.hidden_layers", "ntk_hidden_layers"),
+    _ConfigKey("ntk.sigma_w2", "ntk_sigma_w2"),
+    _ConfigKey("ntk.sigma_b2", "ntk_sigma_b2"),
+    _ConfigKey("ntk.epochs", "ntk_epochs"),
+    _ConfigKey("ntk.tol", "ntk_tol"),
+    _ConfigKey("sweep.lambdas", "sweep_lambdas", flag="--lambdas"),
+    _ConfigKey("out", "out_dir", flag="--out"),
 )
 
 _KEY_BY_NAME = {name: key for key in CONFIG_KEYS for name in (key.name, key.alias) if name}
+_DEFAULT = ExperimentConfig()
 
 
 def parse_config_text(text: str) -> dict:
@@ -276,20 +248,44 @@ def parse_config_text(text: str) -> dict:
     return values
 
 
+def _parse(default, text: str):
+    """``text`` read as the type of ``default``: a tuple as a comma list of the
+    type of its first item, a bool as true/1/yes or false/0/no."""
+    if isinstance(default, tuple):
+        return tuple(_parse(default[0], v) for v in text.split(",") if v.strip())
+    if isinstance(default, bool):
+        if text.lower() not in ("true", "1", "yes", "false", "0", "no"):
+            raise ValueError(f"not a boolean: {text!r}")
+        return text.lower() in ("true", "1", "yes")
+    return type(default)(text)
+
+
+def _text(default, value) -> str:
+    if isinstance(default, tuple):
+        return ",".join(_text(default[0], v) for v in value)
+    if isinstance(default, bool):
+        return str(value).lower()
+    # repr round-trips every float exactly
+    return repr(float(value)) if isinstance(default, float) else str(value)
+
+
 def config_from_values(values: dict) -> ExperimentConfig:
     """Config from key -> value text; keys left out keep their defaults."""
     top, nested = {}, {}
+    for name, text in values.items():
+        if name not in _KEY_BY_NAME:
+            raise ConfigError(f"unknown key {name!r}")
+        key = _KEY_BY_NAME[name]
+        try:
+            value = _parse(attrgetter(key.path)(_DEFAULT), text)
+        except ValueError as e:
+            raise ConfigError(f"{key.name}: {e}") from e
+        group, _, attr = key.path.rpartition(".")
+        (nested.setdefault(group, {}) if group else top)[attr] = value
     try:
-        for name, text in values.items():
-            if name not in _KEY_BY_NAME:
-                raise ConfigError(f"unknown key {name!r}")
-            key = _KEY_BY_NAME[name]
-            group, _, attr = key.path.rpartition(".")
-            (nested.setdefault(group, {}) if group else top)[attr] = key.parse(text)
-        base = ExperimentConfig()
-        top.update({group: replace(getattr(base, group), **attrs)
+        top.update({group: replace(getattr(_DEFAULT, group), **attrs)
                     for group, attrs in nested.items()})
-        return replace(base, **top)
+        return replace(_DEFAULT, **top)
     except (ValueError, TypeError) as e:
         raise ConfigError(str(e)) from e
 
@@ -302,8 +298,8 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
 
 
 def dump_config(cfg: ExperimentConfig) -> str:
-    return "".join(f"{key.name} = {key.fmt(attrgetter(key.path)(cfg))}\n"
-                   for key in CONFIG_KEYS)
+    return "".join(f"{key.name} = {_text(get(_DEFAULT), get(cfg))}\n"
+                   for key in CONFIG_KEYS for get in [attrgetter(key.path)])
 
 
 # --------------------------------------------------------------------------
@@ -495,7 +491,7 @@ def _cold_runtime(cfg, seed, percent, space, out_dir, snapshot_path):
     result_path = os.path.join(out_dir, f"cold_s{seed}_p{percent:g}_{space}.json")
     cmd = [sys.executable, "-m", "kinfluence", "unlearn",
            "--config", snapshot_path, "--cold",
-           "--percent", _float_text(percent), "--space", space, "--seed", str(seed),
+           "--percent", repr(float(percent)), "--space", space, "--seed", str(seed),
            "--out", result_path]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -600,13 +596,16 @@ def run_lambda_sweep(cfg: ExperimentConfig, record_every: int = 1) -> dict:
     """
     if len(cfg.sweep_lambdas) < 2:
         raise ConfigError("a lambda sweep needs at least two values")
+    if cfg.risk.center != "reference" or cfg.trainer == "momentum":
+        raise ConfigError("a lambda sweep steps plain gradient descent toward the "
+                          "initialization: not risk.center = origin or train.kind = momentum")
     os.makedirs(cfg.out_dir, exist_ok=True)
     train_ds, test_ds = make_experiment_data(cfg)
     spec = _spec_for_data(cfg, train_ds)
     lin = LinearizedModel(spec, spec.theta_init)
     results = {}
     for lam in cfg.sweep_lambdas:
-        risk = RiskConfig(lam=lam, loss=cfg.risk.loss, center="reference")
+        risk = replace(cfg.risk, lam=lam)
         theta_nl = spec.theta_init.copy()
         theta_li = spec.theta_init.copy()
         series = []
@@ -642,10 +641,11 @@ def run_infinite_experiment(cfg: ExperimentConfig):
     if len(cfg.percents) != 1:
         raise ConfigError(f"ntk-infinite runs one removal percent, got {len(cfg.percents)}")
     (percent,) = cfg.percents
+    seed = cfg.one_seed()
     os.makedirs(cfg.out_dir, exist_ok=True)
     train_ds, test_ds = make_experiment_data(cfg)
     split = split_forget(train_ds, percent, scope=cfg.scope,
-                         seed=_split_seed(cfg.seeds[0], percent))
+                         seed=_split_seed(seed, percent))
     res = infinite_influence(cfg.ntk_spec(train_ds.d_out), split, test_ds, cfg.risk, cfg.cg,
                              epochs=cfg.ntk_epochs, tol=cfg.ntk_tol)
     write_kernel_cache(os.path.join(cfg.out_dir, "kernel.bin"), res.kernel)
@@ -664,8 +664,9 @@ def run_infinite_experiment(cfg: ExperimentConfig):
 # --------------------------------------------------------------------------
 
 def run_training(cfg: ExperimentConfig):
+    seed = cfg.one_seed()
     os.makedirs(cfg.out_dir, exist_ok=True)
-    ctx = _build_seed_context(cfg, cfg.seeds[0])
+    ctx = _build_seed_context(cfg, seed)
     spec = ctx.model.spec if cfg.linearized else ctx.model
     save_params(os.path.join(cfg.out_dir, "theta_hat.bin"), spec, ctx.theta_hat)
     if ctx.trained is None:

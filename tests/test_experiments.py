@@ -75,6 +75,48 @@ NON_DEFAULT = {
 }
 NON_DEFAULT_CE = {**NON_DEFAULT, "dataset.targets": "onehot", "model.widths": "784,33,2",
                   "risk.loss": "cross_entropy"}
+# dump_config(config_from_values(NON_DEFAULT)): each value written as its
+# default's type, floats with repr, bools in lower case, tuples comma-joined
+NON_DEFAULT_TEXT = """\
+experiment.name = other
+dataset.kind = mnist
+dataset.classes = 3,5
+dataset.per_class = 17
+dataset.d_in = 9
+dataset.noise = 0.0123456789
+dataset.feature_scale = 0.5
+dataset.targets = pm1
+dataset.seed = 4
+model.widths = 784,33,1
+model.activation = identity
+model.parameterization = ntk
+model.init_seed = 2
+model.linearized = false
+risk.lambda = 0.00123456789
+risk.loss = squared
+risk.center = origin
+train.kind = momentum
+opt.lr = 0.05
+opt.beta = 0.8
+stop.max_epochs = 77
+stop.grad_tol = 1e-09
+unlearn.percents = 12.3456789,50.0
+unlearn.scope = 5
+unlearn.space = theta
+unlearn.hessian = full
+cg.rel_tol = 1e-07
+cg.max_iters = 99
+bench.cold = skip
+bench.test_size = 7
+seeds = 1,2
+ntk.hidden_layers = 2
+ntk.sigma_w2 = 1.5
+ntk.sigma_b2 = 0.02
+ntk.epochs = 500
+ntk.tol = 1e-07
+sweep.lambdas = 0.00123456789,1.0
+out = elsewhere
+"""
 
 
 SHIPPED_CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir,
@@ -97,6 +139,17 @@ class TestConfig:
         for cfg in cfgs:
             assert cfg.percents[0] == 12.3456789 and cfg.risk.lam == 0.00123456789
             assert config_from_values(parse_config_text(dump_config(cfg))) == cfg
+
+    def test_dump_golden(self):
+        assert dump_config(config_from_values(NON_DEFAULT)) == NON_DEFAULT_TEXT
+
+    @pytest.mark.parametrize("key, value", [
+        ("dataset.per_class", "1.5"), ("risk.lambda", "x"), ("model.linearized", "maybe"),
+        ("model.widths", "6,x,2"), ("unlearn.percents", "50,x"), ("seeds", "0,x"),
+        ("unlearn.scope", "x")])
+    def test_bad_value_names_its_key(self, tmp_path, key, value):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            config_from_values(tiny_values(str(tmp_path), **{key: value}))
 
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -516,8 +569,10 @@ class TestCli:
         ("sweep-lambda", {"sweep.lambdas": "0.1,-1"}),
         ("train", {"stop.max_epochs": "0", "train.kind": "gd"}),
         ("unlearn", {"unlearn.scope": "7"}),
+        ("sweep-lambda", {"risk.center": "origin"}),
+        ("sweep-lambda", {"train.kind": "momentum"}),
     ], ids=["hidden_layers", "sigma_w2", "ntk_epochs", "ntk_tol", "sweep_lambda",
-            "max_epochs", "scope"])
+            "max_epochs", "scope", "sweep_origin", "sweep_momentum"])
     def test_ruled_out_value_exit_code(self, tmp_path, capsys, command, bad):
         # each value fails at load, before the output directory exists
         cfgp = write_cfg(tmp_path, **{"dataset.per_class": "10", "dataset.d_in": "4",
@@ -526,6 +581,43 @@ class TestCli:
         err = capsys.readouterr().err
         assert "configuration error" in err and "Traceback" not in err
         assert not os.path.exists(os.path.join(str(tmp_path), "results"))
+
+    @pytest.mark.parametrize("argv", [["train"], ["ntk-infinite"],
+                                      ["unlearn", "--cold", "--percent", "50", "--space", "dual"]],
+                             ids=["train", "ntk_infinite", "cold"])
+    def test_one_seed_commands_reject_a_seed_list(self, tmp_path, capsys, argv):
+        cfgp = write_cfg(tmp_path, seeds="0,1", **{"ntk.tol": "1e-8"})
+        out = ["--out", os.path.join(str(tmp_path), "cold.json")] if "--cold" in argv else []
+        command = [argv[0], "--config", cfgp, *argv[1:], *out]
+        assert cli.main(command) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "--seed" in err
+        assert os.listdir(tmp_path) == ["exp.cfg"]
+        assert cli.main(command + ["--seed", "1"]) == 0
+
+    @pytest.mark.parametrize("command", ["train", "unlearn", "sweep-lambda", "ntk-infinite"])
+    def test_override_flags(self, tmp_path, capsys, monkeypatch, command):
+        # a bad flag value is a configuration error, raised before anything is written
+        cfgp = write_cfg(tmp_path)
+        for flag, bad, key in (("--space", "bogus", "space"), ("--seed", "x", "seeds"),
+                               ("--percent", "x", "unlearn.percents")):
+            assert cli.main([command, "--config", cfgp, flag, bad]) == 2
+            err = capsys.readouterr().err
+            assert "configuration error" in err and key in err and "Traceback" not in err
+            assert not os.path.exists(os.path.join(str(tmp_path), "results"))
+        # every config-reading command takes each override flag, as its key
+        given = {"--space": "dual", "--percent": "50", "--seed": "1", "--lambdas": "0.1,1",
+                 "--out": "o"}
+        assert set(given) == {key.flag for key in CONFIG_KEYS if key.flag}
+        seen = {}
+
+        def loaded(path, overrides):
+            seen.update(overrides)
+            raise ConfigError("stop")
+        monkeypatch.setattr(cli, "load_config", loaded)
+        assert cli.main([command, "--config", cfgp, *[a for f in given.items() for a in f]]) == 2
+        assert seen == {"unlearn.space": "dual", "unlearn.percents": "50", "seeds": "1",
+                        "sweep.lambdas": "0.1,1", "out": "o"}
 
     def test_cold_child_reads_stored_kernel(self, tmp_path, monkeypatch):
         cfgp = write_cfg(tmp_path)
