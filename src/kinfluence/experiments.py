@@ -404,12 +404,12 @@ def _fit_settings(cfg: ExperimentConfig) -> list[str]:
     return [line for line in dump_config(cfg).splitlines() if not line.startswith(_RUN_SETTINGS)]
 
 
-def _build_seed_context(cfg: ExperimentConfig, seed: int, stored: bool = False) -> _SeedContext:
-    """With ``stored``, the theta_hat and kernel the protocol run wrote are read
-    back when they exist, instead of being fitted and assembled again; the
-    kernel only when the dual needs it or theta_hat still has to be fitted.
-    A run whose config snapshot differs from ``cfg`` in a fit setting is rejected.
-    The risk gradient at theta_hat is measured here, once per seed."""
+def _build_seed_context(cfg: ExperimentConfig, seed: int, stored: bool = False,
+                        answers: bool = True) -> _SeedContext:
+    """A kernel only when the command ``answers`` in coefficient space (an exact fit
+    without one runs on the implicit kernel). With ``stored``, the theta_hat and kernel
+    the protocol run wrote are read back when they exist, and a config snapshot that
+    differs in a fit setting is rejected. ||grad R(theta_hat)|| is measured once, here."""
     train_ds, test_ds = make_experiment_data(cfg)
     spec = _spec_for_data(cfg, train_ds, seed)
     theta_ref = np.zeros(spec.num_params) if cfg.risk.center == "origin" else spec.init_params()
@@ -422,8 +422,7 @@ def _build_seed_context(cfg: ExperimentConfig, seed: int, stored: bool = False) 
         raise CheckpointMismatch(f"{cfg.out_dir} holds the fit of another config")
     if stored and os.path.exists(theta_path):
         theta_hat = load_params(theta_path, spec)
-    if cfg.linearized and (SPACE_DUAL in cfg.spaces()
-                           or (cfg.trainer == "direct" and theta_hat is None)):
+    if answers and SPACE_DUAL in cfg.spaces():
         if stored and os.path.exists(kernel_path):
             kernel = read_kernel_cache(kernel_path, expect_hash=spec.spec_hash())
         else:
@@ -441,9 +440,7 @@ def _build_seed_context(cfg: ExperimentConfig, seed: int, stored: bool = False) 
 def _retrain_oracle(ctx: _SeedContext, split) -> np.ndarray:
     cfg = ctx.cfg
     if cfg.trainer == "direct":
-        sub = ctx.kernel.submatrix(split.permutation[split.n_forget:],
-                                   split.permutation[split.n_forget:])
-        return fit_linearized_exact(ctx.model, split.retain, cfg.risk, kernel=sub)
+        return fit_linearized_exact(ctx.model, split.retain, cfg.risk)
     return train(ctx.model, split.retain, cfg.risk, cfg.opt, cfg.stop).final_params
 
 
@@ -568,6 +565,7 @@ def run_unlearning_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
                 write_influence_csv(os.path.join(case_dir, "influence.csv"),
                                     report, ctx.train_ds.d_out)
                 diag = {"seed": seed, "percent": percent, "space": space,
+                        "grad_norm": ctx.grad_norm,
                         "rel_l2": rel_l2, "baseline_rel_l2": baseline_rel,
                         "residual": report.residual, "iters": report.iters,
                         "converged": report.converged, "notes": report.notes}
@@ -666,7 +664,7 @@ def run_infinite_experiment(cfg: ExperimentConfig):
 def run_training(cfg: ExperimentConfig):
     seed = cfg.one_seed()
     os.makedirs(cfg.out_dir, exist_ok=True)
-    ctx = _build_seed_context(cfg, seed)
+    ctx = _build_seed_context(cfg, seed, answers=False)
     spec = ctx.model.spec if cfg.linearized else ctx.model
     save_params(os.path.join(cfg.out_dir, "theta_hat.bin"), spec, ctx.theta_hat)
     if ctx.trained is None:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (BadHeader, BadMagic, CheckpointMismatch, DimensionMismatch, PartitionGap,
                      PartitionOverlap, TruncatedFile)
-from .models import ModelSpec, activations_and_deltas
+from .models import Linearization, ModelSpec, activations_and_deltas
 
 CACHE_MAGIC = b"KINFKER1"
 _FORM_DENSE, _FORM_KRON = 0, 1
@@ -168,10 +168,7 @@ def empirical_ntk(spec: ModelSpec, theta_ref: np.ndarray, X1: np.ndarray,
         rb, nc = r1 - r0, n2 - c0
         blk = out4[r0:r1, :, c0:]
         for layer in range(spec.n_layers):
-            s_w, s_b = spec.layer_scales(layer)
-            gram = (s_w ** 2) * (a1[layer][r0:r1] @ a2[layer][c0:].T)
-            if spec.bias:
-                gram += s_b ** 2
+            gram = _layer_gram(spec, layer, a1[layer][r0:r1], a2[layer][c0:])
             if layer == spec.n_layers - 1:
                 for k in range(d):
                     blk[:, k, :, k] += gram
@@ -191,6 +188,27 @@ def empirical_ntk(spec: ModelSpec, theta_ref: np.ndarray, X1: np.ndarray,
                 cols = slice(t0 * d, min(t0 + _ASSEMBLY_BLOCK, n1) * d)
                 out[cols, rows] = out[rows, cols].T
     return KernelMatrix(d, dense=out, spec_hash=spec.spec_hash())
+
+
+def _layer_gram(spec: ModelSpec, layer: int, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
+    """The layer's input term of the kernel, s_w^2 a1 a2' + s_b^2."""
+    s_w, s_b = spec.layer_scales(layer)
+    gram = (s_w ** 2) * (a1 @ a2.T)
+    if spec.bias:
+        gram += s_b ** 2
+    return gram
+
+
+def empirical_kron_factor(lz: Linearization) -> np.ndarray:
+    """``empirical_ntk(...).kron_factor()`` with no kernel: sigma = (1/d_out)
+    sum_layers gram * T, T the N x N Gram of the flattened backprop signals
+    (d_out on the output layer, whose signal is the identity)."""
+    spec, acts, deltas = lz.spec, lz.acts, lz.signals()
+    sigma = _layer_gram(spec, spec.n_layers - 1, acts[-1], acts[-1])
+    for layer in range(spec.n_layers - 1):
+        flat = deltas[layer].reshape(len(acts[0]), -1)
+        sigma += _layer_gram(spec, layer, acts[layer], acts[layer]) * (flat @ flat.T) / spec.d_out
+    return sigma
 
 
 # --------------------------------------------------------------------------

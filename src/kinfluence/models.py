@@ -269,6 +269,17 @@ class Linearization:
                 delta *= self.masks[layer - 1]
         return grad
 
+    def signals(self) -> list[np.ndarray]:
+        """The backprop signals D[l] of ``activations_and_deltas``."""
+        spec, n = self.spec, self.acts[0].shape[0]
+        deltas = [None] * spec.n_layers
+        deltas[-1] = np.broadcast_to(np.eye(spec.d_out), (n, spec.d_out, spec.d_out)).copy()
+        for layer in range(spec.n_layers - 1, 0, -1):
+            dw = deltas[layer] @ self.weights[layer]  # scaled in place: one buffer per layer
+            deltas[layer - 1] = np.multiply(dw, spec.layer_scales(layer)[0]
+                                            * self.masks[layer - 1][:, None, :], out=dw)
+        return deltas
+
 
 def activations_and_deltas(spec: ModelSpec, theta: np.ndarray, X: np.ndarray):
     """Per-layer inputs A[l] (N, w_l) and signals D[l] (N, d_out, w_{l+1}).
@@ -278,14 +289,7 @@ def activations_and_deltas(spec: ModelSpec, theta: np.ndarray, X: np.ndarray):
     the tangent-kernel contraction without materializing the Jacobian.
     """
     lz = Linearization(spec, theta, X)
-    n = lz.acts[0].shape[0]
-    deltas = [None] * spec.n_layers
-    deltas[-1] = np.broadcast_to(np.eye(spec.d_out), (n, spec.d_out, spec.d_out)).copy()
-    for layer in range(spec.n_layers - 1, 0, -1):
-        s_w, _ = spec.layer_scales(layer)
-        deltas[layer - 1] = (s_w * (deltas[layer] @ lz.weights[layer])
-                             * lz.masks[layer - 1][:, None, :])
-    return lz.acts, deltas
+    return lz.acts, lz.signals()
 
 
 def stacked_jacobian(spec: ModelSpec, theta: np.ndarray, X: np.ndarray) -> np.ndarray:

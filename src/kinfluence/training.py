@@ -16,7 +16,7 @@ import numpy as np
 
 from .datasets import LabeledDataset
 from .errors import DimensionMismatch, DivergenceDetected, EmptyDataset, NonFiniteEncountered, NotConverged
-from .kernels import KernelMatrix, empirical_ntk
+from .kernels import KernelMatrix, empirical_kron_factor
 from .losses import LOSS_KINDS, SQUARED, loss_grad_batch, loss_hess_batch, loss_value_batch
 from .models import LinearizedModel, Model, _spec_of, linearize, model_outputs
 from .solvers import CgOptions, cg_solve, kron_preconditioner
@@ -196,7 +196,9 @@ def fit_linearized_exact(lin: LinearizedModel, ds: LabeledDataset, cfg: RiskConf
     preconditioned by (lambda N I + sigma)^{-1} (x) I for sigma =
     K.kron_factor(), then maps back through J'. Nothing is factored, so
     positive definiteness is not proven: SpdViolation comes only from
-    lambda N + min eig(sigma) <= 0 or non-positive CG curvature. A stored
+    lambda N + min eig(sigma) <= 0 or non-positive CG curvature. Without a
+    ``kernel`` K is implicit: each matvec is one VJP and one JVP, and sigma
+    comes from the layer factors (``empirical_kron_factor``). A given stored
     kernel is used as it is; an index view is gathered once, since CG reads
     the kernel once per iteration.
     Requires center == linearization point (origin mode needs theta_ref = 0).
@@ -206,18 +208,21 @@ def fit_linearized_exact(lin: LinearizedModel, ds: LabeledDataset, cfg: RiskConf
     _check_ds(ds, lin)
     if cfg.center == CENTER_ORIGIN and np.any(lin.theta_ref != 0.0):
         raise ValueError("origin-centered risk requires linearization around 0")
-    if kernel is None:
-        kernel = empirical_ntk(lin.spec, lin.theta_ref, ds.features)
-    if kernel.shape != (ds.n * ds.d_out,) * 2:
+    if kernel is not None and kernel.shape != (ds.n * ds.d_out,) * 2:
         raise DimensionMismatch("kernel does not match dataset size")
-    kernel = kernel.gather()
     lz = lin.linearization(ds.features)
     rhs = ds.targets_vec - lz.outputs.ravel()
     if not np.all(np.isfinite(rhs)):
         raise NonFiniteEncountered("reference outputs are non-finite")
+    if kernel is None:
+        matvec, factor = (lambda p: lz.jvp(lz.vjp(p))), (lambda: empirical_kron_factor(lz))
+    else:
+        kernel = kernel.gather()
+        matvec, factor = kernel.matvec, kernel.kron_factor
     shift = cfg.lam * ds.n
-    res = cg_solve(lambda p: kernel.matvec(p) + shift * p, rhs, CgOptions(FIT_REL_TOL, FIT_MAX_ITERS),
-                   kron_preconditioner(kernel.kron_factor(), shift))
+    # sigma lives only while the preconditioner is built
+    res = cg_solve(lambda p: matvec(p) + shift * p, rhs, CgOptions(FIT_REL_TOL, FIT_MAX_ITERS),
+                   kron_preconditioner(factor(), shift))
     if not res.converged:
         raise NotConverged(f"exact fit: CG residual {res.residual:.3e} after {res.iters} iterations")
     return lin.theta_ref + lz.vjp(res.x)

@@ -243,7 +243,11 @@ class TestBaseline:
         cfg = RiskConfig(lam=0.3)
         split = split_forget(ds, 30.0, scope="all", seed=2)
         theta_hat = fit_linearized_exact(lin, split.full, cfg)
-        retrained = fit_linearized_exact(lin, split.retain, cfg)
+        # an assembled kernel keeps the oracle off the JVP/VJP products the
+        # parameter-space estimate runs
+        retrained = fit_linearized_exact(lin, split.retain, cfg,
+                                         kernel=empirical_ntk(spec, lin.theta_ref,
+                                                              split.retain.features))
         res = PrimalUnlearner(lin, theta_hat, split, cfg).solve()
         infl_rel = np.linalg.norm(theta_hat + res.x - retrained)
         wins = sum(
@@ -641,6 +645,73 @@ class TestCli:
                          "--space", "dual", "--out", out]) == 0
         assert json.loads(pathlib.Path(out).read_text())["cold_runtime_s"] > 0
         assert not os.path.exists(os.path.join(os.path.dirname(path), "metrics.csv"))
+
+    @pytest.mark.parametrize("args", [["train"], ["unlearn", "--space", "theta"]],
+                             ids=["train", "unlearn_theta"])
+    def test_command_without_coefficient_space_reads_no_kernel(self, tmp_path, monkeypatch,
+                                                               args):
+        # a direct fit on a config whose unlearn.space is both: a command that
+        # answers in no coefficient space fits on the implicit kernel, and the
+        # inline cold start reads none either
+        cfgp = write_cfg(tmp_path, **{"unlearn.space": "both", "bench.cold": "inline"})
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a kernel was assembled or read")
+        for module in (experiments, kinfluence.kernels):
+            for name in ("empirical_ntk", "read_kernel_cache"):
+                monkeypatch.setattr(module, name, forbidden)
+        assert cli.main([args[0], "--config", cfgp, *args[1:]]) == 0
+        results = os.path.join(str(tmp_path), "results")
+        assert os.path.exists(os.path.join(results, "theta_hat.bin" if args == ["train"] else
+                                           os.path.join("seed_0", "theta_hat.bin")))
+        assert not glob.glob(os.path.join(results, "**", "kernel.bin"), recursive=True)
+
+    def test_both_run_assembles_once_per_seed(self, tmp_path, monkeypatch):
+        # theta_hat is fitted on the assembled kernel; the retrain oracles run
+        # on the implicit kernel and gather no K_rr block
+        assembled, fits = [], []
+
+        def counted_ntk(*args, _ntk=experiments.empirical_ntk, **kwargs):
+            assembled.append(1)
+            return _ntk(*args, **kwargs)
+
+        def counted_fit(*args, _fit=experiments.fit_linearized_exact, **kwargs):
+            fits.append(kwargs.get("kernel") is not None)
+            return _fit(*args, **kwargs)
+
+        def no_view_gather(self, _gather=KernelMatrix.gather):
+            if self.rows is not None:
+                raise AssertionError("a kernel block was gathered")
+            return _gather(self)
+        monkeypatch.setattr(experiments, "empirical_ntk", counted_ntk)
+        monkeypatch.setattr(experiments, "fit_linearized_exact", counted_fit)
+        monkeypatch.setattr(KernelMatrix, "gather", no_view_gather)
+        cfg = config_from_values(tiny_values(str(tmp_path), **{
+            "seeds": "0,1", "unlearn.percents": "10,90", "bench.cold": "skip"}))
+        rows = run_unlearning_experiment(cfg)
+        assert len(assembled) == 2
+        assert fits == [True, False, False] * 2
+        assert all(r.rel_l2 < 1e-6 for r in rows)
+
+    def test_diagnostics_carry_grad_norm(self, tmp_path):
+        # every record carries the seed's ||grad R(theta_hat)||; for a direct
+        # fit, the norm kinf train writes to train.csv
+        cfgp = write_cfg(tmp_path, **{"unlearn.percents": "30,70", "bench.cold": "skip"})
+
+        def records(space):
+            out = os.path.join(str(tmp_path), space)
+            assert cli.main(["unlearn", "--config", cfgp, "--space", space, "--out", out]) == 0
+            paths = glob.glob(os.path.join(out, "seed_0", "p*", "diagnostics.jsonl"))
+            return [json.loads(line) for path in paths
+                    for line in pathlib.Path(path).read_text().splitlines()]
+        theta = records("theta")
+        assert cli.main(["train", "--config", cfgp]) == 0
+        with open(os.path.join(str(tmp_path), "results", "train.csv")) as f:
+            (row,) = list(csv.DictReader(f))
+        assert len(theta) == 2 and {r["grad_norm"] for r in theta} == {float(row["grad_norm"])}
+        both = records("both")
+        assert len(both) == 4 and len({r["grad_norm"] for r in both}) == 1
+        assert both[0]["grad_norm"] <= training.STATIONARITY_TOL
 
     @pytest.mark.parametrize("extra", [{}, {"model.linearized": "false", "train.kind": "gd",
                                             "stop.max_epochs": "5"}],

@@ -10,6 +10,7 @@ from kinfluence.errors import (BadHeader, BadMagic, ConfigError, PartitionGap, P
                               TruncatedFile)
 from kinfluence.kernels import (
     KernelMatrix,
+    empirical_kron_factor,
     empirical_ntk,
     even_shards,
     read_kernel_cache,
@@ -17,7 +18,8 @@ from kinfluence.kernels import (
     validate_shards,
     write_kernel_cache,
 )
-from kinfluence.models import ModelSpec, activations_and_deltas, save_params, stacked_jacobian
+from kinfluence.models import (Linearization, ModelSpec, activations_and_deltas, save_params,
+                               stacked_jacobian)
 
 
 class TestEmpirical:
@@ -60,6 +62,20 @@ class TestEmpirical:
         np.testing.assert_allclose(k.dense, k.dense.T, atol=1e-12)
         min_eig = np.linalg.eigvalsh((k.dense + k.dense.T) / 2.0).min()
         assert min_eig >= -1e-8 * np.trace(k.dense) / k.n_rows
+
+
+class TestKronFactorFromLayers:
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no_bias"])
+    @pytest.mark.parametrize("parameterization", ["standard", "ntk"])
+    @pytest.mark.parametrize("hidden", [(12,), (12, 7)], ids=["one_hidden", "two_hidden"])
+    def test_equals_assembled_kron_factor(self, hidden, parameterization, bias):
+        spec = ModelSpec((4, *hidden, 3), parameterization=parameterization, bias=bias,
+                         init_seed=6)
+        theta = spec.init_params()
+        x = make_blobs(5, 3, d_in=4, seed=7).features
+        want = empirical_ntk(spec, theta, x).kron_factor()
+        got = empirical_kron_factor(Linearization(spec, theta, x))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def repeat_reference(spec, theta, X1, X2=None):

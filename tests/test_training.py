@@ -463,6 +463,46 @@ class TestExactFit:
             tracemalloc.stop()
         assert peak < 0.5 * kernel.dense.nbytes
 
+    @pytest.mark.parametrize("hidden, d_out", [((12,), 2), ((12, 7), 3)],
+                             ids=["one_hidden", "two_hidden"])
+    def test_kernel_free_fit_equals_assembled_kernel_fit(self, monkeypatch, hidden, d_out):
+        # the implicit kernel (one VJP and one JVP per matvec, sigma from the
+        # layer factors) runs the same preconditioned CG as a stored kernel
+        iters = []
+
+        def counted(*args, _cg=training.cg_solve):
+            res = _cg(*args)
+            iters.append(res.iters)
+            return res
+        monkeypatch.setattr(training, "cg_solve", counted)
+        spec = ModelSpec((4, *hidden, d_out), init_seed=21)
+        lin = LinearizedModel(spec, spec.init_params())
+        ds = make_blobs(6, d_out, d_in=4, seed=21)
+        cfg = RiskConfig(lam=0.3, loss=SQUARED)
+        given = fit_linearized_exact(lin, ds, cfg,
+                                     kernel=empirical_ntk(spec, lin.theta_ref, ds.features))
+        implicit = fit_linearized_exact(lin, ds, cfg)
+        assert np.linalg.norm(implicit - given) <= 1e-12 * np.linalg.norm(given)
+        assert abs(iters[0] - iters[1]) <= 1
+
+    def test_kernel_free_fit_allocates_no_kernel(self):
+        # test_allocates_no_kernel_copy's instance with no kernel given: the
+        # largest buffers are point-side, N x N each (sigma, its eigenvectors,
+        # their scaled copy, the preconditioner), 1/d_out^2 of the kernel
+        spec = ModelSpec((4, 8, 3), init_seed=20)
+        lin = LinearizedModel(spec, spec.init_params())
+        ds = make_blobs(100, 3, d_in=4, seed=20)
+        cfg = RiskConfig(lam=0.3, loss=SQUARED)
+        lin.linearization(ds.features)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fit_linearized_exact(lin, ds, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * ds.n ** 2 * 8
+
     def test_non_finite_reference_outputs_raise(self):
         spec, lin, ds = small_lin(17)
         kernel = empirical_ntk(spec, lin.theta_ref, ds.features)
