@@ -71,8 +71,8 @@ class DatasetConfig:
     def __post_init__(self):
         if self.kind not in DATASET_KINDS:
             raise ConfigError(f"unknown dataset kind {self.kind!r}")
-        if self.per_class < 1:
-            raise ConfigError("dataset.per_class must be at least 1")
+        if self.per_class < 1 or self.seed < 0:
+            raise ConfigError("dataset.per_class must be at least 1 and dataset.seed >= 0")
         if not 0 < self.feature_scale <= 1.0:
             raise ConfigError("dataset.feature_scale must lie in (0, 1]")
         check_encoding(self.targets, len(self.classes))
@@ -82,10 +82,7 @@ class DatasetConfig:
 class ExperimentConfig:
     name: str = "experiment"
     dataset: DatasetConfig = DatasetConfig()
-    widths: tuple = (20, 64, 2)
-    activation: str = "relu"
-    parameterization: str = "standard"
-    init_seed: int = 0
+    model: ModelSpec = ModelSpec((20, 64, 2))  # seed s inits it from init_seed + s
     linearized: bool = True
     risk: RiskConfig = RiskConfig(lam=0.1)
     trainer: str = "direct"        # direct | gd | momentum
@@ -99,17 +96,20 @@ class ExperimentConfig:
     cold: str = "subprocess"       # subprocess | inline | skip
     test_size: int = 50
     seeds: tuple = (0,)
-    ntk_hidden_layers: int = 3
-    ntk_sigma_w2: float = 2.0
-    ntk_sigma_b2: float = 0.01
+    ntk: AnalyticNtkSpec = AnalyticNtkSpec(3)  # its d_out follows the data
     ntk_epochs: int = 20000
     ntk_tol: float = 1e-6
     sweep_lambdas: tuple = (1e-3, 1e-1, 1e1)
     out_dir: str = "results"
 
     def __post_init__(self):
-        if not self.seeds:
-            raise ConfigError("seeds must be nonempty")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ConfigError("seeds must be nonempty and >= 0")
+        if self.test_size < 1:
+            raise ConfigError("bench.test_size must be at least 1")
+        if self.model != ModelSpec(self.model.layer_widths, self.model.activation,
+                                   self.model.init_seed, self.model.parameterization):
+            raise ConfigError("no config key sets the model's bias, sigma_w2 or sigma_b2")
         if not self.percents:
             raise ConfigError("removal percents must be nonempty")
         if any(not 0 < p < 100 for p in self.percents):
@@ -148,8 +148,6 @@ class ExperimentConfig:
             raise ConfigError("ntk.epochs must be at least 1 and ntk.tol positive")
         if any(lam <= 0 for lam in self.sweep_lambdas):
             raise ConfigError("every sweep.lambdas value must be positive")
-        self.model_spec()  # runs ModelSpec's own checks at load
-        self.ntk_spec()    # and AnalyticNtkSpec's
 
     def spaces(self) -> tuple:
         return (SPACE_THETA, SPACE_DUAL) if self.space == "both" else (self.space,)
@@ -159,15 +157,6 @@ class ExperimentConfig:
         if len(self.seeds) != 1:
             raise ConfigError(f"this command runs one seed, not {len(self.seeds)}: use --seed")
         return self.seeds[0]
-
-    def model_spec(self, seed: int = 0) -> ModelSpec:
-        return ModelSpec(self.widths, activation=self.activation,
-                         init_seed=self.init_seed + seed,
-                         parameterization=self.parameterization)
-
-    def ntk_spec(self, d_out: int = 1) -> AnalyticNtkSpec:
-        return AnalyticNtkSpec(self.ntk_hidden_layers, sigma_w2=self.ntk_sigma_w2,
-                               sigma_b2=self.ntk_sigma_b2, d_out=d_out)
 
 
 # --------------------------------------------------------------------------
@@ -197,10 +186,10 @@ CONFIG_KEYS = (
     _ConfigKey("dataset.feature_scale"),
     _ConfigKey("dataset.targets"),
     _ConfigKey("dataset.seed"),
-    _ConfigKey("model.widths", "widths"),
-    _ConfigKey("model.activation", "activation"),
-    _ConfigKey("model.parameterization", "parameterization"),
-    _ConfigKey("model.init_seed", "init_seed"),
+    _ConfigKey("model.widths", "model.layer_widths"),
+    _ConfigKey("model.activation"),
+    _ConfigKey("model.parameterization"),
+    _ConfigKey("model.init_seed"),
     _ConfigKey("model.linearized", "linearized"),
     _ConfigKey("risk.lambda", "risk.lam"),
     _ConfigKey("risk.loss"),
@@ -219,9 +208,9 @@ CONFIG_KEYS = (
     _ConfigKey("bench.cold", "cold"),
     _ConfigKey("bench.test_size", "test_size"),
     _ConfigKey("seeds", alias="seed", flag="--seed"),
-    _ConfigKey("ntk.hidden_layers", "ntk_hidden_layers"),
-    _ConfigKey("ntk.sigma_w2", "ntk_sigma_w2"),
-    _ConfigKey("ntk.sigma_b2", "ntk_sigma_b2"),
+    _ConfigKey("ntk.hidden_layers"),
+    _ConfigKey("ntk.sigma_w2"),
+    _ConfigKey("ntk.sigma_b2"),
     _ConfigKey("ntk.epochs", "ntk_epochs"),
     _ConfigKey("ntk.tol", "ntk_tol"),
     _ConfigKey("sweep.lambdas", "sweep_lambdas", flag="--lambdas"),
@@ -350,11 +339,22 @@ def make_experiment_data(cfg: ExperimentConfig) -> tuple[LabeledDataset, Labeled
 
 def _spec_for_data(cfg: ExperimentConfig, ds: LabeledDataset, seed: int = 0) -> ModelSpec:
     """The config's network for ``ds``; ConfigError when their widths differ."""
-    spec = cfg.model_spec(seed)
+    spec = replace(cfg.model, init_seed=cfg.model.init_seed + seed)
     if (spec.d_in, spec.d_out) != (ds.d_in, ds.d_out):
         raise ConfigError(f"model.widths {spec.d_in}->{spec.d_out} do not fit the data "
                           f"({ds.d_in}->{ds.d_out})")
     return spec
+
+
+def _checked_data(cfg: ExperimentConfig, percents: tuple = ()) -> tuple:
+    """The run's train/test data, built once and checked before the command
+    writes anything: ConfigError when the widths do not fit them, or when a
+    removal percent leaves no forget or no retain row."""
+    train_ds, test_ds = make_experiment_data(cfg)
+    _spec_for_data(cfg, train_ds)
+    for percent in percents:
+        split_forget(train_ds, percent, scope=cfg.scope)  # the count needs no split seed
+    return train_ds, test_ds
 
 
 def accuracy(outputs: np.ndarray, targets: np.ndarray) -> float:
@@ -404,13 +404,14 @@ def _fit_settings(cfg: ExperimentConfig) -> list[str]:
     return [line for line in dump_config(cfg).splitlines() if not line.startswith(_RUN_SETTINGS)]
 
 
-def _build_seed_context(cfg: ExperimentConfig, seed: int, stored: bool = False,
-                        answers: bool = True) -> _SeedContext:
-    """A kernel only when the command ``answers`` in coefficient space (an exact fit
+def _build_seed_context(cfg: ExperimentConfig, seed: int, data: tuple | None = None,
+                        stored: bool = False, answers: bool = True) -> _SeedContext:
+    """The seed's context on ``data`` (the run's train/test pair, built when None).
+    A kernel only when the command ``answers`` in coefficient space (an exact fit
     without one runs on the implicit kernel). With ``stored``, the theta_hat and kernel
     the protocol run wrote are read back when they exist, and a config snapshot that
     differs in a fit setting is rejected. ||grad R(theta_hat)|| is measured once, here."""
-    train_ds, test_ds = make_experiment_data(cfg)
+    train_ds, test_ds = data or make_experiment_data(cfg)
     spec = _spec_for_data(cfg, train_ds, seed)
     theta_ref = np.zeros(spec.num_params) if cfg.risk.center == "origin" else spec.init_params()
     model = LinearizedModel(spec, theta_ref) if cfg.linearized else spec
@@ -502,6 +503,7 @@ def _cold_runtime(cfg, seed, percent, space, out_dir, snapshot_path):
 def run_unlearning_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
     """The full protocol: for each seed, percent, and space, unlearn, time,
     and compare against retraining and the random-perturbation baseline."""
+    data = _checked_data(cfg, cfg.percents)
     os.makedirs(cfg.out_dir, exist_ok=True)
     snapshot_path = os.path.join(cfg.out_dir, "config.cfg")
     with open(snapshot_path, "w") as f:
@@ -511,7 +513,7 @@ def run_unlearning_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
         kernel_path, theta_path = stored_paths(cfg, seed)
         seed_dir = os.path.dirname(kernel_path)
         os.makedirs(seed_dir, exist_ok=True)
-        ctx = _build_seed_context(cfg, seed)
+        ctx = _build_seed_context(cfg, seed, data)
         save_params(theta_path, ctx.model.spec if cfg.linearized else ctx.model, ctx.theta_hat)
         if ctx.kernel is not None:
             write_kernel_cache(kernel_path, ctx.kernel)
@@ -597,9 +599,9 @@ def run_lambda_sweep(cfg: ExperimentConfig, record_every: int = 1) -> dict:
     if cfg.risk.center != "reference" or cfg.trainer == "momentum":
         raise ConfigError("a lambda sweep steps plain gradient descent toward the "
                           "initialization: not risk.center = origin or train.kind = momentum")
-    os.makedirs(cfg.out_dir, exist_ok=True)
     train_ds, test_ds = make_experiment_data(cfg)
     spec = _spec_for_data(cfg, train_ds)
+    os.makedirs(cfg.out_dir, exist_ok=True)
     lin = LinearizedModel(spec, spec.theta_init)
     results = {}
     for lam in cfg.sweep_lambdas:
@@ -640,12 +642,12 @@ def run_infinite_experiment(cfg: ExperimentConfig):
         raise ConfigError(f"ntk-infinite runs one removal percent, got {len(cfg.percents)}")
     (percent,) = cfg.percents
     seed = cfg.one_seed()
-    os.makedirs(cfg.out_dir, exist_ok=True)
     train_ds, test_ds = make_experiment_data(cfg)
     split = split_forget(train_ds, percent, scope=cfg.scope,
                          seed=_split_seed(seed, percent))
-    res = infinite_influence(cfg.ntk_spec(train_ds.d_out), split, test_ds, cfg.risk, cfg.cg,
-                             epochs=cfg.ntk_epochs, tol=cfg.ntk_tol)
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    res = infinite_influence(replace(cfg.ntk, d_out=train_ds.d_out), split, test_ds, cfg.risk,
+                             cfg.cg, epochs=cfg.ntk_epochs, tol=cfg.ntk_tol)
     write_kernel_cache(os.path.join(cfg.out_dir, "kernel.bin"), res.kernel)
     write_table(os.path.join(cfg.out_dir, "infinite_outputs.csv"), INFINITE_OUT_HEADER,
                 ((t, k, res.est_output[t, k], res.act_output[t, k])
@@ -663,8 +665,9 @@ def run_infinite_experiment(cfg: ExperimentConfig):
 
 def run_training(cfg: ExperimentConfig):
     seed = cfg.one_seed()
+    data = _checked_data(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    ctx = _build_seed_context(cfg, seed, answers=False)
+    ctx = _build_seed_context(cfg, seed, data, answers=False)
     spec = ctx.model.spec if cfg.linearized else ctx.model
     save_params(os.path.join(cfg.out_dir, "theta_hat.bin"), spec, ctx.theta_hat)
     if ctx.trained is None:

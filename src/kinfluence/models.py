@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -52,6 +52,8 @@ class ModelSpec:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.parameterization not in PARAMETERIZATIONS:
             raise ValueError(f"unknown parameterization {self.parameterization!r}")
+        if self.init_seed < 0:
+            raise ValueError("init_seed must be >= 0")
         if self.sigma_w2 <= 0 or self.sigma_b2 < 0:
             raise ValueError("sigma_w2 must be > 0 and sigma_b2 >= 0")
 
@@ -117,16 +119,7 @@ class ModelSpec:
         return theta
 
     def spec_hash(self) -> bytes:
-        payload = json.dumps({
-            "layer_widths": list(self.layer_widths),
-            "activation": self.activation,
-            "init_seed": self.init_seed,
-            "parameterization": self.parameterization,
-            "bias": self.bias,
-            "sigma_w2": self.sigma_w2,
-            "sigma_b2": self.sigma_b2,
-        }, sort_keys=True).encode()
-        return hashlib.sha256(payload).digest()
+        return hashlib.sha256(json.dumps(asdict(self), sort_keys=True).encode()).digest()
 
 
 @dataclass(frozen=True)

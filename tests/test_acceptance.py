@@ -96,7 +96,7 @@ def bench_rows(tmp_path_factory):
     all five removal percents, cold starts in fresh processes."""
     out = str(tmp_path_factory.mktemp("bench"))
     cfg = config_from_values({**BENCH_VALUES, "out": out})
-    spec = ModelSpec(cfg.widths)
+    spec = cfg.model
     assert spec.num_params >= 100 * 10 * 400
     return run_unlearning_experiment(cfg)
 

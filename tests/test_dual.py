@@ -152,8 +152,9 @@ class TestAlphaStar:
     def test_not_at_optimum_hard_error(self):
         # the seed context measures ||grad R(theta_hat)|| over the training
         # set once; the coefficient-space unlearner raises from that number
-        cfg = ExperimentConfig(dataset=DatasetConfig(per_class=8, d_in=5), widths=(5, 24, 2),
-                               risk=RiskConfig(lam=0.3), percents=(25.0,), test_size=4)
+        cfg = ExperimentConfig(dataset=DatasetConfig(per_class=8, d_in=5),
+                               model=ModelSpec((5, 24, 2)), risk=RiskConfig(lam=0.3),
+                               percents=(25.0,), test_size=4)
         ctx = _build_seed_context(cfg, 0)
         assert ctx.grad_norm == np.linalg.norm(risk_grad(ctx.model, ctx.theta_hat,
                                                          ctx.train_ds, cfg.risk))

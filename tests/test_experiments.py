@@ -34,6 +34,7 @@ from kinfluence.experiments import (
     run_unlearning_experiment,
     stored_paths,
 )
+from kinfluence.infinite import AnalyticNtkSpec
 from kinfluence.kernels import KernelMatrix, empirical_ntk, write_kernel_cache
 from kinfluence.losses import SQUARED, loss_value_batch
 from kinfluence.models import LinearizedModel, ModelSpec, model_outputs, save_params
@@ -194,6 +195,16 @@ class TestConfig:
     def test_empty_seeds_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             config_from_values(tiny_values(str(tmp_path), seeds=""))
+
+    @pytest.mark.parametrize("unset", [{"bias": False}, {"sigma_w2": 1.0}, {"sigma_b2": 0.0}])
+    def test_model_setting_without_a_key_rejected(self, unset):
+        # config.cfg could not record it, so the config refuses to hold it
+        cfg = config_from_values(NON_DEFAULT)
+        assert cfg.model == ModelSpec((784, 33, 1), activation="identity", init_seed=2,
+                                      parameterization="ntk")
+        assert cfg.ntk == AnalyticNtkSpec(2, sigma_w2=1.5, sigma_b2=0.02)
+        with pytest.raises(ConfigError, match="sigma_w2"):
+            ExperimentConfig(model=ModelSpec((20, 64, 2), **unset))
 
     def test_dual_requires_linearized(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -532,29 +543,28 @@ class TestCli:
         assert cli.main(["unlearn", "--config", cfgp]) == 2
 
     @pytest.mark.parametrize("command", ["unlearn", "train"])
-    @pytest.mark.parametrize("bad, at_load", [
-        ({"unlearn.hessian": "bogus"}, True),
-        ({"model.activation": "tanh"}, True),
-        ({"model.parameterization": "bogus"}, True),
-        ({"model.widths": "4,0,2"}, True),
-        ({"risk.loss": "hinge"}, True),
-        ({"dataset.targets": "bogus"}, True),
-        ({"dataset.targets": "pm1", "dataset.classes": "0,1,2"}, True),
-        ({"dataset.targets": "pm1", "risk.loss": "cross_entropy", "model.widths": "4,8,1"},
-         True),
-        ({"dataset.feature_scale": "1.5"}, True),
-        ({"dataset.feature_scale": "0"}, True),
-        ({"dataset.kind": "svhn"}, True),
-        ({"dataset.per_class": "0"}, True),
-        ({"unlearn.hessian": "full", "unlearn.space": "dual"}, True),
-        ({"unlearn.hessian": "full", "unlearn.space": "both"}, True),
-        ({"model.widths": "5,8,2"}, False),
-        ({"model.widths": "4,8,3"}, False),
+    @pytest.mark.parametrize("bad", [
+        {"unlearn.hessian": "bogus"},
+        {"model.activation": "tanh"},
+        {"model.parameterization": "bogus"},
+        {"model.widths": "4,0,2"},
+        {"risk.loss": "hinge"},
+        {"dataset.targets": "bogus"},
+        {"dataset.targets": "pm1", "dataset.classes": "0,1,2"},
+        {"dataset.targets": "pm1", "risk.loss": "cross_entropy", "model.widths": "4,8,1"},
+        {"dataset.feature_scale": "1.5"},
+        {"dataset.feature_scale": "0"},
+        {"dataset.kind": "svhn"},
+        {"dataset.per_class": "0"},
+        {"unlearn.hessian": "full", "unlearn.space": "dual"},
+        {"unlearn.hessian": "full", "unlearn.space": "both"},
+        {"model.widths": "5,8,2"},
+        {"model.widths": "4,8,3"},
     ], ids=["hessian", "activation", "parameterization", "zero_width", "loss", "targets",
             "pm1_three_classes", "pm1_cross_entropy", "feature_scale_above_1",
             "feature_scale_0", "dataset_kind", "per_class_0", "full_hessian_dual",
             "full_hessian_both", "d_in_mismatch", "d_out_mismatch"])
-    def test_bad_value_exit_code(self, tmp_path, capsys, command, bad, at_load):
+    def test_bad_value_exit_code(self, tmp_path, capsys, command, bad):
         # 20 points of 4 features in 2 classes, trained by gd
         cfgp = write_cfg(tmp_path, **{"dataset.per_class": "10", "dataset.d_in": "4",
                                       "model.widths": "4,8,2", "train.kind": "gd",
@@ -562,8 +572,9 @@ class TestCli:
         assert cli.main([command, "--config", cfgp]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and "Traceback" not in err
-        # values the config alone rules out fail before the output directory exists
-        assert os.path.exists(os.path.join(str(tmp_path), "results")) != at_load
+        # every value fails before the output directory exists, the widths
+        # that do not fit the data included
+        assert not os.path.exists(os.path.join(str(tmp_path), "results"))
 
     @pytest.mark.parametrize("command, bad", [
         ("ntk-infinite", {"ntk.hidden_layers": "-1"}),
@@ -575,10 +586,17 @@ class TestCli:
         ("unlearn", {"unlearn.scope": "7"}),
         ("sweep-lambda", {"risk.center": "origin"}),
         ("sweep-lambda", {"train.kind": "momentum"}),
+        ("unlearn", {"unlearn.percents": "50,1"}),
+        ("unlearn", {"seeds": "0,-1"}),
+        ("train", {"dataset.seed": "-3"}),
+        ("train", {"model.init_seed": "-1"}),
+        ("unlearn", {"bench.test_size": "0"}),
     ], ids=["hidden_layers", "sigma_w2", "ntk_epochs", "ntk_tol", "sweep_lambda",
-            "max_epochs", "scope", "sweep_origin", "sweep_momentum"])
+            "max_epochs", "scope", "sweep_origin", "sweep_momentum", "percent_no_forget",
+            "negative_seed", "negative_dataset_seed", "negative_init_seed", "test_size_0"])
     def test_ruled_out_value_exit_code(self, tmp_path, capsys, command, bad):
-        # each value fails at load, before the output directory exists
+        # each value fails before the output directory exists (1% of 20 points
+        # forgets none)
         cfgp = write_cfg(tmp_path, **{"dataset.per_class": "10", "dataset.d_in": "4",
                                       "model.widths": "4,8,2", **bad})
         assert cli.main([command, "--config", cfgp]) == 2
@@ -627,7 +645,7 @@ class TestCli:
         cfgp = write_cfg(tmp_path)
         cfg = experiments.load_config(cfgp)
         train_ds, _ = make_experiment_data(cfg)
-        spec = ModelSpec(cfg.widths, init_seed=cfg.init_seed)
+        spec = cfg.model
         path, theta_path = stored_paths(cfg, 0)
         os.makedirs(os.path.dirname(path))
         kernel = empirical_ntk(spec, spec.init_params(), train_ds.features)
@@ -752,7 +770,7 @@ class TestCli:
         cfgp = write_cfg(tmp_path)
         cfg = experiments.load_config(cfgp)
         train_ds, _ = make_experiment_data(cfg)
-        spec = ModelSpec(cfg.widths, init_seed=cfg.init_seed)
+        spec = cfg.model
         lin = LinearizedModel(spec, spec.init_params())
         path, theta_path = stored_paths(cfg, 0)
         os.makedirs(os.path.dirname(path))

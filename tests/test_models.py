@@ -279,3 +279,16 @@ class TestCheckpoints:
         p.write_bytes(raw[:change] if change < 0 else raw + bytes(change))
         with pytest.raises(CheckpointMismatch, match="payload length"):
             load_params(str(p), spec)
+
+    def test_spec_hash_is_stable(self):
+        # stored kernels and checkpoints carry this hash: it must not move
+        assert (ModelSpec((400, 1024, 10)).spec_hash().hex()
+                == "4b978e0737a934acace27ce3ab36ea89d54030c95605eaa2f58a0453b7d7663f")
+        every_field = ModelSpec((3, 5, 7, 2), activation="identity", init_seed=9,
+                                parameterization="ntk", bias=False, sigma_w2=1.5, sigma_b2=0.2)
+        assert (every_field.spec_hash().hex()
+                == "358dd4265e2df853b3943f222e19050d918ef63268d5011957fff6c176c11072")
+
+    def test_negative_init_seed_rejected(self):
+        with pytest.raises(ValueError, match="init_seed"):
+            ModelSpec((6, 4, 2), init_seed=-1)

@@ -1,0 +1,82 @@
+"""The paper's identity as a property over the settings the code supports.
+
+For a linearized network under the squared-loss risk, the parameter-space
+estimate (CG on the removal Hessian) and the coefficient-space estimate (the
+reduced system, mapped back through J') are one vector, and so are the
+test-point changes they predict. c02 checks this on one instance; here it is
+drawn over the parameterization, the activation, the risk's center, the
+output width (+-1 and one-hot targets), the hidden widths, the unlearning
+scope and the removal percent.
+
+Not drawn: cross-entropy, whose theta_hat has no exact fit yet (it needs a
+Newton fit), and the full-data Hessian, since coefficient space solves the
+retain-Hessian system only.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kinfluence.datasets import make_blobs, split_forget
+from kinfluence.dual import DualUnlearner, map_to_params
+from kinfluence.kernels import empirical_ntk
+from kinfluence.losses import SQUARED
+from kinfluence.models import LinearizedModel, ModelSpec, model_outputs
+from kinfluence.primal import PrimalUnlearner, attach_test_predictions
+from kinfluence.report import InfluenceReport
+from kinfluence.solvers import CgOptions
+from kinfluence.training import RiskConfig, fit_linearized_exact
+
+PER_CLASS = 8
+D_IN = 4
+
+
+def agree(a, b) -> bool:
+    """Within 1e-8 relative; the 1e-12 floor serves origin-centred instances, whose
+    linearization at 0 leaves only the output bias, so a change can round to 0."""
+    return bool(np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(b) + 1e-12)
+
+
+def changes_at_test_points(lin, theta_hat, delta, test_ds, risk) -> np.ndarray:
+    """Output, raw-loss and regularized-loss changes at the test points, one row each."""
+    report = InfluenceReport(delta, 0.0, 0)
+    attach_test_predictions(report, lin, theta_hat, test_ds, risk)
+    return np.array([[*c.output_change, c.loss_change_raw, c.loss_change_reg]
+                     for c in report.per_test])
+
+
+@settings(max_examples=100, deadline=None)
+@given(parameterization=st.sampled_from(["standard", "ntk"]),
+       activation=st.sampled_from(["relu", "identity"]),
+       center=st.sampled_from(["reference", "origin"]),
+       classes_targets=st.sampled_from([(2, "pm1"), (2, "onehot"), (3, "onehot")]),
+       hidden=st.lists(st.integers(3, 10), min_size=1, max_size=2),
+       scope=st.sampled_from(["all", 0, 1]),
+       percent=st.integers(10, 90),
+       seed=st.integers(0, 10 ** 4))
+def test_primal_and_dual_estimates_agree(parameterization, activation, center,
+                                         classes_targets, hidden, scope, percent, seed):
+    n_classes, targets = classes_targets
+    ds = make_blobs(PER_CLASS, n_classes, D_IN, seed=seed, encoding=targets)
+    test_ds = make_blobs(2, n_classes, D_IN, seed=seed + 1, encoding=targets)
+    spec = ModelSpec((D_IN, *hidden, ds.d_out), activation=activation, init_seed=seed,
+                     parameterization=parameterization)
+    # an origin-centered linearized risk is expanded around 0, as the harness does
+    theta_ref = np.zeros(spec.num_params) if center == "origin" else spec.init_params()
+    lin = LinearizedModel(spec, theta_ref)
+    risk = RiskConfig(lam=0.3, loss=SQUARED, center=center)
+    theta_hat = fit_linearized_exact(lin, ds, risk)
+    split = split_forget(ds, percent, scope=scope, seed=seed)
+
+    primal = PrimalUnlearner(lin, theta_hat, split, risk,
+                             CgOptions(rel_tol=1e-12, max_iters=20000)).solve()
+    assert primal.converged
+    kernel = empirical_ntk(spec, theta_ref, split.full.features)
+    f_vec = model_outputs(lin, theta_hat, split.full.features).ravel()
+    coeffs = DualUnlearner(kernel, f_vec, split, risk).solve()
+    delta_dual = map_to_params(lin, theta_hat, coeffs.delta_alpha,
+                               split.full.features) - theta_hat
+
+    assert agree(delta_dual, primal.x)
+    assert agree(changes_at_test_points(lin, theta_hat, delta_dual, test_ds, risk),
+                 changes_at_test_points(lin, theta_hat, primal.x, test_ds, risk))
