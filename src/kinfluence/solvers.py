@@ -103,7 +103,8 @@ def kron_preconditioner(sigma: np.ndarray, shift: float):
     w, v = np.linalg.eigh(sigma)
     if w[0] + shift <= 0.0:
         raise SpdViolation(f"shift + min eig(sigma) = {w[0] + shift:.3e} <= 0: not positive definite")
-    inv = (v / (w + shift)) @ v.T
+    v *= (w + shift) ** -0.5  # in place: sigma, v and inv are the N x N buffers
+    inv = v @ v.T
     return lambda r: (inv @ r.reshape(inv.shape[0], -1)).ravel()
 
 
