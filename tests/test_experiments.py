@@ -587,13 +587,15 @@ class TestCli:
         ("sweep-lambda", {"risk.center": "origin"}),
         ("sweep-lambda", {"train.kind": "momentum"}),
         ("unlearn", {"unlearn.percents": "50,1"}),
+        ("ntk-infinite", {"unlearn.percents": "1"}),
         ("unlearn", {"seeds": "0,-1"}),
         ("train", {"dataset.seed": "-3"}),
         ("train", {"model.init_seed": "-1"}),
         ("unlearn", {"bench.test_size": "0"}),
     ], ids=["hidden_layers", "sigma_w2", "ntk_epochs", "ntk_tol", "sweep_lambda",
             "max_epochs", "scope", "sweep_origin", "sweep_momentum", "percent_no_forget",
-            "negative_seed", "negative_dataset_seed", "negative_init_seed", "test_size_0"])
+            "infinite_percent_no_forget", "negative_seed", "negative_dataset_seed",
+            "negative_init_seed", "test_size_0"])
     def test_ruled_out_value_exit_code(self, tmp_path, capsys, command, bad):
         # each value fails before the output directory exists (1% of 20 points
         # forgets none)

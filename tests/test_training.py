@@ -487,9 +487,9 @@ class TestExactFit:
 
     def test_kernel_free_fit_allocates_no_kernel(self):
         # test_allocates_no_kernel_copy's instance with no kernel given: the
-        # largest buffers are point-side, N x N each (sigma, eigh's copy of it,
-        # its eigenvectors scaled in place, the preconditioner), 1/d_out^2 of
-        # the kernel
+        # largest buffers are point-side, N x N each, 1/d_out^2 of the kernel;
+        # three live at once (sigma, its eigenvectors scaled in place, the
+        # preconditioner; inside eigh, its working copy of sigma)
         spec = ModelSpec((4, 8, 3), init_seed=20)
         lin = LinearizedModel(spec, spec.init_params())
         ds = make_blobs(100, 3, d_in=4, seed=20)
