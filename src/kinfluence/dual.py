@@ -1,7 +1,7 @@
 """Kernel-space influence: the reduced coefficient system and its predictors.
 
 Unlearning in coefficient space rests on the representer structure of the
-linearized optimum: theta_hat - theta_ref = J' alpha with
+linearized optimum: theta_hat - c = J' alpha, c the risk's center, with
 alpha = -(1/lambda) grad_f risk. Removing the forget block fixes the forget
 coefficients analytically, so only the retain-block system
 

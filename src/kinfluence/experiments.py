@@ -3,10 +3,10 @@ retraining and a norm-matched random perturbation.
 
 Timing semantics follow the two-metric protocol: the kernel is a precomputed
 stored artifact, cold runtime covers operator/right-hand-side construction
-plus the first solve measured in a fresh process, warm runtime is the mean
-and standard deviation over exactly five repeat solves that reuse the
-prepared operator. Everything except wall-clock fields is deterministic for
-fixed seeds.
+plus the first answer theta_u measured in a fresh process, warm runtime is
+the mean and standard deviation over exactly five repeat answers that reuse
+the prepared operator. Everything except wall-clock fields is deterministic
+for fixed seeds.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .report import (
     SWEEP_HEADER,
     InfluenceReport,
     MetricsRow,
-    append_diagnostics,
+    write_diagnostics,
     write_influence_csv,
     write_metrics_csv,
     write_table,
@@ -103,8 +103,8 @@ class ExperimentConfig:
     out_dir: str = "results"
 
     def __post_init__(self):
-        if not self.seeds or min(self.seeds) < 0:
-            raise ConfigError("seeds must be nonempty and >= 0")
+        if not self.seeds or min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError("seeds must be nonempty, distinct and >= 0")
         if self.test_size < 1:
             raise ConfigError("bench.test_size must be at least 1")
         if self.model != ModelSpec(self.model.layer_widths, self.model.activation,
@@ -413,8 +413,7 @@ def _build_seed_context(cfg: ExperimentConfig, seed: int, data: tuple | None = N
     differs in a fit setting is rejected. ||grad R(theta_hat)|| is measured once, here."""
     train_ds, test_ds = data or make_experiment_data(cfg)
     spec = _spec_for_data(cfg, train_ds, seed)
-    theta_ref = np.zeros(spec.num_params) if cfg.risk.center == "origin" else spec.init_params()
-    model = LinearizedModel(spec, theta_ref) if cfg.linearized else spec
+    model = LinearizedModel(spec, spec.theta_init) if cfg.linearized else spec
     kernel = theta_hat = trained = None
     kernel_path, theta_path = stored_paths(cfg, seed)
     snapshot = os.path.join(cfg.out_dir, "config.cfg")
@@ -427,7 +426,7 @@ def _build_seed_context(cfg: ExperimentConfig, seed: int, data: tuple | None = N
         if stored and os.path.exists(kernel_path):
             kernel = read_kernel_cache(kernel_path, expect_hash=spec.spec_hash())
         else:
-            kernel = empirical_ntk(spec, theta_ref, train_ds.features)
+            kernel = empirical_ntk(spec, spec.theta_init, train_ds.features)
     if theta_hat is None and cfg.trainer == "direct":
         theta_hat = fit_linearized_exact(model, train_ds, cfg.risk, kernel=kernel)
     elif theta_hat is None:
@@ -451,7 +450,7 @@ def _make_unlearner(ctx: _SeedContext, split, space: str):
         return PrimalUnlearner(ctx.model, ctx.theta_hat, split, cfg.risk, cfg.cg,
                                variant=cfg.hessian_variant, grad_norm=ctx.grad_norm)
     # every coefficient-space answer rests on the representer identity
-    # theta_hat - theta_ref = J' alpha, which fails away from the optimum
+    # theta_hat - c = J' alpha, c the risk's center, which fails away from the optimum
     gap = stationarity_gap(ctx.grad_norm)
     if gap is not None:
         raise NotAtOptimum(gap)
@@ -467,17 +466,22 @@ def stored_paths(cfg: ExperimentConfig, seed: int) -> tuple[str, str]:
     return os.path.join(seed_dir, "kernel.bin"), os.path.join(seed_dir, "theta_hat.bin")
 
 
+def _theta_u(ctx: _SeedContext, split, space: str, result) -> np.ndarray:
+    """theta_u from a solve's result; the cold and warm timers both stop after it."""
+    return (ctx.theta_hat + result.x if space == SPACE_THETA else
+            map_to_params(ctx.model, ctx.theta_hat, result.delta_alpha, split.full.features))
+
+
 def measure_cold(cfg: ExperimentConfig, seed: int, percent: float, space: str) -> float:
-    """Fresh-context cold runtime: kernel gather, operator construction and
-    first solve. Reads the stored kernel and theta_hat when the protocol run
-    has written them."""
+    """Fresh-context cold runtime: operator construction to the first answer, on
+    the stored kernel and theta_hat when the protocol run has written them."""
     ctx = _build_seed_context(cfg, seed, stored=True)
     split = split_forget(ctx.train_ds, percent, scope=cfg.scope,
                          seed=_split_seed(seed, percent))
     t0 = time.perf_counter()
     unlearner = _make_unlearner(ctx, split, space)
     unlearner.prepare()
-    _ = unlearner.solve()
+    _theta_u(ctx, split, space, unlearner.solve())
     return time.perf_counter() - t0
 
 
@@ -540,9 +544,7 @@ def run_unlearning_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
                 for _ in range(WARM_REPEATS):
                     t0 = time.perf_counter()
                     result = unlearner.solve()
-                    theta_u = (ctx.theta_hat + result.x if space == SPACE_THETA else
-                               map_to_params(ctx.model, ctx.theta_hat, result.delta_alpha,
-                                             split.full.features))
+                    theta_u = _theta_u(ctx, split, space, result)
                     warm_times.append(time.perf_counter() - t0)
                 rel_l2 = float(np.linalg.norm(theta_u - theta_retrained)) / retr_norm
                 forget_out_u = model_outputs(ctx.model, theta_u, split.forget.features)
@@ -573,7 +575,7 @@ def run_unlearning_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
                         "converged": report.converged, "notes": report.notes}
                 if space == SPACE_DUAL:
                     diag.update(unlearner.diagnostics)
-                append_diagnostics(os.path.join(case_dir, "diagnostics.jsonl"), diag)
+                write_diagnostics(os.path.join(case_dir, "diagnostics.jsonl"), diag)
                 # frees this case's factor of M (or gathered K_rr) before the
                 # next case's oracle fit and unlearner are built
                 del unlearner
@@ -654,8 +656,8 @@ def run_infinite_experiment(cfg: ExperimentConfig):
                  for t in range(test_ds.n) for k in range(train_ds.d_out)))
     write_table(os.path.join(cfg.out_dir, "infinite_loss.csv"), INFINITE_LOSS_HEADER,
                 zip(range(test_ds.n), res.est_loss_raw, res.est_loss_reg, res.act_loss))
-    append_diagnostics(os.path.join(cfg.out_dir, "diagnostics.jsonl"),
-                       {"percent": percent, **res.diagnostics})
+    write_diagnostics(os.path.join(cfg.out_dir, "diagnostics.jsonl"),
+                      {"percent": percent, **res.diagnostics})
     return res
 
 

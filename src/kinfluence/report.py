@@ -88,8 +88,8 @@ def write_metrics_csv(out, rows: list[MetricsRow]) -> None:
     write_table(out, METRICS_HEADER, map(astuple, rows))
 
 
-def append_diagnostics(path: str, record: dict) -> None:
-    with open(path, "a") as f:
+def write_diagnostics(path: str, record: dict) -> None:
+    with open(path, "w") as f:
         f.write(json.dumps(record, sort_keys=True) + "\n")
 
 

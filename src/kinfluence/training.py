@@ -191,29 +191,27 @@ def fit_linearized_exact(lin: LinearizedModel, ds: LabeledDataset, cfg: RiskConf
                          kernel: KernelMatrix | None = None) -> np.ndarray:
     """Exact minimizer of the squared-error linearized risk (retraining oracle).
 
-    Solves (K + lambda N I) beta = Y - f0 on the Gram side by CG to relative
-    residual FIT_REL_TOL (1e-13; NotConverged if FIT_MAX_ITERS miss it),
-    preconditioned by (lambda N I + sigma)^{-1} (x) I for sigma =
-    K.kron_factor(), then maps back through J'. Nothing is factored, so
+    Solves (K + lambda N I) beta = Y - f(c), c the risk's center, on the Gram
+    side by CG to relative residual FIT_REL_TOL (1e-13; NotConverged if
+    FIT_MAX_ITERS miss it), preconditioned by (lambda N I + sigma)^{-1} (x) I
+    for sigma = K.kron_factor(), and returns c + J' beta. Nothing is factored, so
     positive definiteness is not proven: SpdViolation comes only from
     lambda N + min eig(sigma) <= 0 or non-positive CG curvature. Without a
     ``kernel`` K is implicit: each matvec is one VJP and one JVP, and sigma
     comes from the layer factors (``empirical_kron_factor``). A given stored
     kernel is used as it is; an index view is gathered once, since CG reads
     the kernel once per iteration.
-    Requires center == linearization point (origin mode needs theta_ref = 0).
     """
     if cfg.loss != SQUARED:
         raise ValueError("exact fit needs the squared-error risk (quadratic objective)")
     _check_ds(ds, lin)
-    if cfg.center == CENTER_ORIGIN and np.any(lin.theta_ref != 0.0):
-        raise ValueError("origin-centered risk requires linearization around 0")
     if kernel is not None and kernel.shape != (ds.n * ds.d_out,) * 2:
         raise DimensionMismatch("kernel does not match dataset size")
-    lz = lin.linearization(ds.features)
-    rhs = ds.targets_vec - lz.outputs.ravel()
+    c = resolve_center(lin, cfg)
+    lz, f_c = linearize(lin, c, ds.features)
+    rhs = ds.targets_vec - f_c.ravel()
     if not np.all(np.isfinite(rhs)):
-        raise NonFiniteEncountered("reference outputs are non-finite")
+        raise NonFiniteEncountered("outputs at the center are non-finite")
     if kernel is None:
         matvec, factor = (lambda p: lz.jvp(lz.vjp(p))), (lambda: empirical_kron_factor(lz))
     else:
@@ -225,4 +223,4 @@ def fit_linearized_exact(lin: LinearizedModel, ds: LabeledDataset, cfg: RiskConf
                    kron_preconditioner(factor(), shift))
     if not res.converged:
         raise NotConverged(f"exact fit: CG residual {res.residual:.3e} after {res.iters} iterations")
-    return lin.theta_ref + lz.vjp(res.x)
+    return c + lz.vjp(res.x)

@@ -389,6 +389,32 @@ class TestUnlearningProtocol:
             run_unlearning_experiment(cfg)
             assert calls.count(max(calls)) == 1, space
 
+    def test_origin_centered_linearized_model_is_expanded_at_init(self, tmp_path):
+        # risk.center = origin moves only the regularizer: the network is still
+        # expanded at its initialization. At 0 a ReLU net's linearization is a
+        # constant, and its kernel has rank d_out.
+        cfg = config_from_values(tiny_values(str(tmp_path), **{
+            "risk.center": "origin", "unlearn.percents": "30", "bench.cold": "skip"}))
+        ctx = experiments._build_seed_context(cfg, 0)
+        np.testing.assert_array_equal(ctx.model.theta_ref, ctx.model.spec.init_params())
+        assert np.linalg.matrix_rank(ctx.kernel.to_dense()) == ctx.train_ds.n * 2 == 80
+        rows = run_unlearning_experiment(cfg)
+        assert [r.space for r in rows] == ["theta", "dual"]
+        assert all(r.rel_l2 < 1e-8 for r in rows)
+
+    def test_cold_start_ends_at_theta_u(self, tmp_path, monkeypatch):
+        # the cold timer covers the answer a warm repeat times: in coefficient
+        # space, the solve and its map to parameters
+        mapped = []
+
+        def counted(*args, _map=experiments.map_to_params):
+            mapped.append(1)
+            return _map(*args)
+        monkeypatch.setattr(experiments, "map_to_params", counted)
+        cfg = config_from_values(tiny_values(str(tmp_path), **{"unlearn.space": "dual"}))
+        assert experiments.measure_cold(cfg, 0, 50.0, "dual") > 0
+        assert len(mapped) == 1
+
     def test_gd_trainer_path(self, tmp_path):
         cfg = config_from_values(tiny_values(
             str(tmp_path), **{"train.kind": "gd", "opt.lr": "0.05",
@@ -592,10 +618,11 @@ class TestCli:
         ("train", {"dataset.seed": "-3"}),
         ("train", {"model.init_seed": "-1"}),
         ("unlearn", {"bench.test_size": "0"}),
+        ("unlearn", {"seeds": "0,0"}),
     ], ids=["hidden_layers", "sigma_w2", "ntk_epochs", "ntk_tol", "sweep_lambda",
             "max_epochs", "scope", "sweep_origin", "sweep_momentum", "percent_no_forget",
             "infinite_percent_no_forget", "negative_seed", "negative_dataset_seed",
-            "negative_init_seed", "test_size_0"])
+            "negative_init_seed", "test_size_0", "duplicate_seeds"])
     def test_ruled_out_value_exit_code(self, tmp_path, capsys, command, bad):
         # each value fails before the output directory exists (1% of 20 points
         # forgets none)
@@ -732,6 +759,17 @@ class TestCli:
         both = records("both")
         assert len(both) == 4 and len({r["grad_norm"] for r in both}) == 1
         assert both[0]["grad_norm"] <= training.STATIONARITY_TOL
+
+    def test_rerun_rewrites_each_record(self, tmp_path):
+        # a second run into the same out leaves one record per case, as it
+        # leaves one influence.csv
+        cfgp = write_cfg(tmp_path, **{"unlearn.percents": "30,70", "bench.cold": "skip"})
+        for _ in range(2):
+            assert cli.main(["unlearn", "--config", cfgp]) == 0
+        paths = glob.glob(os.path.join(str(tmp_path), "results", "seed_0", "p*",
+                                       "diagnostics.jsonl"))
+        assert len(paths) == 4
+        assert [len(pathlib.Path(p).read_text().splitlines()) for p in paths] == [1] * 4
 
     @pytest.mark.parametrize("extra", [{}, {"model.linearized": "false", "train.kind": "gd",
                                             "stop.max_epochs": "5"}],

@@ -363,15 +363,20 @@ class TestTrain:
 
 class TestExactFit:
     @pytest.mark.parametrize("d_out", [1, 3], ids=["d_out1", "d_out3"])
-    @pytest.mark.parametrize("center", ["reference", "origin"])
+    @pytest.mark.parametrize("center, at_init", [("reference", True), ("origin", False),
+                                                  ("origin", True)],
+                             ids=["reference", "origin", "origin_at_init"])
     @pytest.mark.parametrize("parameterization", ["standard", "ntk"])
     @pytest.mark.parametrize("hidden", [(12,), (12, 7)], ids=["one_hidden", "two_hidden"])
-    def test_matches_normal_equations_oracle(self, hidden, parameterization, center, d_out):
+    def test_matches_normal_equations_oracle(self, hidden, parameterization, center, at_init,
+                                             d_out):
         # oracle: dense primal normal equations on materialized J, solved by
-        # LAPACK; it shares no code with the fit's CG. Origin mode linearizes
-        # at 0, where the regularizer gradient vanishes as it does at theta_ref.
+        # LAPACK; it shares no code with the fit's CG. The model is expanded
+        # at the initialization or at 0, and the regularizer pulls toward the
+        # center c, so at theta_ref its gradient is lambda (theta_ref - c).
         spec = ModelSpec((4, *hidden, d_out), parameterization=parameterization, init_seed=12)
-        theta_ref = spec.init_params() if center == "reference" else np.zeros(spec.num_params)
+        theta_ref = spec.init_params() if at_init else np.zeros(spec.num_params)
+        center_vec = theta_ref if center == "reference" else np.zeros(spec.num_params)
         lin = LinearizedModel(spec, theta_ref)
         ds = (make_blobs(8, 2, d_in=4, seed=12, encoding="pm1") if d_out == 1
               else make_blobs(6, d_out, d_in=4, seed=12))
@@ -380,7 +385,7 @@ class TestExactFit:
         jac = stacked_jacobian(spec, theta_ref, ds.features)
         f0 = model_outputs(spec, theta_ref, ds.features).ravel()
         lhs = jac.T @ jac / ds.n + cfg.lam * np.eye(spec.num_params)
-        rhs = -jac.T @ (f0 - ds.targets_vec) / ds.n
+        rhs = -jac.T @ (f0 - ds.targets_vec) / ds.n - cfg.lam * (theta_ref - center_vec)
         u = np.linalg.solve(lhs, rhs)
         np.testing.assert_allclose(theta, theta_ref + u, rtol=1e-8, atol=1e-10)
 
