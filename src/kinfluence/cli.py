@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 configuration/format errors, 3 numerical failures.
+Exit codes: 0 success, 2 configuration, format and file errors, 3 numerical failures.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ def main(argv=None) -> int:
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
-    except (ConfigError, FileNotFoundError) as e:
+    except (ConfigError, OSError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
     except KinfluenceError as e:

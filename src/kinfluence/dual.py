@@ -134,8 +134,8 @@ class DualUnlearner:
     and half of M, and a warm solve runs in numpy alone. Otherwise it
     gathers K_rr (sigma_rr for a Kronecker kernel) once, and K_rf for the
     one product it takes part in; the CG path keeps the gathered K_rr for
-    its matvecs. A factored solve records
-    cond_lower = (max L_ii / min L_ii)^2 <= cond(M) in ``diagnostics``.
+    its matvecs. A factored solve records cond_lower = (max L_ii / min L_ii)^2
+    <= cond(M) in ``diagnostics``, and no iters or residual: it measures none.
     """
 
     def __init__(self, kernel: KernelMatrix, f_vec: np.ndarray, split: SplitDataset,
@@ -213,8 +213,7 @@ class DualUnlearner:
             # the factor of a checked finite M: no second scan
             y = (cho_solve(self._factor, self.b.reshape(len(self._factor[0]), -1)).ravel()
                  if self.kernel.kron else block_solve(self._factor, self.b))
-            self.diagnostics.update({"solver": "dense", "iters": 0, "residual": 0.0,
-                                     "converged": True})
+            self.diagnostics.update({"solver": "dense", "converged": True})
         else:
             res = cg_solve(self._apply_m, self.b, self.opts, self._precondition)
             y = res.x

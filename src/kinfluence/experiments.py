@@ -93,7 +93,7 @@ class ExperimentConfig:
     space: str = "both"            # theta | dual | both
     hessian_variant: str = "upweighted"
     cg: CgOptions = CgOptions()
-    cold: str = "subprocess"       # subprocess | inline | skip
+    cold: str = "subprocess"       # subprocess | skip
     test_size: int = 50
     seeds: tuple = (0,)
     ntk: AnalyticNtkSpec = AnalyticNtkSpec(3)  # its d_out follows the data
@@ -125,7 +125,7 @@ class ExperimentConfig:
         if self.risk.loss == CROSS_ENTROPY and self.dataset.targets == "pm1":
             raise ConfigError("cross-entropy needs one-hot targets: the softmax of one "
                               "+-1 column is constant")
-        if self.cold not in ("subprocess", "inline", "skip"):
+        if self.cold not in ("subprocess", "skip"):
             raise ConfigError(f"unknown cold mode {self.cold!r}")
         if not self.linearized and self.space != SPACE_THETA:
             raise ConfigError("coefficient-space unlearning requires a linearized model")
@@ -404,13 +404,20 @@ def _fit_settings(cfg: ExperimentConfig) -> list[str]:
     return [line for line in dump_config(cfg).splitlines() if not line.startswith(_RUN_SETTINGS)]
 
 
+def _fit(cfg: ExperimentConfig, model, ds: LabeledDataset, kernel: KernelMatrix | None = None):
+    """theta fitted to ``ds`` by the config's trainer, and its gd/momentum TrainReport."""
+    if cfg.trainer == "direct":
+        return fit_linearized_exact(model, ds, cfg.risk, kernel=kernel), None
+    trained = train(model, ds, cfg.risk, cfg.opt, cfg.stop)
+    return trained.final_params, trained
+
+
 def _build_seed_context(cfg: ExperimentConfig, seed: int, data: tuple | None = None,
-                        stored: bool = False, answers: bool = True) -> _SeedContext:
-    """The seed's context on ``data`` (the run's train/test pair, built when None).
-    A kernel only when the command ``answers`` in coefficient space (an exact fit
-    without one runs on the implicit kernel). With ``stored``, the theta_hat and kernel
-    the protocol run wrote are read back when they exist, and a config snapshot that
-    differs in a fit setting is rejected. ||grad R(theta_hat)|| is measured once, here."""
+                        stored: bool = False) -> _SeedContext:
+    """The seed's context on ``data`` (the run's train/test pair, built when None), with
+    a kernel when the config answers in coefficient space. With ``stored``, the theta_hat
+    and kernel the protocol run wrote are read back when they exist, and a config snapshot
+    that differs in a fit setting is rejected. ||grad R(theta_hat)|| is measured once, here."""
     train_ds, test_ds = data or make_experiment_data(cfg)
     spec = _spec_for_data(cfg, train_ds, seed)
     model = LinearizedModel(spec, spec.theta_init) if cfg.linearized else spec
@@ -422,26 +429,16 @@ def _build_seed_context(cfg: ExperimentConfig, seed: int, data: tuple | None = N
         raise CheckpointMismatch(f"{cfg.out_dir} holds the fit of another config")
     if stored and os.path.exists(theta_path):
         theta_hat = load_params(theta_path, spec)
-    if answers and SPACE_DUAL in cfg.spaces():
+    if SPACE_DUAL in cfg.spaces():
         if stored and os.path.exists(kernel_path):
             kernel = read_kernel_cache(kernel_path, expect_hash=spec.spec_hash())
         else:
             kernel = empirical_ntk(spec, spec.theta_init, train_ds.features)
-    if theta_hat is None and cfg.trainer == "direct":
-        theta_hat = fit_linearized_exact(model, train_ds, cfg.risk, kernel=kernel)
-    elif theta_hat is None:
-        trained = train(model, train_ds, cfg.risk, cfg.opt, cfg.stop)
-        theta_hat = trained.final_params
+    if theta_hat is None:
+        theta_hat, trained = _fit(cfg, model, train_ds, kernel)
     grad_norm = float(np.linalg.norm(risk_grad(model, theta_hat, train_ds, cfg.risk)))
     return _SeedContext(cfg, seed, model, theta_hat, train_ds, test_ds, kernel, grad_norm,
                         trained)
-
-
-def _retrain_oracle(ctx: _SeedContext, split) -> np.ndarray:
-    cfg = ctx.cfg
-    if cfg.trainer == "direct":
-        return fit_linearized_exact(ctx.model, split.retain, cfg.risk)
-    return train(ctx.model, split.retain, cfg.risk, cfg.opt, cfg.stop).final_params
 
 
 def _make_unlearner(ctx: _SeedContext, split, space: str):
@@ -488,8 +485,6 @@ def measure_cold(cfg: ExperimentConfig, seed: int, percent: float, space: str) -
 def _cold_runtime(cfg, seed, percent, space, out_dir, snapshot_path):
     if cfg.cold == "skip":
         return float("nan")
-    if cfg.cold == "inline":
-        return measure_cold(cfg, seed, percent, space)
     result_path = os.path.join(out_dir, f"cold_s{seed}_p{percent:g}_{space}.json")
     cmd = [sys.executable, "-m", "kinfluence", "unlearn",
            "--config", snapshot_path, "--cold",
@@ -525,7 +520,7 @@ def run_unlearning_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
         for percent in cfg.percents:
             split = split_forget(ctx.train_ds, percent, scope=cfg.scope,
                                  seed=_split_seed(seed, percent))
-            theta_retrained = _retrain_oracle(ctx, split)
+            theta_retrained, _ = _fit(cfg, ctx.model, split.retain)
             retr_norm = float(np.linalg.norm(theta_retrained))
             baseline = random_perturbation_baseline(
                 ctx.theta_hat, theta_retrained, seed=seed * 1009 + int(round(percent * 10)))
@@ -563,22 +558,25 @@ def run_unlearning_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
                 delta, health, notes = ((result.x, vars(result), unlearner.notes)
                                         if space == SPACE_THETA else
                                         (theta_u - ctx.theta_hat, unlearner.diagnostics, []))
-                report = InfluenceReport(delta, health["residual"], health["iters"],
+                # frees this case's factor of M (or gathered K_rr) before the retain
+                # gradient, the next case's oracle fit and its unlearner
+                del unlearner
+                # R_r is lambda-strongly convex: ||theta_u - theta_r|| <= this norm / lambda
+                retain_grad = risk_grad(ctx.model, theta_u, split.retain, cfg.risk)
+                report = InfluenceReport(delta, health.get("residual"), health.get("iters"),
                                          converged=health["converged"], notes=list(notes))
                 attach_test_predictions(report, ctx.model, ctx.theta_hat, ctx.test_ds, cfg.risk)
                 write_influence_csv(os.path.join(case_dir, "influence.csv"),
                                     report, ctx.train_ds.d_out)
                 diag = {"seed": seed, "percent": percent, "space": space,
                         "grad_norm": ctx.grad_norm,
+                        "retain_grad_norm": float(np.linalg.norm(retain_grad)),
                         "rel_l2": rel_l2, "baseline_rel_l2": baseline_rel,
                         "residual": report.residual, "iters": report.iters,
                         "converged": report.converged, "notes": report.notes}
                 if space == SPACE_DUAL:
-                    diag.update(unlearner.diagnostics)
+                    diag.update(health)
                 write_diagnostics(os.path.join(case_dir, "diagnostics.jsonl"), diag)
-                # frees this case's factor of M (or gathered K_rr) before the
-                # next case's oracle fit and unlearner are built
-                del unlearner
         write_metrics_csv(os.path.join(seed_dir, "metrics.csv"), rows)
         all_rows.extend(rows)
     write_metrics_csv(os.path.join(cfg.out_dir, "metrics.csv"), all_rows)
@@ -669,7 +667,7 @@ def run_training(cfg: ExperimentConfig):
     seed = cfg.one_seed()
     data = _checked_data(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    ctx = _build_seed_context(cfg, seed, data, answers=False)
+    ctx = _build_seed_context(replace(cfg, space=SPACE_THETA), seed, data)
     spec = ctx.model.spec if cfg.linearized else ctx.model
     save_params(os.path.join(cfg.out_dir, "theta_hat.bin"), spec, ctx.theta_hat)
     if ctx.trained is None:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (BadHeader, BadMagic, CheckpointMismatch, DimensionMismatch, PartitionGap,
                      PartitionOverlap, TruncatedFile)
-from .models import Linearization, ModelSpec, activations_and_deltas
+from .models import Linearization, ModelSpec
 
 CACHE_MAGIC = b"KINFKER1"
 _FORM_DENSE, _FORM_KRON = 0, 1
@@ -153,8 +153,10 @@ def empirical_ntk(spec: ModelSpec, theta_ref: np.ndarray, X1: np.ndarray,
     diagonal are copied from the transposed upper blocks, so K == K.T exactly.
     """
     symmetric = X2 is None
-    a1, d1 = activations_and_deltas(spec, theta_ref, X1)
-    a2, d2 = (a1, d1) if symmetric else activations_and_deltas(spec, theta_ref, X2)
+    lz1 = Linearization(spec, theta_ref, X1)
+    lz2 = lz1 if symmetric else Linearization(spec, theta_ref, X2)
+    a1, a2, d1 = lz1.acts, lz2.acts, lz1.signals()
+    d2 = d1 if symmetric else lz2.signals()
     n1, n2 = a1[0].shape[0], a2[0].shape[0]
     d = spec.d_out
     out = np.zeros((n1 * d, n2 * d))

@@ -101,13 +101,12 @@ class ModelSpec:
         in the standard scheme, N(0,1) everywhere in the ntk scheme."""
         rng = np.random.default_rng(self.init_seed)
         theta = np.zeros(self.num_params)
-        for layer, (w_sl, (w_out, w_in), b_sl) in enumerate(self.param_slices):
+        for w_sl, (_w_out, w_in), b_sl in self.param_slices:
+            weights = rng.standard_normal(out=theta[w_sl])  # drawn in place: no temporary
             if self.parameterization == "standard":
-                theta[w_sl] = rng.standard_normal(w_out * w_in) * np.sqrt(2.0 / w_in)
-            else:
-                theta[w_sl] = rng.standard_normal(w_out * w_in)
-                if b_sl is not None:
-                    theta[b_sl] = rng.standard_normal(w_out)
+                weights *= np.sqrt(2.0 / w_in)
+            elif b_sl is not None:
+                rng.standard_normal(out=theta[b_sl])
         return theta
 
     @cached_property
@@ -263,7 +262,10 @@ class Linearization:
         return grad
 
     def signals(self) -> list[np.ndarray]:
-        """The backprop signals D[l] of ``activations_and_deltas``."""
+        """Per-layer signals D[l] (N, d_out, w_{l+1}): D[l][i, k] is the gradient of
+        output k at point i w.r.t. the layer-l pre-activation. With the layer inputs
+        ``acts`` A[l] (N, w_l) they determine every Jacobian block and the
+        tangent-kernel contraction without materializing the Jacobian."""
         spec, n = self.spec, self.acts[0].shape[0]
         deltas = [None] * spec.n_layers
         deltas[-1] = np.broadcast_to(np.eye(spec.d_out), (n, spec.d_out, spec.d_out)).copy()
@@ -274,20 +276,10 @@ class Linearization:
         return deltas
 
 
-def activations_and_deltas(spec: ModelSpec, theta: np.ndarray, X: np.ndarray):
-    """Per-layer inputs A[l] (N, w_l) and signals D[l] (N, d_out, w_{l+1}).
-
-    D[l][i, k] is the gradient of output k at point i w.r.t. the layer-l
-    pre-activation; together with A these determine every Jacobian block and
-    the tangent-kernel contraction without materializing the Jacobian.
-    """
-    lz = Linearization(spec, theta, X)
-    return lz.acts, lz.signals()
-
-
 def stacked_jacobian(spec: ModelSpec, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Dense Jacobian (N*d_out, d_theta), rows point-major. Desk scale only."""
-    acts, deltas = activations_and_deltas(spec, theta, X)
+    lz = Linearization(spec, theta, X)
+    acts, deltas = lz.acts, lz.signals()
     n = acts[0].shape[0]
     jac = np.empty((n * spec.d_out, spec.num_params))
     for layer, (w_sl, (w_out, w_in), b_sl) in enumerate(spec.param_slices):

@@ -32,8 +32,8 @@ class InfluenceReport:
     cap carries a MaxItersReached note."""
 
     delta_theta: np.ndarray | None
-    residual: float
-    iters: int
+    residual: float | None  # None when the solver measured none (a factored solve)
+    iters: int | None
     per_test: list = field(default_factory=list)  # list[PerTestChange]
     converged: bool = True
     notes: list = field(default_factory=list)

@@ -365,7 +365,7 @@ class TestAcceptance:
             values = {
                 "dataset.per_class": "20", "dataset.d_in": "6",
                 "model.widths": "6,32,2", "risk.lambda": "0.2",
-                "unlearn.percents": "30,70", "bench.cold": "inline",
+                "unlearn.percents": "30,70", "bench.cold": "skip",
                 "bench.test_size": "6",
             }
             rows_a = run_unlearning_experiment(

@@ -808,7 +808,7 @@ class TestEndToEnd:
         coeffs = solver.solve()
         theta_u = map_to_params(lin, theta_hat, coeffs.delta_alpha, split.full.features)
         h = solver.diagnostics
-        rep = InfluenceReport(theta_u - theta_hat, h["residual"], h["iters"],
+        rep = InfluenceReport(theta_u - theta_hat, h.get("residual"), h.get("iters"),
                               converged=h["converged"])
         attach_test_predictions(rep, lin, theta_hat, test, cfg)
         retrained = fit_linearized_exact(lin, split.retain, cfg)

@@ -48,7 +48,7 @@ def tiny_values(out, **extra):
     base = {
         "dataset.per_class": "20", "dataset.d_in": "6",
         "model.widths": "6,32,2", "risk.lambda": "0.2",
-        "unlearn.percents": "50", "bench.cold": "inline",
+        "unlearn.percents": "50", "bench.cold": "skip",
         "bench.test_size": "6", "out": out,
     }
     base.update(extra)
@@ -216,6 +216,10 @@ class TestConfig:
         vals = parse_config_text("# comment\n\nrisk.lambda = 0.5  # inline\n")
         assert vals["risk.lambda"] == "0.5"
 
+    def test_line_without_equals_rejected(self):
+        with pytest.raises(ConfigError, match="line 2: expected 'key = value'"):
+            parse_config_text("risk.lambda = 0.5\nrisk.loss squared\n")
+
 
 class TestData:
     def test_blob_train_test_disjoint_same_distribution(self, tmp_path):
@@ -330,6 +334,29 @@ class TestUnlearningProtocol:
                                  for line in pathlib.Path(diag).read_text().splitlines()]
         assert records["dual"]["solver"] == "dense" and records["dual"]["cond_lower"] >= 1.0
         assert "cond_lower" not in records["theta"]
+        # a factor measures no iterations and no residual, and the record claims none;
+        # the gradient of the retain risk at theta_u is measured in both spaces
+        assert records["dual"]["residual"] is None and records["dual"]["iters"] is None
+        assert records["theta"]["iters"] > 0
+        assert all(0 <= r["retain_grad_norm"] < 1e-8 for r in records.values())
+
+    def test_retain_grad_norm_bounds_the_distance_to_retraining(self, tmp_path):
+        # R_r is lambda-strongly convex, so ||theta_u - theta_r|| <= ||grad R_r(theta_u)|| /
+        # lambda; a loose CG tolerance leaves a distance for the bound to cover
+        cfg = config_from_values(tiny_values(str(tmp_path), **{
+            "cg.rel_tol": "1e-3", "unlearn.space": "theta", "unlearn.percents": "30,70"}))
+        run_unlearning_experiment(cfg)
+        ctx = experiments._build_seed_context(cfg, 0)
+        for percent in cfg.percents:
+            split = split_forget(ctx.train_ds, percent, scope=cfg.scope,
+                                 seed=experiments._split_seed(0, percent))
+            theta_r, _ = experiments._fit(cfg, ctx.model, split.retain)
+            record = json.loads((tmp_path / "seed_0" / f"p{percent:g}_theta"
+                                 / "diagnostics.jsonl").read_text())
+            distance = record["rel_l2"] * np.linalg.norm(theta_r)
+            assert 0 < distance <= record["retain_grad_norm"] / cfg.risk.lam
+            # squared loss: CG's residual g - H s is -grad R_r(theta_hat + s)
+            assert record["retain_grad_norm"] == pytest.approx(record["residual"], rel=1e-6)
 
     def test_single_class_scope(self, tmp_path):
         cfg = config_from_values(tiny_values(str(tmp_path), **{"unlearn.scope": "1",
@@ -619,10 +646,16 @@ class TestCli:
         ("train", {"model.init_seed": "-1"}),
         ("unlearn", {"bench.test_size": "0"}),
         ("unlearn", {"seeds": "0,0"}),
+        ("train", {"train.kind": "adam"}),
+        ("unlearn", {"model.linearized": "false", "unlearn.space": "theta"}),
+        ("train", {"risk.loss": "cross_entropy"}),
+        ("unlearn", {"bench.cold": "inline"}),
+        ("unlearn", {"bench.cold": "fork"}),
     ], ids=["hidden_layers", "sigma_w2", "ntk_epochs", "ntk_tol", "sweep_lambda",
             "max_epochs", "scope", "sweep_origin", "sweep_momentum", "percent_no_forget",
             "infinite_percent_no_forget", "negative_seed", "negative_dataset_seed",
-            "negative_init_seed", "test_size_0", "duplicate_seeds"])
+            "negative_init_seed", "test_size_0", "duplicate_seeds", "unknown_trainer",
+            "direct_raw_network", "direct_cross_entropy", "cold_inline", "cold_unknown"])
     def test_ruled_out_value_exit_code(self, tmp_path, capsys, command, bad):
         # each value fails before the output directory exists (1% of 20 points
         # forgets none)
@@ -632,6 +665,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert "configuration error" in err and "Traceback" not in err
         assert not os.path.exists(os.path.join(str(tmp_path), "results"))
+
+    @pytest.mark.parametrize("argv", [["train"], ["unlearn"], ["sweep-lambda"], ["ntk-infinite"],
+                                      ["unlearn", "--cold", "--percent", "50", "--space", "dual"]],
+                             ids=["train", "unlearn", "sweep_lambda", "ntk_infinite", "cold"])
+    def test_unwritable_out_exit_code(self, tmp_path, capsys, argv):
+        # --out names an existing file where the command makes a directory; for
+        # --cold, an existing directory where it writes the JSON result
+        cfgp = write_cfg(tmp_path)
+        out = tmp_path / "taken"
+        if "--cold" in argv:
+            out.mkdir()
+        else:
+            out.write_text("")
+        assert cli.main([argv[0], "--config", cfgp, *argv[1:], "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and str(out) in err and "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [["train"], ["ntk-infinite"],
                                       ["unlearn", "--cold", "--percent", "50", "--space", "dual"]],
@@ -698,9 +747,8 @@ class TestCli:
     def test_command_without_coefficient_space_reads_no_kernel(self, tmp_path, monkeypatch,
                                                                args):
         # a direct fit on a config whose unlearn.space is both: a command that
-        # answers in no coefficient space fits on the implicit kernel, and the
-        # inline cold start reads none either
-        cfgp = write_cfg(tmp_path, **{"unlearn.space": "both", "bench.cold": "inline"})
+        # answers in no coefficient space fits on the implicit kernel
+        cfgp = write_cfg(tmp_path, **{"unlearn.space": "both"})
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a kernel was assembled or read")

@@ -18,8 +18,7 @@ from kinfluence.kernels import (
     validate_shards,
     write_kernel_cache,
 )
-from kinfluence.models import (Linearization, ModelSpec, activations_and_deltas, save_params,
-                               stacked_jacobian)
+from kinfluence.models import Linearization, ModelSpec, save_params, stacked_jacobian
 
 
 class TestEmpirical:
@@ -82,8 +81,9 @@ def repeat_reference(spec, theta, X1, X2=None):
     """Every layer's full (point, point) gram expanded with np.repeat and
     multiplied into the full signal product: the block formula in its
     plainest form, with no symmetry and no identity shortcut."""
-    a1, d1 = activations_and_deltas(spec, theta, X1)
-    a2, d2 = (a1, d1) if X2 is None else activations_and_deltas(spec, theta, X2)
+    lz1 = Linearization(spec, theta, X1)
+    lz2 = lz1 if X2 is None else Linearization(spec, theta, X2)
+    a1, d1, a2, d2 = lz1.acts, lz1.signals(), lz2.acts, lz2.signals()
     n1, n2, d = a1[0].shape[0], a2[0].shape[0], spec.d_out
     out = np.zeros((n1 * d, n2 * d))
     for layer in range(spec.n_layers):
