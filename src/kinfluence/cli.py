@@ -59,8 +59,9 @@ def _measure_cold(cfg, json_path) -> None:
     if len(cfg.percents) != 1 or cfg.space == "both":
         raise ConfigError("--cold measures exactly one (percent, space) pair")
     seed = cfg.one_seed()
-    cold = measure_cold(cfg, seed, cfg.percents[0], cfg.space)
+    # opened first, so an --out that cannot be written fails before the measurement
     with open(json_path, "w") as f:
+        cold = measure_cold(cfg, seed, cfg.percents[0], cfg.space)
         json.dump({"cold_runtime_s": cold, "seed": seed,
                    "percent": cfg.percents[0], "space": cfg.space}, f)
 

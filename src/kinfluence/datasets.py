@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     BadMagic,
+    ConfigError,
     CountMismatch,
     DegenerateSplit,
     EmptyDataset,
@@ -215,6 +216,8 @@ def subset_per_class(ds: LabeledDataset, classes, per_class: int, seed: int,
     class-major, within class by ascending original index.
     """
     classes = sorted(int(c) for c in classes)
+    if len(set(classes)) < len(classes):
+        raise ConfigError(f"classes {classes} repeat a class")
     if per_class < 1:
         raise EmptyDataset("per_class must be at least 1")
     rng = np.random.default_rng(seed)

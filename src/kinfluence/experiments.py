@@ -46,8 +46,8 @@ from .report import (
     write_train_csv,
 )
 from .solvers import CgOptions
-from .training import (Optimizer, RiskConfig, StopRule, TrainReport, fit_linearized_exact,
-                       risk_grad, risk_value_and_grad, stationarity_gap, train)
+from .training import (Optimizer, RiskConfig, StopRule, TrainReport, descend,
+                       fit_linearized_exact, risk_grad, stationarity_gap, train)
 
 WARM_REPEATS = 5
 
@@ -103,8 +103,12 @@ class ExperimentConfig:
     out_dir: str = "results"
 
     def __post_init__(self):
-        if not self.seeds or min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
-            raise ConfigError("seeds must be nonempty, distinct and >= 0")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ConfigError("seeds must be nonempty and >= 0")
+        for key, values in zip(("seeds", "unlearn.percents", "sweep.lambdas", "dataset.classes"),
+                               (self.seeds, self.percents, self.sweep_lambdas, self.dataset.classes)):
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{key} repeats a value: {', '.join(map(str, values))}")
         if self.test_size < 1:
             raise ConfigError("bench.test_size must be at least 1")
         if self.model != ModelSpec(self.model.layer_widths, self.model.activation,
@@ -590,28 +594,23 @@ def run_unlearning_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
 def run_lambda_sweep(cfg: ExperimentConfig, record_every: int = 1) -> dict:
     """Train a raw network and its linearization side by side for each lambda.
 
-    Both models share the initialization and the optimizer; per epoch the
+    Both take exactly stop.max_epochs iterates from ``descend``; per epoch the
     harness records the relative parameter distance, the output RMSE on the
     test set, both test accuracies, and both gradient norms.
     """
     if len(cfg.sweep_lambdas) < 2:
         raise ConfigError("a lambda sweep needs at least two values")
-    if cfg.risk.center != "reference" or cfg.trainer == "momentum":
-        raise ConfigError("a lambda sweep steps plain gradient descent toward the "
-                          "initialization: not risk.center = origin or train.kind = momentum")
-    train_ds, test_ds = make_experiment_data(cfg)
+    train_ds, test_ds = _checked_data(cfg)
     spec = _spec_for_data(cfg, train_ds)
     os.makedirs(cfg.out_dir, exist_ok=True)
     lin = LinearizedModel(spec, spec.theta_init)
     results = {}
     for lam in cfg.sweep_lambdas:
         risk = replace(cfg.risk, lam=lam)
-        theta_nl = spec.theta_init.copy()
-        theta_li = spec.theta_init.copy()
         series = []
-        for epoch in range(cfg.stop.max_epochs):
-            _, g_nl = risk_value_and_grad(spec, theta_nl, train_ds, risk)
-            _, g_li = risk_value_and_grad(lin, theta_li, train_ds, risk)
+        for epoch, (theta_nl, _, gn_nl), (theta_li, _, gn_li) in zip(
+                range(cfg.stop.max_epochs), descend(spec, train_ds, risk, cfg.opt),
+                descend(lin, train_ds, risk, cfg.opt)):
             if epoch % record_every == 0 or epoch == cfg.stop.max_epochs - 1:
                 out_nl = model_outputs(spec, theta_nl, test_ds.features)
                 out_li = model_outputs(lin, theta_li, test_ds.features)
@@ -621,11 +620,8 @@ def run_lambda_sweep(cfg: ExperimentConfig, record_every: int = 1) -> dict:
                     float(np.sqrt(np.mean((out_nl - out_li) ** 2))),
                     accuracy(out_nl, test_ds.targets),
                     accuracy(out_li, test_ds.targets),
-                    float(np.linalg.norm(g_nl)),
-                    float(np.linalg.norm(g_li)),
+                    gn_nl, gn_li,
                 ))
-            theta_nl -= cfg.opt.lr * g_nl
-            theta_li -= cfg.opt.lr * g_li
         results[lam] = np.array(series)
         write_table(os.path.join(cfg.out_dir, f"sweep_lambda_{lam:g}.csv"), SWEEP_HEADER, series)
     return results

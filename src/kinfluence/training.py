@@ -11,6 +11,7 @@ solve of the dual system) a legitimate retrain-from-scratch oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, islice
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .datasets import LabeledDataset
 from .errors import DimensionMismatch, DivergenceDetected, EmptyDataset, NonFiniteEncountered, NotConverged
 from .kernels import KernelMatrix, empirical_kron_factor
 from .losses import LOSS_KINDS, SQUARED, loss_grad_batch, loss_hess_batch, loss_value_batch
-from .models import LinearizedModel, Model, _spec_of, linearize, model_outputs
+from .models import LinearizedModel, Model, _spec_of, linearize
 from .solvers import CgOptions, cg_solve, kron_preconditioner
 
 CENTER_REFERENCE = "reference"
@@ -69,7 +70,6 @@ class StopRule:
 @dataclass
 class TrainReport:
     final_params: np.ndarray
-    epochs_run: int
     grad_norm_history: np.ndarray
     loss_history: np.ndarray
 
@@ -93,11 +93,7 @@ def _check_ds(ds: LabeledDataset, model: Model) -> None:
 
 
 def risk_value(model: Model, theta: np.ndarray, ds: LabeledDataset, cfg: RiskConfig) -> float:
-    _check_ds(ds, model)
-    f = model_outputs(model, theta, ds.features)
-    c = resolve_center(model, cfg)
-    return float(loss_value_batch(cfg.loss, f, ds.targets).mean()
-                 + 0.5 * cfg.lam * np.sum((theta - c) ** 2))
+    return risk_value_and_grad(model, theta, ds, cfg)[0]
 
 
 def risk_value_and_grad(model: Model, theta: np.ndarray, ds: LabeledDataset,
@@ -155,36 +151,41 @@ def risk_hessian_op(model: Model, theta: np.ndarray, ds: LabeledDataset, cfg: Ri
     return apply_h
 
 
-def train(model: Model, ds: LabeledDataset, cfg: RiskConfig, opt: Optimizer,
-          stop: StopRule) -> TrainReport:
-    """Deterministic full-batch gradient descent / heavy-ball training,
-    started at the linearization point or the initialization."""
+def descend(model: Model, ds: LabeledDataset, cfg: RiskConfig, opt: Optimizer):
+    """Deterministic full-batch heavy-ball descent from the linearization point or
+    the initialization: yields (theta, risk, ||grad||), theta a new array at each
+    iterate, then steps v = beta v - lr g, theta = theta + v (beta = 0 for gd).
+    DivergenceDetected on a non-finite risk, which every non-finite theta has."""
     theta = np.array(model.theta_ref if isinstance(model, LinearizedModel) else model.theta_init,
                      dtype=np.float64)
+    beta = opt.beta if opt.kind == "momentum" else 0.0
     velocity = np.zeros_like(theta)
-    losses, gnorms = [], []
-    epochs = 0
-    for epoch in range(stop.max_epochs):
+    for epoch in count():
         with np.errstate(over="ignore", invalid="ignore"):
             value, grad = risk_value_and_grad(model, theta, ds, cfg)
         if not np.isfinite(value):
             raise DivergenceDetected(f"loss became non-finite at epoch {epoch}")
-        # an overflowing norm means divergence, which the finiteness checks report
+        # an overflowing norm or step means divergence, which the next risk reports
         with np.errstate(over="ignore"):
             gn = float(np.linalg.norm(grad))
+        yield theta, value, gn
+        with np.errstate(over="ignore"):
+            velocity = beta * velocity - opt.lr * grad
+            theta = theta + velocity
+
+
+def train(model: Model, ds: LabeledDataset, cfg: RiskConfig, opt: Optimizer,
+          stop: StopRule) -> TrainReport:
+    """``descend`` for at most stop.max_epochs iterates, ending at the first whose
+    gradient norm is at most stop.grad_tol; returns the last iterate evaluated,
+    whose gradient norm ends the history."""
+    losses, gnorms = [], []
+    for theta, value, gn in islice(descend(model, ds, cfg, opt), stop.max_epochs):
         losses.append(value)
         gnorms.append(gn)
-        epochs = epoch + 1
         if gn <= stop.grad_tol:
             break
-        if opt.kind == "momentum":
-            velocity = opt.beta * velocity - opt.lr * grad
-            theta = theta + velocity
-        else:
-            theta = theta - opt.lr * grad
-    if not np.all(np.isfinite(theta)):
-        raise DivergenceDetected("parameters became non-finite")
-    return TrainReport(theta, epochs, np.array(gnorms), np.array(losses))
+    return TrainReport(theta, np.array(gnorms), np.array(losses))
 
 
 def fit_linearized_exact(lin: LinearizedModel, ds: LabeledDataset, cfg: RiskConfig,

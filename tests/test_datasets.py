@@ -19,6 +19,7 @@ from kinfluence.datasets import (
 )
 from kinfluence.errors import (
     BadMagic,
+    ConfigError,
     CountMismatch,
     DegenerateSplit,
     EmptyDataset,
@@ -170,6 +171,12 @@ class TestSubsetPerClass:
         ds = make_blobs(10, 2, d_in=3, seed=0)
         with pytest.raises(EmptyDataset):
             subset_per_class(ds, [0, 1], per_class=0, seed=0)
+
+    def test_repeated_class_rejected(self):
+        # drawing class 1 twice would give repeated rows, every target one class
+        ds = make_blobs(10, 2, d_in=3, seed=0)
+        with pytest.raises(ConfigError, match="repeat"):
+            subset_per_class(ds, [1, 1], per_class=5, seed=0)
 
 
 class TestSplitForget:

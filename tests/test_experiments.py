@@ -500,6 +500,27 @@ class TestSweep:
         assert res[lams[2]][-1, 3] <= res[lams[0]][-1, 3]
         assert os.path.exists(os.path.join(str(tmp_path), "sweep_lambda_0.001.csv"))
 
+    @pytest.mark.parametrize("extra", [{"train.kind": "momentum", "opt.beta": "0.5"},
+                                       {"risk.center": "origin"}], ids=["momentum", "origin"])
+    def test_both_models_train_as_train_does(self, tmp_path, extra):
+        # the last row's gradient norms are those train ends its history with,
+        # for the same model, risk and optimizer
+        cfg = config_from_values(tiny_values(str(tmp_path), **{
+            "model.widths": "6,16,1", "dataset.targets": "pm1", "stop.max_epochs": "40",
+            "opt.lr": "0.1", "sweep.lambdas": "1e-2,1e0", **extra}))
+        run_lambda_sweep(cfg, record_every=10)
+        train_ds, _ = make_experiment_data(cfg)
+        spec = cfg.model
+        for lam in cfg.sweep_lambdas:
+            with open(os.path.join(str(tmp_path), f"sweep_lambda_{lam:g}.csv")) as f:
+                last = list(csv.DictReader(f))[-1]
+            assert last["epoch"] == "39"
+            for model, column in ((spec, "grad_norm_model"),
+                                  (LinearizedModel(spec, spec.theta_init), "grad_norm_linear")):
+                rep = training.train(model, train_ds, replace(cfg.risk, lam=lam), cfg.opt,
+                                     training.StopRule(40, 0.0))
+                assert float(last[column]) == rep.grad_norm_history[-1]
+
     def test_needs_two_lambdas(self, tmp_path):
         cfg = config_from_values(tiny_values(str(tmp_path), **{"sweep.lambdas": "0.1"}))
         with pytest.raises(ConfigError):
@@ -523,7 +544,7 @@ CLI = [sys.executable, "-m", "kinfluence"]
 
 
 def forbidden_fit(*args, **kwargs):
-    raise AssertionError("cold child refitted theta_hat")
+    raise AssertionError("theta_hat was refitted or the kernel assembled")
 
 
 def write_cfg(tmp_path, name="exp.cfg", **extra):
@@ -637,8 +658,6 @@ class TestCli:
         ("sweep-lambda", {"sweep.lambdas": "0.1,-1"}),
         ("train", {"stop.max_epochs": "0", "train.kind": "gd"}),
         ("unlearn", {"unlearn.scope": "7"}),
-        ("sweep-lambda", {"risk.center": "origin"}),
-        ("sweep-lambda", {"train.kind": "momentum"}),
         ("unlearn", {"unlearn.percents": "50,1"}),
         ("ntk-infinite", {"unlearn.percents": "1"}),
         ("unlearn", {"seeds": "0,-1"}),
@@ -646,38 +665,56 @@ class TestCli:
         ("train", {"model.init_seed": "-1"}),
         ("unlearn", {"bench.test_size": "0"}),
         ("unlearn", {"seeds": "0,0"}),
+        ("unlearn", {"unlearn.percents": "30,30"}),
+        ("sweep-lambda", {"sweep.lambdas": "0.1,0.1"}),
+        ("train", {"dataset.classes": "1,1"}),
         ("train", {"train.kind": "adam"}),
         ("unlearn", {"model.linearized": "false", "unlearn.space": "theta"}),
         ("train", {"risk.loss": "cross_entropy"}),
         ("unlearn", {"bench.cold": "inline"}),
         ("unlearn", {"bench.cold": "fork"}),
+        ("train", {"risk.lambda": "0"}),
+        ("train", {"opt.lr": "0", "train.kind": "gd"}),
+        ("unlearn", {"cg.rel_tol": "0"}),
+        ("unlearn", {"cg.max_iters": "0"}),
+        ("unlearn --cold --percent 50 --space dual", {}),
+        ("unlearn --cold --percent 50 --out cold.json", {"unlearn.space": "both"}),
     ], ids=["hidden_layers", "sigma_w2", "ntk_epochs", "ntk_tol", "sweep_lambda",
-            "max_epochs", "scope", "sweep_origin", "sweep_momentum", "percent_no_forget",
-            "infinite_percent_no_forget", "negative_seed", "negative_dataset_seed",
-            "negative_init_seed", "test_size_0", "duplicate_seeds", "unknown_trainer",
-            "direct_raw_network", "direct_cross_entropy", "cold_inline", "cold_unknown"])
-    def test_ruled_out_value_exit_code(self, tmp_path, capsys, command, bad):
-        # each value fails before the output directory exists (1% of 20 points
-        # forgets none)
+            "max_epochs", "scope", "percent_no_forget", "infinite_percent_no_forget",
+            "negative_seed", "negative_dataset_seed", "negative_init_seed", "test_size_0",
+            "duplicate_seeds", "duplicate_percents", "duplicate_lambdas", "duplicate_classes",
+            "unknown_trainer", "direct_raw_network", "direct_cross_entropy", "cold_inline",
+            "cold_unknown", "lambda_0", "lr_0", "cg_rel_tol_0", "cg_max_iters_0",
+            "cold_without_out", "cold_both_spaces"])
+    def test_ruled_out_value_exit_code(self, tmp_path, capsys, monkeypatch, command, bad):
+        # each value fails before anything is written (1% of 20 points forgets
+        # none); a relative --out would land in tmp_path
+        monkeypatch.chdir(tmp_path)
         cfgp = write_cfg(tmp_path, **{"dataset.per_class": "10", "dataset.d_in": "4",
                                       "model.widths": "4,8,2", **bad})
-        assert cli.main([command, "--config", cfgp]) == 2
+        assert cli.main([*command.split(), "--config", cfgp]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and "Traceback" not in err
-        assert not os.path.exists(os.path.join(str(tmp_path), "results"))
+        assert os.listdir(tmp_path) == ["exp.cfg"]
 
-    @pytest.mark.parametrize("argv", [["train"], ["unlearn"], ["sweep-lambda"], ["ntk-infinite"],
-                                      ["unlearn", "--cold", "--percent", "50", "--space", "dual"]],
-                             ids=["train", "unlearn", "sweep_lambda", "ntk_infinite", "cold"])
-    def test_unwritable_out_exit_code(self, tmp_path, capsys, argv):
+    @pytest.mark.parametrize("argv, out", [
+        (["train"], "taken"), (["unlearn"], "taken"), (["sweep-lambda"], "taken"),
+        (["ntk-infinite"], "taken"),
+        (["unlearn", "--cold", "--percent", "50", "--space", "dual"], "taken"),
+        (["unlearn", "--cold", "--percent", "50", "--space", "dual"], "missing/cold.json"),
+    ], ids=["train", "unlearn", "sweep_lambda", "ntk_infinite", "cold", "cold_missing_parent"])
+    def test_unwritable_out_exit_code(self, tmp_path, capsys, monkeypatch, argv, out):
         # --out names an existing file where the command makes a directory; for
-        # --cold, an existing directory where it writes the JSON result
+        # --cold, an existing directory or a path in none, where it writes the
+        # JSON result. Each fails before the kernel is assembled or theta fitted.
+        for name in ("empirical_ntk", "_fit"):
+            monkeypatch.setattr(experiments, name, forbidden_fit)
         cfgp = write_cfg(tmp_path)
-        out = tmp_path / "taken"
-        if "--cold" in argv:
-            out.mkdir()
-        else:
+        out = tmp_path / out
+        if "--cold" not in argv:
             out.write_text("")
+        elif out.name == "taken":
+            out.mkdir()
         assert cli.main([argv[0], "--config", cfgp, *argv[1:], "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and str(out) in err and "Traceback" not in err
@@ -911,6 +948,35 @@ class TestCli:
                             "diagnostics.jsonl")
         (record,) = [json.loads(line) for line in pathlib.Path(diag).read_text().splitlines()]
         assert any(note.startswith("NotAtOptimum") for note in record["notes"])
+
+    def test_diverging_sweep_exit_code(self, tmp_path, capsys):
+        # a step far above the stability bound: the sweep stops at the first
+        # non-finite risk instead of writing NaN rows
+        cfgp = write_cfg(tmp_path, **{"model.widths": "6,32,1", "dataset.targets": "pm1",
+                                      "opt.lr": "40", "stop.max_epochs": "300",
+                                      "sweep.lambdas": "1e-3,1e-1"})
+        assert cli.main(["sweep-lambda", "--config", cfgp]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: loss became non-finite" in err and "Traceback" not in err
+
+    def test_cold_child_rejects_a_kernel_of_another_spec(self, tmp_path, capsys, monkeypatch):
+        # the run's snapshot and theta_hat.bin match, its kernel.bin does not
+        cfgp = write_cfg(tmp_path, **{"unlearn.space": "dual"})
+        cfg = experiments.load_config(cfgp)
+        run_unlearning_experiment(cfg)
+        kernel_path, _ = stored_paths(cfg, 0)
+        other = replace(cfg.model, init_seed=cfg.model.init_seed + 1)
+        write_kernel_cache(kernel_path, empirical_ntk(other, other.init_params(),
+                                                      make_experiment_data(cfg)[0].features))
+        for name in ("empirical_ntk", "_fit"):
+            monkeypatch.setattr(experiments, name, forbidden_fit)
+        with pytest.raises(CheckpointMismatch, match="spec hash mismatch"):
+            experiments.measure_cold(cfg, 0, 50.0, "dual")
+        out = os.path.join(str(tmp_path), "cold.json")
+        assert cli.main(["unlearn", "--config", cfgp, "--cold", "--percent", "50",
+                         "--space", "dual", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "spec hash mismatch" in err
 
     def test_numerical_failure_exit_code(self, tmp_path):
         cfgp = write_cfg(tmp_path, **{"train.kind": "gd", "opt.lr": "50.0",

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from kinfluence.datasets import make_blobs
-from kinfluence.errors import (BadHeader, BadMagic, ConfigError, PartitionGap, PartitionOverlap,
-                              TruncatedFile)
+from kinfluence.errors import (BadHeader, BadMagic, CheckpointMismatch, ConfigError, PartitionGap,
+                              PartitionOverlap, TruncatedFile)
 from kinfluence.kernels import (
     KernelMatrix,
     empirical_kron_factor,
@@ -340,6 +340,17 @@ class TestCache:
         back = read_kernel_cache(p)
         assert back.kron == kron and back.n_rows == 3
         np.testing.assert_array_equal(back.to_dense(), view.to_dense())
+
+    def test_spec_hash_mismatch_rejected(self, tmp_path):
+        # a kernel assembled for one network is no kernel of another
+        ds = make_blobs(4, 2, d_in=3, seed=9)
+        p = str(tmp_path / "k.bin")
+        write_kernel_cache(p, empirical_ntk(ModelSpec((3, 8, 2), init_seed=8),
+                                            ModelSpec((3, 8, 2), init_seed=8).init_params(),
+                                            ds.features))
+        with pytest.raises(CheckpointMismatch, match="spec hash mismatch"):
+            read_kernel_cache(p, expect_hash=ModelSpec((3, 8, 2), init_seed=9).spec_hash())
+        assert read_kernel_cache(p).n_rows == 8  # no expected hash, no check
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk.bin"

@@ -280,6 +280,32 @@ class TestCheckpoints:
         with pytest.raises(CheckpointMismatch, match="payload length"):
             load_params(str(p), spec)
 
+    def test_short_header_rejected(self, tmp_path):
+        spec = ModelSpec((6, 4, 2), init_seed=9)
+        p = tmp_path / "theta.bin"
+        save_params(str(p), spec, spec.init_params())
+        p.write_bytes(p.read_bytes()[:39])  # the header is a u64 count and a 32-byte hash
+        with pytest.raises(CheckpointMismatch, match="too short"):
+            load_params(str(p), spec)
+
+    def test_count_mismatch_rejected(self, tmp_path):
+        # the count is read before the hash: a file of another width fails on it
+        wider = ModelSpec((6, 5, 2), init_seed=9)
+        p = str(tmp_path / "theta.bin")
+        save_params(p, wider, wider.init_params())
+        with pytest.raises(CheckpointMismatch, match="stores 47 params, spec has 38"):
+            load_params(p, ModelSpec((6, 4, 2), init_seed=9))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_params_not_written(self, tmp_path, bad):
+        spec = ModelSpec((6, 4, 2), init_seed=9)
+        theta = spec.init_params().copy()
+        theta[3] = bad
+        p = tmp_path / "theta.bin"
+        with pytest.raises(ValueError, match="non-finite"):
+            save_params(str(p), spec, theta)
+        assert not p.exists()
+
     def test_spec_hash_is_stable(self):
         # stored kernels and checkpoints carry this hash: it must not move
         assert (ModelSpec((400, 1024, 10)).spec_hash().hex()

@@ -118,7 +118,7 @@ class TestRawNetworkCenter:
             spec = ModelSpec((3, 8, 2), init_seed=1)
             rep = train(spec, ds, RiskConfig(lam=0.1), Optimizer("gd", lr=0.05),
                         StopRule(epochs, 0.0))
-            assert rep.epochs_run == epochs
+            assert len(rep.grad_norm_history) == epochs
             counts.append(len(calls))
         assert counts[0] == counts[1] == 1
         assert not spec.theta_init.flags.writeable
@@ -352,6 +352,41 @@ class TestTrain:
         gd = train(lin, ds, cfg, Optimizer("gd", lr=0.02), StopRule(150, 0.0))
         mom = train(lin, ds, cfg, Optimizer("momentum", lr=0.02, beta=0.9), StopRule(150, 0.0))
         assert mom.grad_norm_history[-1] < gd.grad_norm_history[-1]
+
+    @pytest.mark.parametrize("linearized", [True, False], ids=["linearized", "raw"])
+    def test_gd_is_the_plain_gradient_step(self, linearized):
+        # heavy ball at beta = 0 takes exactly theta - lr g, bit for bit
+        spec, lin, ds = small_lin(12)
+        model = lin if linearized else spec
+        cfg, lr = RiskConfig(lam=0.1, loss=CROSS_ENTROPY), 0.3
+        theta, gnorms = spec.init_params().copy(), []
+        for _ in range(50):
+            grad = risk_grad(model, theta, ds, cfg)
+            gnorms.append(np.linalg.norm(grad))
+            theta = theta - lr * grad
+        rep = train(model, ds, cfg, Optimizer("gd", lr=lr, beta=0.9), StopRule(51, 0.0))
+        np.testing.assert_array_equal(rep.final_params, theta)
+        np.testing.assert_array_equal(rep.grad_norm_history[:50], gnorms)
+
+    @pytest.mark.parametrize("kind", ["gd", "momentum"])
+    def test_exhausted_run_returns_its_last_measured_iterate(self, kind):
+        # the history ends with the gradient norm of the returned parameters
+        spec, lin, ds = small_lin(13)
+        cfg = RiskConfig(lam=0.1)
+        rep = train(spec, ds, cfg, Optimizer(kind, lr=0.05), StopRule(30, 0.0))
+        assert len(rep.grad_norm_history) == 30
+        final = risk_grad(spec, rep.final_params, ds, cfg)
+        assert np.linalg.norm(final) == rep.grad_norm_history[-1]
+
+    def test_stops_at_the_first_iterate_within_grad_tol(self):
+        spec, lin, ds = small_lin(14)
+        cfg = RiskConfig(lam=0.2)
+        full = train(lin, ds, cfg, Optimizer("gd", lr=0.05), StopRule(400, 0.0))
+        tol = full.grad_norm_history[99]
+        rep = train(lin, ds, cfg, Optimizer("gd", lr=0.05), StopRule(400, tol))
+        assert len(rep.grad_norm_history) == 1 + np.argmax(full.grad_norm_history <= tol)
+        np.testing.assert_array_equal(rep.grad_norm_history,
+                                      full.grad_norm_history[:len(rep.grad_norm_history)])
 
     def test_deterministic(self):
         spec, lin, ds = small_lin(11)
