@@ -80,14 +80,15 @@ def retain_hessian_blocks(f_vec: np.ndarray, split: SplitDataset, cfg: RiskConfi
 def _packed_system(kernel: KernelMatrix, n_forget: int, c: np.ndarray, lam: float,
                    v: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """M = lam I + C K_rr C as its upper block rows (solvers.block_cholesky) and
-    K_r. v, from one pass over a dense kernel's retain rows, a few points at a
-    time: at most 20 block rows of whole points, each of at least 64 rows but
-    the last. C scales rows, then columns, so each entry is bitwise the same
-    however the rows chunk."""
+    K_r. v: K_rf v_f from one product through the kernel, the rest from one
+    pass over a dense kernel's retain rows from the diagonal block on, a few
+    points at a time: at most 20 block rows of whole points, each of at least
+    64 rows but the last. C scales rows, then columns, so each entry is
+    bitwise the same however the rows chunk."""
     d, n_f = kernel.d_out, n_forget * kernel.d_out
     n = kernel.shape[0] - n_f
     size = max(-(-64 // d), -(-n // (20 * d)))  # points per block row
-    rows, kv = [], np.zeros(n)
+    rows, kv = [], kernel.submatrix(slice(n_forget, None), slice(n_forget)).matvec(v[:n_f])
     # each of a chunk's two buffers holds up to 1/64 of M's entries, or one point
     step = max(1, n * n // (64 * d * kernel.shape[1]))
     for e in range(0, n // d, size):
@@ -95,10 +96,9 @@ def _packed_system(kernel: KernelMatrix, n_forget: int, c: np.ndarray, lam: floa
         for p0 in range(e, e + len(row) // d, step):
             p1 = min(p0 + step, e + len(row) // d)
             r0, r1, o = p0 * d, p1 * d, (p0 - e) * d
-            blk = kernel.rows_block(np.arange(n_forget + p0, n_forget + p1),
-                                    np.r_[:n_forget, n_forget + e:kernel.n_rows])
-            ku = blk[:, n_f:]  # K_rr[r0:r1, e d:]
-            kv[r0:r1] += blk[:, :n_f] @ v[:n_f] + ku[:, o:] @ v[n_f + r0:]
+            ku = kernel.rows_block(np.arange(n_forget + p0, n_forget + p1),
+                                   slice(n_forget + e, None))  # K_rr[r0:r1, e d:]
+            kv[r0:r1] += ku[:, o:] @ v[n_f + r0:]
             kv[r1:] += ku[:, o + r1 - r0:].T @ v[n_f + r0:n_f + r1]  # K_rr's other triangle
             k4 = ku.reshape(p1 - p0, d, -1, d)
             if c.ndim == 1:
@@ -165,10 +165,10 @@ class DualUnlearner:
         self.use_dense = ((not kron or self.c.ndim == 1)
                           and split.n_retain * (1 if kron else d) <= DENSE_SOLVE_MAX)
         # the kernel is forget block first. A dense M is built in block rows
-        # from the retain rows, which also give K_rf alpha_f - K_rr a. Otherwise
-        # K_rr is gathered once, and K_rf for its one product: that reads
-        # |Dr| |Df| entries, where a product through the view would run over
-        # the whole stored kernel
+        # from the retain rows, which also give - K_rr a; K_rf alpha_f is one
+        # product through the view. Otherwise K_rr is gathered once, and K_rf
+        # for its one product: that reads |Dr| |Df| entries, where a product
+        # through the view would run over the whole stored kernel
         if self.use_dense and not kron:
             rows, kv = _packed_system(self.kernel, split.n_forget, self.c, cfg.lam,
                                       np.concatenate([self.alpha[:n_f], -self.a]))

@@ -105,10 +105,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds or min(self.seeds) < 0:
             raise ConfigError("seeds must be nonempty and >= 0")
-        for key, values in zip(("seeds", "unlearn.percents", "sweep.lambdas", "dataset.classes"),
-                               (self.seeds, self.percents, self.sweep_lambdas, self.dataset.classes)):
-            if len(set(values)) < len(values):
-                raise ConfigError(f"{key} repeats a value: {', '.join(map(str, values))}")
+        # percents and lambdas name files as %g, where distinct values can print alike
+        g = "{:g}".format
+        for key, values, name in (("seeds", self.seeds, str), ("unlearn.percents", self.percents, g),
+                                  ("sweep.lambdas", self.sweep_lambdas, g),
+                                  ("dataset.classes", self.dataset.classes, str)):
+            if len(set(map(name, values))) < len(values):
+                raise ConfigError(f"{key} repeats a value or its file name: "
+                                  f"{', '.join(map(str, values))}")
         if self.test_size < 1:
             raise ConfigError("bench.test_size must be at least 1")
         if self.model != ModelSpec(self.model.layer_widths, self.model.activation,
@@ -421,7 +425,8 @@ def _build_seed_context(cfg: ExperimentConfig, seed: int, data: tuple | None = N
     """The seed's context on ``data`` (the run's train/test pair, built when None), with
     a kernel when the config answers in coefficient space. With ``stored``, the theta_hat
     and kernel the protocol run wrote are read back when they exist, and a config snapshot
-    that differs in a fit setting is rejected. ||grad R(theta_hat)|| is measured once, here."""
+    that differs in a fit setting is rejected. ||grad R(theta_hat)|| is measured once, here,
+    or read off the end of a gd/momentum fit's history."""
     train_ds, test_ds = data or make_experiment_data(cfg)
     spec = _spec_for_data(cfg, train_ds, seed)
     model = LinearizedModel(spec, spec.theta_init) if cfg.linearized else spec
@@ -440,7 +445,8 @@ def _build_seed_context(cfg: ExperimentConfig, seed: int, data: tuple | None = N
             kernel = empirical_ntk(spec, spec.theta_init, train_ds.features)
     if theta_hat is None:
         theta_hat, trained = _fit(cfg, model, train_ds, kernel)
-    grad_norm = float(np.linalg.norm(risk_grad(model, theta_hat, train_ds, cfg.risk)))
+    grad_norm = float(trained.grad_norm_history[-1] if trained is not None else
+                      np.linalg.norm(risk_grad(model, theta_hat, train_ds, cfg.risk)))
     return _SeedContext(cfg, seed, model, theta_hat, train_ds, test_ds, kernel, grad_norm,
                         trained)
 

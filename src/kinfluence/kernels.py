@@ -31,25 +31,34 @@ class KernelMatrix:
     """Block-structured kernel, (point, output-dim) indexed, point-major rows.
 
     A kernel stores exactly one of ``dense`` (d_out*N1, d_out*N2) or ``sigma``
-    (N1, N2, the Kronecker factor of sigma (x) I_{d_out}). ``submatrix`` gives
-    an index view: the same stored matrix plus the stored points it selects,
-    so a view copies nothing. A view's matvec scatters the vector onto the
-    stored columns, runs one product with the stored matrix and keeps the
-    selected rows. On a view, ``gather`` and the block accessors (``dense``,
-    ``sigma``, ``to_dense``, ``kron_factor``) copy out the selected block.
+    (N1, N2, the Kronecker factor of sigma (x) I_{d_out}). A symmetric dense
+    kernel may be given as its upper block rows, a list of K[e:e+b, e:] in row
+    order, about half the square: every method reads them, ``matvec`` as a
+    symmetric product, and ``dense``/``to_dense`` copy out a full square.
+    ``submatrix`` gives an index view: the same stored matrix plus the stored
+    points it selects, so a view copies nothing. A view's matvec scatters the
+    vector onto the stored columns, runs one product with the stored matrix
+    and keeps the selected rows. On a view, ``gather`` and the block accessors
+    (``dense``, ``sigma``, ``to_dense``, ``kron_factor``) copy out the
+    selected block, as a plain array.
     """
 
-    def __init__(self, d_out: int, dense: np.ndarray | None = None,
+    def __init__(self, d_out: int, dense: np.ndarray | list | None = None,
                  sigma: np.ndarray | None = None, spec_hash: bytes = b"\x00" * 32):
         if (dense is None) == (sigma is None):
             raise ValueError("exactly one of dense/sigma must be given")
         self.d_out = d_out
         self.spec_hash = spec_hash
         self.kron = sigma is not None
-        self._mat = sigma if self.kron else dense
         self._unit = 1 if self.kron else d_out  # stored matrix rows per point
-        if self._mat.shape[0] % self._unit or self._mat.shape[1] % self._unit:
+        self._upper, self._mat = None, sigma if self.kron else dense
+        if isinstance(dense, list):  # (first point, K[e:e+b, e:]) per block row
+            starts = np.cumsum([0] + [len(r) // d_out for r in dense]).tolist()
+            self._upper, self._mat, self._points = list(zip(starts, dense)), None, (starts[-1],) * 2
+        elif self._mat.shape[0] % self._unit or self._mat.shape[1] % self._unit:
             raise DimensionMismatch("dense kernel shape must be a multiple of d_out")
+        else:
+            self._points = tuple(s // self._unit for s in self._mat.shape)
         self.rows = self.cols = None  # the stored points a view selects
 
     @property
@@ -65,21 +74,47 @@ class KernelMatrix:
     @property
     def n_rows(self) -> int:
         """Row count in points (not matrix rows)."""
-        return self._mat.shape[0] // self._unit if self.rows is None else len(self.rows)
+        return self._points[0] if self.rows is None else len(self.rows)
 
     @property
     def n_cols(self) -> int:
-        return self._mat.shape[1] // self._unit if self.cols is None else len(self.cols)
+        return self._points[1] if self.cols is None else len(self.cols)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.n_rows * self.d_out, self.n_cols * self.d_out)
 
     def _block(self) -> np.ndarray:
-        if self.rows is None:
+        if self.rows is None and self._upper is None:
             return self._mat
-        # one 2-D gather: no intermediate larger than the block
-        return self._mat[np.ix_(_expand(self.rows, self._unit), _expand(self.cols, self._unit))]
+        # a row block of points at a time: no intermediate wider than the stored rows
+        u = self._unit
+        out = np.empty((self.n_rows * u, self.n_cols * u))
+        for p0 in range(0, self.n_rows, _ASSEMBLY_BLOCK):
+            out[p0 * u:(p0 + _ASSEMBLY_BLOCK) * u] = self.rows_block(
+                slice(p0, p0 + _ASSEMBLY_BLOCK), slice(None))
+        return out
+
+    def _stored_rows(self, points: np.ndarray, c0: int = 0, out: np.ndarray | None = None):
+        """The stored rows of ``points`` from the stored column of point ``c0``
+        on (into ``out`` when given). From block rows, a point's columns left of
+        its own block row come from the block rows above, transposed."""
+        u = self._unit
+        if self._upper is None:
+            return self._mat[_expand(points, u), c0 * u:]
+        shape = (len(points) * u, (self._points[1] - c0) * u)
+        out = np.empty(shape) if out is None else out[:shape[0]]
+        for i, p in enumerate(points):
+            row = out[i * u:(i + 1) * u]
+            for e, r in self._upper:
+                b, c = len(r) // u, max(e, c0)
+                if p < e + b:
+                    row[:, (c - c0) * u:] = r[(p - e) * u:(p - e + 1) * u, (c - e) * u:]
+                    break
+                if e + b > c0:
+                    col = r[(c - e) * u:, (p - e) * u:(p - e + 1) * u]
+                    row[:, (c - c0) * u:(e + b - c0) * u] = col.T
+        return out
 
     def gather(self) -> "KernelMatrix":
         """A stored kernel of the selected block: a view's block is copied out
@@ -91,12 +126,13 @@ class KernelMatrix:
 
     def rows_block(self, rows, cols) -> np.ndarray:
         """The block of a few points ``rows`` x ``cols`` (as ``submatrix``
-        takes them): whole stored rows, then the columns in runs of a point's
-        entries. Faster than ``dense``'s 2-D gather, with a stored-row-wide
+        takes them): the stored rows from the first selected column on, then
+        the columns in runs of a point's entries, with a stored-row-wide
         intermediate."""
         view, u = self.submatrix(rows, cols), self._unit
-        whole = self._mat[_expand(view.rows, u)].reshape(len(view.rows) * u, -1, u)
-        return np.take(whole, view.cols, axis=1).reshape(len(view.rows) * u, -1)
+        c0 = view.cols.min(initial=self._points[1])
+        whole = self._stored_rows(view.rows, c0).reshape(len(view.rows) * u, -1, u)
+        return np.take(whole, view.cols - c0, axis=1).reshape(len(view.rows) * u, -1)
 
     def to_dense(self) -> np.ndarray:
         return np.kron(self.sigma, np.eye(self.d_out)) if self.kron else self.dense
@@ -106,8 +142,17 @@ class KernelMatrix:
         if self.kron:
             return self.sigma
         d = self.d_out
-        k4 = self._mat.reshape(self._mat.shape[0] // d, d, self._mat.shape[1] // d, d)
-        factor = np.trace(k4, axis1=1, axis2=3) / d
+
+        def traces(k):
+            return np.trace(k.reshape(len(k) // d, d, -1, d), axis1=1, axis2=3) / d
+        if self._upper is None:
+            factor = traces(self._mat)
+        else:
+            factor = np.empty(self._points)
+            for e, r in self._upper:
+                t, b = traces(r), len(r) // d
+                factor[e:e + b, e:] = t
+                factor[e + b:, e:e + b] = t[:, b:].T
         return factor if self.rows is None else factor[np.ix_(self.rows, self.cols)]
 
     def submatrix(self, rows, cols) -> "KernelMatrix":
@@ -127,9 +172,18 @@ class KernelMatrix:
         d = self.d_out
         if self.cols is not None:
             # bincount adds the entries of a point selected twice
-            v = np.bincount(_expand(self.cols, d), weights=v,
-                            minlength=self._mat.shape[1] // self._unit * d)
-        out = (self._mat @ v.reshape(-1, d)).ravel() if self.kron else self._mat @ v
+            v = np.bincount(_expand(self.cols, d), weights=v, minlength=self._points[1] * d)
+        if self.kron:
+            out = (self._mat @ v.reshape(-1, d)).ravel()
+        elif self._upper is None:
+            out = self._mat @ v
+        else:
+            # each block row gives its own rows and, transposed, the rows below
+            out = np.zeros(self._points[0] * d)
+            for e, r in self._upper:
+                s, b = e * d, len(r)
+                out[s:s + b] += r @ v[s:]
+                out[s + b:] += r[:, b:].T @ v[s:s + b]
         return out if self.rows is None else out.reshape(-1, d)[self.rows].ravel()
 
 
@@ -148,9 +202,10 @@ def empirical_ntk(spec: ModelSpec, theta_ref: np.ndarray, X1: np.ndarray,
     where a are the layer's inputs and D its backprop signals. The output
     layer's signal is the identity, so its term is gram (x) I_{d_out}.
 
-    Without ``X2`` the kernel is symmetric: each row block of points computes
-    only the columns from its own first point on, and the rows below the
-    diagonal are copied from the transposed upper blocks, so K == K.T exactly.
+    Without ``X2`` the kernel is symmetric and held as its upper block rows:
+    each row block of 64 points computes only the columns from its own first
+    point on, and its diagonal tile's lower triangle is copied from the upper,
+    so K == K.T exactly and no entry below the diagonal tiles is stored.
     """
     symmetric = X2 is None
     lz1 = Linearization(spec, theta_ref, X1)
@@ -159,8 +214,7 @@ def empirical_ntk(spec: ModelSpec, theta_ref: np.ndarray, X1: np.ndarray,
     d2 = d1 if symmetric else lz2.signals()
     n1, n2 = a1[0].shape[0], a2[0].shape[0]
     d = spec.d_out
-    out = np.zeros((n1 * d, n2 * d))
-    out4 = out.reshape(n1, d, n2, d)
+    out = []
     # row blocks of _ASSEMBLY_BLOCK points bound the scratch memory: one
     # buffer, reused by every hidden layer's signal product
     scratch = np.empty(min(_ASSEMBLY_BLOCK, n1) * d * n2 * d)
@@ -168,7 +222,8 @@ def empirical_ntk(spec: ModelSpec, theta_ref: np.ndarray, X1: np.ndarray,
         r1 = min(r0 + _ASSEMBLY_BLOCK, n1)
         c0 = r0 if symmetric else 0
         rb, nc = r1 - r0, n2 - c0
-        blk = out4[r0:r1, :, c0:]
+        out.append(np.zeros((rb * d, nc * d)))
+        blk = out[-1].reshape(rb, d, nc, d)
         for layer in range(spec.n_layers):
             gram = _layer_gram(spec, layer, a1[layer][r0:r1], a2[layer][c0:])
             if layer == spec.n_layers - 1:
@@ -182,14 +237,10 @@ def empirical_ntk(spec: ModelSpec, theta_ref: np.ndarray, X1: np.ndarray,
             dd *= gram[:, None, :, None]
             blk += dd
         if symmetric:
-            # square tiles keep the copies' temporaries small
-            rows = slice(r0 * d, r1 * d)
-            tile = out[rows, rows]
+            tile = out[-1][:, :rb * d]
             np.copyto(tile, tile.T, where=np.tri(len(tile), k=-1, dtype=bool))
-            for t0 in range(r1, n1, _ASSEMBLY_BLOCK):
-                cols = slice(t0 * d, min(t0 + _ASSEMBLY_BLOCK, n1) * d)
-                out[cols, rows] = out[rows, cols].T
-    return KernelMatrix(d, dense=out, spec_hash=spec.spec_hash())
+    return KernelMatrix(d, dense=out if symmetric else np.concatenate(out),
+                        spec_hash=spec.spec_hash())
 
 
 def _layer_gram(spec: ModelSpec, layer: int, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
@@ -290,22 +341,31 @@ def write_kernel_cache(path: str, kernel: KernelMatrix) -> None:
     """Header (magic, N, d_out, source tag, form, spec hash) + f64 LE payload.
 
     The source tag repeats the form (0 empirical and dense, 1 analytic and
-    Kronecker), the only pairs the assemblers produce. A view is written as
-    the block it selects, gathered first."""
+    Kronecker), the only pairs the assemblers produce. The payload is the
+    full row-major square, written a few points' rows at a time, so a kernel
+    held as block rows is never copied out whole. A view is written as the
+    block it selects, gathered first."""
     if kernel.n_rows != kernel.n_cols:
         raise DimensionMismatch("cache stores square train kernels only")
     form = _FORM_KRON if kernel.kron else _FORM_DENSE
-    payload = kernel.sigma if kernel.kron else kernel.dense
+    kernel, n = kernel.gather(), kernel.n_rows
+    step = max(1, n // 64)  # points per write: 1/64 of the payload or less
     with open(path, "wb") as f:
         f.write(CACHE_MAGIC)
-        f.write(struct.pack("<QQBB", kernel.n_rows, kernel.d_out, form, form))
+        f.write(struct.pack("<QQBB", n, kernel.d_out, form, form))
         f.write(kernel.spec_hash)
-        f.write(memoryview(np.ascontiguousarray(payload, dtype="<f8")))
+        buf = np.empty((step * kernel.d_out, kernel.shape[1]))  # for block rows: no fresh pages
+        for p0 in range(0, n, step):
+            rows = kernel._stored_rows(np.arange(p0, min(p0 + step, n)), out=buf)
+            f.write(memoryview(np.ascontiguousarray(rows, dtype="<f8")))
 
 
 def read_kernel_cache(path: str, expect_hash: bytes | None = None) -> KernelMatrix:
-    """Checks the header and the file size, then reads the payload straight
-    into an array."""
+    """Checks the header and the file size, then reads the payload. A dense
+    payload, the full square of a symmetric training kernel, is read a few
+    points' rows at a time into its upper block rows (as ``empirical_ntk``
+    holds them); the entries left of each block row's diagonal tile are read
+    past."""
     with open(path, "rb") as f:
         head = f.read(_CACHE_HEADER)
         if head[:8] != CACHE_MAGIC:
@@ -324,8 +384,16 @@ def read_kernel_cache(path: str, expect_hash: bytes | None = None) -> KernelMatr
         body = os.fstat(f.fileno()).st_size - _CACHE_HEADER
         if body != 8 * side * side:
             raise TruncatedFile(f"{path}: payload {body} bytes != {8 * side * side}")
-        mat = np.fromfile(f, dtype="<f8", count=side * side)
-    mat = mat.astype(np.float64, copy=False).reshape(side, side)
-    if form == _FORM_DENSE:
-        return KernelMatrix(d_out, dense=mat, spec_hash=spec_hash)
-    return KernelMatrix(d_out, sigma=mat, spec_hash=spec_hash)
+        if form == _FORM_KRON:
+            mat = np.fromfile(f, dtype="<f8", count=side * side)
+            return KernelMatrix(d_out, sigma=mat.astype(np.float64, copy=False).reshape(side, side),
+                                spec_hash=spec_hash)
+        upper, step = [], max(1, n // 64) * d_out  # rows per read: 1/64 of the payload or less
+        buf = np.empty((step, side), dtype="<f8")
+        for e in range(0, n, _ASSEMBLY_BLOCK):
+            upper.append(np.empty((min(_ASSEMBLY_BLOCK, n - e) * d_out, side - e * d_out)))
+            for r0 in range(0, len(upper[-1]), step):
+                rows = buf[:min(step, len(upper[-1]) - r0)]
+                f.readinto(memoryview(rows))
+                upper[-1][r0:r0 + len(rows)] = rows[:, e * d_out:]
+    return KernelMatrix(d_out, dense=upper, spec_hash=spec_hash)

@@ -526,12 +526,65 @@ class TestPrepareMemory:
     @pytest.mark.parametrize("kron", [False, True], ids=["dense", "kron"])
     @pytest.mark.parametrize("loss", [SQUARED, CROSS_ENTROPY])
     def test_leaves_kernel_unchanged(self, loss, kron, cap, monkeypatch):
+        # a dense kernel's block accessor copies its block rows out: compare copies
         split, cfg, kernel, f_vec = reduced_instance(loss, kron, 30.0)
-        mat = kernel.sigma if kron else kernel.dense
-        before = mat.copy()
+        before = kernel.to_dense().copy()
         monkeypatch.setattr(kinfluence.dual, "DENSE_SOLVE_MAX", cap)
         DualUnlearner(kernel, f_vec, split, cfg).solve()
-        np.testing.assert_array_equal(mat, before)
+        np.testing.assert_array_equal(kernel.to_dense(), before)
+
+
+class TestBlockRowKernel:
+    """A training kernel held as its upper block rows (empirical_ntk's form)
+    gives the answers of the same kernel held as a full square."""
+
+    @staticmethod
+    def kernels(n_per_class=50, d=3):
+        # 150 points: block rows of 64, 64 and 22 points
+        ds = make_blobs(n_per_class, d, d_in=5, seed=2)
+        spec = ModelSpec((5, 16, d), init_seed=2)
+        upper = empirical_ntk(spec, spec.init_params(), ds.features)
+        return ds, spec, upper, KernelMatrix(d, dense=upper.dense)
+
+    @pytest.mark.parametrize("cap", [DENSE_SOLVE_MAX, 0], ids=["cholesky", "cg"])
+    @pytest.mark.parametrize("loss", [SQUARED, CROSS_ENTROPY])
+    @pytest.mark.parametrize("percent", [10.0, 50.0, 90.0])
+    def test_dual_unlearner_agrees_with_full_square(self, percent, loss, cap, monkeypatch):
+        ds, _, upper, plain = self.kernels()
+        split = split_forget(ds, percent, scope="all", seed=3)
+        perm = split.permutation
+        f_vec = np.random.default_rng(4).normal(scale=0.5, size=split.n * ds.d_out)
+        cfg, opts = RiskConfig(lam=0.1, loss=loss), CgOptions(rel_tol=1e-14, max_iters=5000)
+        monkeypatch.setattr(kinfluence.dual, "DENSE_SOLVE_MAX", cap)
+        solvers = [DualUnlearner(k.submatrix(perm, perm), f_vec, split, cfg, opts)
+                   for k in (upper, plain)]
+        got, want = (s.solve().delta_alpha for s in solvers)
+        assert solvers[0].diagnostics["solver"] == solvers[1].diagnostics["solver"]
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_exact_fit_agrees_with_full_square(self):
+        ds, spec, upper, plain = self.kernels()
+        lin = LinearizedModel(spec, spec.init_params())
+        cfg = RiskConfig(lam=0.1, loss=SQUARED)
+        got, want = (fit_linearized_exact(lin, ds, cfg, kernel=k) for k in (upper, plain))
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_solve_copies_out_no_square(self, monkeypatch):
+        ds, _, upper, plain = self.kernels()
+        split = split_forget(ds, 30.0, scope="all", seed=3)
+        f_vec = np.random.default_rng(4).normal(scale=0.5, size=split.n * ds.d_out)
+        cfg = RiskConfig(lam=0.1, loss=SQUARED)
+        want = DualUnlearner(plain.submatrix(split.permutation, split.permutation), f_vec,
+                             split, cfg).solve()
+
+        def no_square(self):
+            raise AssertionError("a full square was copied out")
+        monkeypatch.setattr(KernelMatrix, "dense", property(no_square))
+        monkeypatch.setattr(KernelMatrix, "to_dense", no_square)
+        got = DualUnlearner(upper.submatrix(split.permutation, split.permutation), f_vec,
+                            split, cfg).solve()
+        np.testing.assert_allclose(got.delta_alpha, want.delta_alpha, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want.delta_alpha).max())
 
 
 def packed_instance(d, n_retain, block, seed=0):

@@ -667,6 +667,8 @@ class TestCli:
         ("unlearn", {"seeds": "0,0"}),
         ("unlearn", {"unlearn.percents": "30,30"}),
         ("sweep-lambda", {"sweep.lambdas": "0.1,0.1"}),
+        ("sweep-lambda", {"sweep.lambdas": "0.1,0.1000001"}),
+        ("unlearn --percent 30,30.0000001 --space theta", {}),
         ("train", {"dataset.classes": "1,1"}),
         ("train", {"train.kind": "adam"}),
         ("unlearn", {"model.linearized": "false", "unlearn.space": "theta"}),
@@ -682,7 +684,8 @@ class TestCli:
     ], ids=["hidden_layers", "sigma_w2", "ntk_epochs", "ntk_tol", "sweep_lambda",
             "max_epochs", "scope", "percent_no_forget", "infinite_percent_no_forget",
             "negative_seed", "negative_dataset_seed", "negative_init_seed", "test_size_0",
-            "duplicate_seeds", "duplicate_percents", "duplicate_lambdas", "duplicate_classes",
+            "duplicate_seeds", "duplicate_percents", "duplicate_lambdas",
+            "lambdas_share_file_name", "percents_share_file_name", "duplicate_classes",
             "unknown_trainer", "direct_raw_network", "direct_cross_entropy", "cold_inline",
             "cold_unknown", "lambda_0", "lr_0", "cg_rel_tol_0", "cg_max_iters_0",
             "cold_without_out", "cold_both_spaces"])
@@ -824,6 +827,41 @@ class TestCli:
         assert len(assembled) == 2
         assert fits == [True, False, False] * 2
         assert all(r.rel_l2 < 1e-6 for r in rows)
+
+    def test_harness_copies_out_no_full_kernel(self, tmp_path, monkeypatch):
+        # 80 points: the kernel is held as two block rows, and neither the fit,
+        # the cache write nor either space's answers copy out its full square
+        def no_square(self):
+            raise AssertionError("a full kernel square was copied out")
+        monkeypatch.setattr(KernelMatrix, "dense", property(no_square))
+        monkeypatch.setattr(KernelMatrix, "to_dense", no_square)
+        cfg = config_from_values(tiny_values(str(tmp_path), **{
+            "dataset.per_class": "40", "unlearn.percents": "10,90", "unlearn.space": "both",
+            "bench.cold": "skip"}))
+        rows = run_unlearning_experiment(cfg)
+        assert len(rows) == 4 and all(r.rel_l2 < 1e-6 for r in rows)
+
+    def test_gd_fit_gives_its_last_gradient_norm(self, tmp_path, monkeypatch):
+        # a gd fit ends its history with ||grad R(theta_hat)||: the harness takes
+        # it and runs one risk gradient per case, for the retain norm, and no more
+        calls = []
+
+        def counted(*args, _grad=experiments.risk_grad, **kwargs):
+            calls.append(1)
+            return _grad(*args, **kwargs)
+        monkeypatch.setattr(experiments, "risk_grad", counted)
+        cfg = config_from_values(tiny_values(str(tmp_path), **{
+            "train.kind": "gd", "stop.max_epochs": "30", "unlearn.percents": "30,70",
+            "unlearn.space": "theta"}))
+        run_unlearning_experiment(cfg)
+        assert len(calls) == 2
+        ctx = experiments._build_seed_context(replace(cfg, space="theta"), 0)
+        measured = float(np.linalg.norm(training.risk_grad(ctx.model, ctx.theta_hat,
+                                                           ctx.train_ds, cfg.risk)))
+        assert ctx.grad_norm == measured
+        records = [json.loads(pathlib.Path(path).read_text()) for path in
+                   glob.glob(os.path.join(str(tmp_path), "seed_0", "p*", "diagnostics.jsonl"))]
+        assert len(records) == 2 and {r["grad_norm"] for r in records} == {measured}
 
     def test_diagnostics_carry_grad_norm(self, tmp_path):
         # every record carries the seed's ||grad R(theta_hat)||; for a direct

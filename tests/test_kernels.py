@@ -1,5 +1,6 @@
 """Kernel assembly, Kronecker structure, sharded matvec, cache format."""
 
+import struct
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,9 @@ from kinfluence.datasets import make_blobs
 from kinfluence.errors import (BadHeader, BadMagic, CheckpointMismatch, ConfigError, PartitionGap,
                               PartitionOverlap, TruncatedFile)
 from kinfluence.kernels import (
+    CACHE_MAGIC,
     KernelMatrix,
+    _layer_gram,
     empirical_kron_factor,
     empirical_ntk,
     even_shards,
@@ -134,6 +137,108 @@ class TestAssembly:
             assert np.max(np.abs(cross - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def square_reference(spec, theta, x):
+    """The training kernel as a full square, assembled as it was before the
+    kernel was held as block rows: each 64-point row block from its diagonal
+    on, written into the square and mirrored into the rows below."""
+    lz = Linearization(spec, theta, x)
+    acts, sig = lz.acts, lz.signals()
+    n, d = len(x), spec.d_out
+    out = np.zeros((n * d, n * d))
+    for r0 in range(0, n, 64):
+        r1 = min(r0 + 64, n)
+        blk = out.reshape(n, d, n, d)[r0:r1, :, r0:]
+        for layer in range(spec.n_layers):
+            gram = _layer_gram(spec, layer, acts[layer][r0:r1], acts[layer][r0:])
+            if layer == spec.n_layers - 1:
+                for k in range(d):
+                    blk[:, k, :, k] += gram
+                continue
+            dd = (sig[layer][r0:r1].reshape((r1 - r0) * d, -1)
+                  @ sig[layer][r0:].reshape((n - r0) * d, -1).T).reshape(r1 - r0, d, n - r0, d)
+            dd *= gram[:, None, :, None]
+            blk += dd
+        rows = slice(r0 * d, r1 * d)
+        tile = out[rows, rows]
+        np.copyto(tile, tile.T, where=np.tri(len(tile), k=-1, dtype=bool))
+        out[r1 * d:, rows] = out[rows, r1 * d:].T
+    return out
+
+
+def as_block_rows(square, d, bounds):
+    """A symmetric square held as its upper block rows, cut at the point
+    ``bounds``."""
+    return KernelMatrix(d, dense=[square[a * d:b * d, a * d:].copy()
+                                  for a, b in zip(bounds[:-1], bounds[1:])])
+
+
+class TestBlockRows:
+    """A training kernel is held as its upper block rows K[e:e+b, e:]; every
+    method reads them as it reads the same kernel held as a full square."""
+
+    @pytest.mark.parametrize("parameterization", ["standard", "ntk"])
+    @pytest.mark.parametrize("hidden", [(12,), (12, 7)], ids=["one_hidden", "two_hidden"])
+    def test_dense_is_the_full_square_bitwise(self, hidden, parameterization):
+        spec = ModelSpec((5, *hidden, 3), parameterization=parameterization, init_seed=8)
+        theta = spec.init_params()
+        x = np.random.default_rng(8).uniform(-1, 1, size=(150, 5))
+        k = empirical_ntk(spec, theta, x)
+        # three block rows of 64, 64 and 22 points: about 0.6 of the square held
+        assert k.shape == (450, 450)
+        dense = k.dense
+        assert np.array_equal(dense, square_reference(spec, theta, x))
+        assert np.array_equal(dense, dense.T)
+        np.testing.assert_array_equal(k.to_dense(), dense)
+
+    def test_cache_bytes_unchanged_and_read_back_bitwise(self, tmp_path):
+        spec = ModelSpec((5, 12, 3), init_seed=9)
+        theta = spec.init_params()
+        x = np.random.default_rng(9).uniform(-1, 1, size=(150, 5))
+        path = tmp_path / "k.bin"
+        write_kernel_cache(str(path), empirical_ntk(spec, theta, x))
+        square = square_reference(spec, theta, x)
+        head = CACHE_MAGIC + struct.pack("<QQBB", 150, 3, 0, 0) + spec.spec_hash()
+        assert path.read_bytes() == head + square.astype("<f8").tobytes()
+        back = read_kernel_cache(str(path), expect_hash=spec.spec_hash())
+        assert back.shape == (450, 450)
+        np.testing.assert_array_equal(back.dense, square)
+        # a second write of the kernel read back gives the same bytes
+        write_kernel_cache(str(tmp_path / "again.bin"), back)
+        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("select", ["stored", "permutation", "row_subset", "view_of_view",
+                                        "repeated_points"])
+    def test_agrees_with_the_full_square(self, select):
+        rng = np.random.default_rng(11)
+        n, d = 150, 2
+        a = rng.standard_normal((n * d, 40))
+        square = a @ a.T
+        square = np.triu(square) + np.triu(square, 1).T  # exactly symmetric
+        upper, plain = as_block_rows(square, d, [0, 50, 114, 150]), KernelMatrix(d, dense=square)
+        perm, sub = rng.permutation(n), np.array([140, 7, 60, 99, 0])
+        got, want = upper, plain
+        if select != "stored":
+            rows, cols = {"permutation": (perm, perm), "row_subset": (sub, slice(None)),
+                          "view_of_view": (perm, perm),
+                          "repeated_points": (np.array([3, 3, 120]), np.array([149, 0, 149, 64]))
+                          }[select]
+            got, want = (k.submatrix(rows, cols) for k in (upper, plain))
+        if select == "view_of_view":
+            got, want = (k.submatrix(sub, sub[::-1]) for k in (got, want))
+        assert got.shape == want.shape
+        v = rng.standard_normal(got.shape[1])
+        pick = (np.array([2, 0]), slice(1, None))
+        for g, w in [(got.matvec(v), want.matvec(v)), (got.kron_factor(), want.kron_factor()),
+                     (got.rows_block(*pick), want.rows_block(*pick)),
+                     (got.gather().dense, want.gather().dense),
+                     (got.gather().matvec(v), want.matvec(v))]:
+            assert g.shape == w.shape
+            assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+        # entries are copied, never recomputed
+        np.testing.assert_array_equal(got.rows_block(slice(None), slice(None)),
+                                      want.rows_block(slice(None), slice(None)))
+
+
 def traced_peak(fn) -> int:
     """Bytes allocated at the peak of ``fn()``, above what was live before."""
     tracemalloc.start()
@@ -148,6 +253,8 @@ def traced_peak(fn) -> int:
 class TestMemory:
     @pytest.mark.parametrize("widths", [(4, 8, 4), (4, 8, 6, 4)], ids=["2_layers", "3_layers"])
     def test_assembly_peak_is_output_plus_two_row_blocks(self, widths):
+        # the upper block rows hold half the square plus half of each diagonal
+        # tile, and the scratch buffer is one row block: no full square exists
         spec = ModelSpec(widths, init_seed=9)
         theta = spec.init_params()
         n, d = 200, spec.d_out
@@ -155,15 +262,28 @@ class TestMemory:
         peak = traced_peak(lambda: empirical_ntk(spec, theta, x))
         output = (n * d) ** 2 * 8
         row_block = 64 * d * n * d * 8  # one row block of points, every column
-        assert peak <= output + 2 * row_block
+        assert peak <= output / 2 + 2 * row_block
 
     def test_cache_write_streams_from_the_array(self, tmp_path):
         dense = np.random.default_rng(10).standard_normal((600, 600))
+        dense += dense.T  # a training kernel: read back as its upper block rows
         k = KernelMatrix(3, dense=dense)
         path = str(tmp_path / "k.bin")
         peak = traced_peak(lambda: write_kernel_cache(path, k))
         assert peak < 0.1 * dense.nbytes
         np.testing.assert_array_equal(read_kernel_cache(path).dense, dense)
+
+    def test_cache_read_holds_the_block_rows(self, tmp_path):
+        # 600 points in block rows of 64: 0.55 of the square, plus a read
+        # buffer of 9 points' rows
+        dense = np.random.default_rng(13).standard_normal((1200, 1200))
+        dense += dense.T
+        path = str(tmp_path / "k.bin")
+        write_kernel_cache(path, KernelMatrix(2, dense=dense))
+        out = []
+        peak = traced_peak(lambda: out.append(read_kernel_cache(path)))
+        assert peak <= 0.6 * dense.nbytes
+        np.testing.assert_array_equal(out[0].dense, dense)
 
     def test_checkpoint_write_streams_from_the_array(self, tmp_path):
         spec = ModelSpec((50, 400, 10), init_seed=11)
