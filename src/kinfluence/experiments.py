@@ -532,9 +532,9 @@ def run_unlearning_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
                                  seed=_split_seed(seed, percent))
             theta_retrained, _ = _fit(cfg, ctx.model, split.retain)
             retr_norm = float(np.linalg.norm(theta_retrained))
-            baseline = random_perturbation_baseline(
+            baseline_rel = float(np.linalg.norm(random_perturbation_baseline(
                 ctx.theta_hat, theta_retrained, seed=seed * 1009 + int(round(percent * 10)))
-            baseline_rel = float(np.linalg.norm(baseline - theta_retrained)) / retr_norm
+                - theta_retrained)) / retr_norm
             forget_out_re = model_outputs(ctx.model, theta_retrained, split.forget.features)
             acc_retrained = accuracy(forget_out_re, split.forget.targets)
             for space in cfg.spaces():
@@ -587,6 +587,8 @@ def run_unlearning_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
                 if space == SPACE_DUAL:
                     diag.update(health)
                 write_diagnostics(os.path.join(case_dir, "diagnostics.jsonl"), diag)
+                # this case's d_theta vectors, freed before the next case's unlearner
+                del result, theta_u, delta, health, retain_grad, report
         write_metrics_csv(os.path.join(seed_dir, "metrics.csv"), rows)
         all_rows.extend(rows)
     write_metrics_csv(os.path.join(cfg.out_dir, "metrics.csv"), all_rows)

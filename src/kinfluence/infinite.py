@@ -42,20 +42,44 @@ class AnalyticNtkSpec:
             raise ValueError("d_out must be >= 1")
 
 
-def _relu_arc_step(sig: np.ndarray, k1: np.ndarray, k2: np.ndarray, sw2: float, sb2: float):
-    """One hidden layer of the arc-cosine recursion.
+def _relu_arc_step(sig: np.ndarray, theta_kernel: np.ndarray, k1: np.ndarray, k2: np.ndarray,
+                   sw2: float, sb2: float, symmetric: bool, work: tuple):
+    """One hidden layer of the arc-cosine recursion, in place.
 
-    Given the previous-layer covariances (cross sig, self k1/k2), returns the
-    next covariances and the derivative kernel sig_dot.
+    Given the previous-layer covariances (cross ``sig``, self k1/k2), turns
+    ``sig`` into the next cross covariance and ``theta_kernel`` into
+    sig_next + sig_dot * theta_kernel, and returns the next self covariances.
+    With rho = cos(theta), sin(theta) = sqrt((1 - rho)(1 + rho)), so arccos is
+    the one transcendental per entry. ``work`` holds three scratch arrays of
+    sig's shape. A symmetric kernel's diagonal has rho = 1 exactly: sqrt(k k)
+    may round below k, and arccos would turn the 1-ulp gap into theta ~ 1e-8.
     """
-    norm = np.sqrt(np.outer(k1, k2))
-    rho = np.clip(np.divide(sig, norm, out=np.zeros_like(sig), where=norm > 0), -1.0, 1.0)
-    theta = np.arccos(rho)
-    sig_next = sw2 * norm * (np.sin(theta) + (np.pi - theta) * np.cos(theta)) / (2 * np.pi) + sb2
-    sig_dot = sw2 * (np.pi - theta) / (2 * np.pi)
-    k1_next = sw2 * k1 / 2.0 + sb2
-    k2_next = sw2 * k2 / 2.0 + sb2
-    return sig_next, sig_dot, k1_next, k2_next
+    norm, a, b = work
+    np.outer(k1, k2, out=norm)
+    np.sqrt(norm, out=norm)
+    rho = np.divide(sig, norm, out=sig, where=norm > 0)  # where norm is 0, so is sig
+    np.clip(rho, -1.0, 1.0, out=rho)
+    if symmetric:
+        np.fill_diagonal(rho, 1.0)
+    np.add(rho, 1.0, out=a)
+    sin = np.subtract(1.0, rho, out=b)
+    sin *= a
+    np.sqrt(sin, out=sin)
+    pi_minus = np.arccos(rho, out=a)
+    np.subtract(np.pi, pi_minus, out=pi_minus)
+    # sig <- sw2 norm (sin + (pi - theta) rho) / (2 pi) + sb2
+    rho *= pi_minus
+    rho += sin
+    norm *= sw2
+    rho *= norm
+    rho /= 2 * np.pi
+    rho += sb2
+    # theta_kernel <- sig + sig_dot theta_kernel, sig_dot = sw2 (pi - theta) / (2 pi)
+    pi_minus *= sw2
+    pi_minus /= 2 * np.pi
+    theta_kernel *= pi_minus
+    theta_kernel += rho
+    return sw2 * k1 / 2.0 + sb2, sw2 * k2 / 2.0 + sb2
 
 
 def analytic_ntk(spec: AnalyticNtkSpec, X1: np.ndarray, X2: np.ndarray | None = None) -> KernelMatrix:
@@ -63,20 +87,25 @@ def analytic_ntk(spec: AnalyticNtkSpec, X1: np.ndarray, X2: np.ndarray | None = 
 
     Base case sigma_w2 x'x / d_in + sigma_b2; each hidden layer applies the
     arc-cosine covariance map and accumulates theta_kernel = sig + sig_dot *
-    theta_kernel. The result is the (N1, N2) Kronecker factor.
+    theta_kernel, in place in a fixed set of (N1, N2) arrays. The result is the
+    (N1, N2) Kronecker factor.
     """
     X1 = np.atleast_2d(np.asarray(X1, dtype=np.float64))
     X2v = X1 if X2 is None else np.atleast_2d(np.asarray(X2, dtype=np.float64))
     if X1.shape[1] != X2v.shape[1]:
         raise DimensionMismatch("input widths differ")
     d_in = X1.shape[1]
-    sig = spec.sigma_w2 * (X1 @ X2v.T) / d_in + spec.sigma_b2
+    sig = X1 @ X2v.T
+    sig *= spec.sigma_w2
+    sig /= d_in
+    sig += spec.sigma_b2
     k1 = spec.sigma_w2 * np.einsum("ij,ij->i", X1, X1) / d_in + spec.sigma_b2
     k2 = spec.sigma_w2 * np.einsum("ij,ij->i", X2v, X2v) / d_in + spec.sigma_b2
     theta_kernel = sig.copy()
+    work = tuple(np.empty_like(sig) for _ in range(3))
     for _ in range(spec.hidden_layers):
-        sig, sig_dot, k1, k2 = _relu_arc_step(sig, k1, k2, spec.sigma_w2, spec.sigma_b2)
-        theta_kernel = sig + sig_dot * theta_kernel
+        k1, k2 = _relu_arc_step(sig, theta_kernel, k1, k2, spec.sigma_w2, spec.sigma_b2,
+                                X2 is None, work)
     return KernelMatrix(spec.d_out, sigma=theta_kernel)
 
 
@@ -92,10 +121,40 @@ class FunctionState:
     loss_history: np.ndarray = field(default=None, repr=False)
 
 
+def _top_eigenvalue(product, size: int) -> float:
+    """Largest eigenvalue of a symmetric operator, by Lanczos with full
+    reorthogonalization from a fixed random start. Stops when the top Ritz
+    value moves by at most 1e-13 relative or the Krylov space is exhausted,
+    and at once on a non-finite product (kgd_train then reports divergence).
+    """
+    q = np.random.default_rng(0).standard_normal(size)
+    basis = [q / np.linalg.norm(q)]
+    alpha, beta = [], []
+    top = -np.inf
+    while True:
+        w = product(basis[-1])
+        alpha.append(float(basis[-1] @ w))
+        stacked = np.array(basis)
+        for _ in range(2):  # twice is enough: w stays orthogonal to the basis
+            w -= (stacked @ w) @ stacked
+        prev, top = top, float(np.linalg.eigvalsh(
+            np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))[-1])
+        norm = float(np.linalg.norm(w))
+        if len(basis) == size or not 0.0 < norm < np.inf or abs(top - prev) <= 1e-13 * abs(top):
+            return top
+        beta.append(norm)
+        basis.append(w / norm)
+
+
 def stable_kgd_lr(kernel: KernelMatrix, n: int, cfg: RiskConfig, safety: float = 1.8) -> float:
-    """Step size from the quadratic stability bound 2 / (h_max lam_max(K)/N + lam)."""
-    mat = kernel.sigma if kernel.kron else kernel.dense
-    lam_max = float(np.linalg.eigvalsh((mat + mat.T) / 2.0).max())
+    """Step size from the quadratic stability bound 2 / (h_max lam_max(K)/N + lam).
+
+    lam_max comes from the kernel's own product, sigma's for a Kronecker
+    kernel (sigma (x) I has sigma's eigenvalues) and ``matvec`` for a dense
+    one, so a kernel held as block rows is never copied out whole."""
+    sigma = kernel.sigma
+    lam_max = (_top_eigenvalue(lambda v: sigma @ v, len(sigma)) if kernel.kron
+               else _top_eigenvalue(kernel.matvec, kernel.shape[0]))
     h_max = 0.5 if cfg.loss == CROSS_ENTROPY else 1.0
     return safety / (h_max * lam_max / n + cfg.lam)
 

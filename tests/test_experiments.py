@@ -8,6 +8,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from dataclasses import replace
 from operator import attrgetter
@@ -840,6 +841,26 @@ class TestCli:
             "bench.cold": "skip"}))
         rows = run_unlearning_experiment(cfg)
         assert len(rows) == 4 and all(r.rel_l2 < 1e-6 for r in rows)
+
+    def test_theta_case_vectors_freed_before_dual_prepare(self, tmp_path, monkeypatch):
+        # the theta case's solution (and theta_u, retain gradient and report
+        # built from it) is gone by the time the dual case factors its system
+        solved, live = [], []
+
+        def solve(self, _solve=PrimalUnlearner.solve):
+            result = _solve(self)
+            solved.append(weakref.ref(result.x))
+            return result
+
+        def prepare(self, _prepare=DualUnlearner.prepare):
+            live.append(sum(ref() is not None for ref in solved))
+            return _prepare(self)
+        monkeypatch.setattr(PrimalUnlearner, "solve", solve)
+        monkeypatch.setattr(DualUnlearner, "prepare", prepare)
+        cfg = config_from_values(tiny_values(str(tmp_path), **{
+            "unlearn.percents": "10", "unlearn.space": "both"}))
+        run_unlearning_experiment(cfg)
+        assert len(solved) == experiments.WARM_REPEATS and live == [0]
 
     def test_gd_fit_gives_its_last_gradient_norm(self, tmp_path, monkeypatch):
         # a gd fit ends its history with ||grad R(theta_hat)||: the harness takes

@@ -16,9 +16,38 @@ from kinfluence.infinite import (
     stable_kgd_lr,
 )
 from kinfluence.kernels import KernelMatrix, empirical_ntk
-from kinfluence.losses import SQUARED
+from kinfluence.losses import CROSS_ENTROPY, SQUARED
 from kinfluence.models import ModelSpec
 from kinfluence.training import RiskConfig
+
+
+def reference_ntk(spec: AnalyticNtkSpec, X1: np.ndarray, X2: np.ndarray | None = None):
+    """The arc-cosine recursion with arccos, sin and cos on every entry and
+    no diagonal fix: the form analytic_ntk is checked against."""
+    X2 = X1 if X2 is None else X2
+    sw2, sb2, d_in = spec.sigma_w2, spec.sigma_b2, X1.shape[1]
+    sig = sw2 * (X1 @ X2.T) / d_in + sb2
+    k1 = sw2 * np.einsum("ij,ij->i", X1, X1) / d_in + sb2
+    k2 = sw2 * np.einsum("ij,ij->i", X2, X2) / d_in + sb2
+    theta_kernel = sig.copy()
+    for _ in range(spec.hidden_layers):
+        norm = np.sqrt(np.outer(k1, k2))
+        rho = np.clip(np.divide(sig, norm, out=np.zeros_like(sig), where=norm > 0), -1.0, 1.0)
+        theta = np.arccos(rho)
+        sig = sw2 * norm * (np.sin(theta) + (np.pi - theta) * np.cos(theta)) / (2 * np.pi) + sb2
+        theta_kernel = sig + sw2 * (np.pi - theta) / (2 * np.pi) * theta_kernel
+        k1, k2 = sw2 * k1 / 2.0 + sb2, sw2 * k2 / 2.0 + sb2
+    return theta_kernel
+
+
+def near_parallel_inputs(seed: int) -> np.ndarray:
+    """Blob points followed by copies scaled or nudged by 1e-6 to 1e-10: rho
+    near 1, where arccos magnifies any change in rho."""
+    x = make_blobs(10, 3, d_in=5, seed=seed).features
+    rng = np.random.default_rng(seed)
+    nudged = [x[:5] * (1 + 1e-6), x[5:10] + 1e-8 * rng.standard_normal((5, 5)),
+              x[10:15] * (1 - 1e-10), x[15:20] + 1e-10]
+    return np.concatenate([x, *nudged])
 
 
 def raw_targets_ds(targets: np.ndarray) -> SimpleNamespace:
@@ -46,18 +75,28 @@ class TestAnalyticKernel:
         assert min_eig >= -1e-10 * np.trace(k.sigma) / 6
 
     def test_self_correlation_angle_zero(self):
-        # x = x' keeps rho = 1 through every layer: the cross entry equals the
-        # self kernel computed from the closed-form half-recursion
+        # x = x' keeps rho = 1 through every layer: the diagonal equals the
+        # closed-form half-recursion k <- sw2 k/2 + sb2, theta <- k + (sw2/2) theta
         spec = AnalyticNtkSpec(hidden_layers=4, sigma_w2=2.0, sigma_b2=0.1)
-        x = np.array([[0.3, 0.9, 0.2]])
-        sig = 2.0 * float(x[0] @ x[0]) / 3 + 0.1
-        theta = sig
+        x = make_blobs(100, 4, d_in=3, seed=9101).features
+        k = 2.0 * np.einsum("ij,ij->i", x, x) / 3 + 0.1
+        theta = k
         for _ in range(4):
-            sig_next = 2.0 * sig / 2 + 0.1
-            theta = sig_next + (2.0 / 2) * theta  # sig_dot at rho=1 is sw2/2
-            sig = sig_next
-        k = analytic_ntk(spec, x)
-        assert k.sigma[0, 0] == pytest.approx(theta, rel=1e-12)
+            k = 2.0 * k / 2 + 0.1
+            theta = k + (2.0 / 2) * theta  # sig_dot at rho=1 is sw2/2
+        np.testing.assert_allclose(np.diag(analytic_ntk(spec, x).sigma), theta, rtol=1e-14)
+
+    @pytest.mark.parametrize("cross", [False, True], ids=["symmetric", "cross"])
+    def test_matches_three_transcendental_recursion(self, cross):
+        # sin(theta) = sqrt((1 - rho)(1 + rho)) and cos(theta) = rho agree with
+        # evaluating both, off the diagonal, near-parallel pairs included
+        spec = AnalyticNtkSpec(hidden_layers=4, sigma_w2=2.0, sigma_b2=0.05)
+        x1 = near_parallel_inputs(12)
+        x2 = near_parallel_inputs(12)[::-1] * (1 + 1e-9) if cross else None
+        got = analytic_ntk(spec, x1, x2).sigma
+        want = reference_ntk(spec, x1, x2)
+        off = ~np.eye(*want.shape, dtype=bool) if x2 is None else np.ones(want.shape, dtype=bool)
+        np.testing.assert_allclose(got[off], want[off], rtol=1e-13)
 
     def test_kron_structure(self):
         spec = AnalyticNtkSpec(hidden_layers=2, d_out=3)
@@ -151,6 +190,47 @@ class TestKgd:
         unstable = 2.5 * stable_kgd_lr(k, 4, cfg, safety=2.0)
         with pytest.raises(DivergenceDetected):
             kgd_train(k, raw_targets_ds(y), cfg, lr=unstable, epochs=5000, tol=None)
+
+
+class TestStableLr:
+    @staticmethod
+    def eig_lr(mat, n, cfg, safety=1.8):
+        h_max = 0.5 if cfg.loss == CROSS_ENTROPY else 1.0
+        return safety / (h_max * np.linalg.eigvalsh(mat).max() / n + cfg.lam)
+
+    @pytest.mark.parametrize("loss", [SQUARED, CROSS_ENTROPY])
+    def test_analytic_kernel_matches_eigvalsh(self, loss):
+        ds = make_blobs(50, 4, d_in=8, seed=13)
+        kernel = analytic_ntk(AnalyticNtkSpec(hidden_layers=3, d_out=4), ds.features)
+        cfg = RiskConfig(lam=0.1, loss=loss)
+        assert stable_kgd_lr(kernel, ds.n, cfg) == pytest.approx(
+            self.eig_lr(kernel.sigma, ds.n, cfg), rel=1e-12)
+
+    def test_block_row_kernel_matches_eigvalsh(self, monkeypatch):
+        # 80 points make two block rows; the d_out mean output gradients give
+        # d_out clustered outlier eigenvalues, and no full square is copied out
+        ds = make_blobs(20, 4, d_in=6, seed=11)
+        spec = ModelSpec((6, 48, 4), init_seed=3)
+        kernel = empirical_ntk(spec, spec.init_params(), ds.features)
+        cfg = RiskConfig(lam=0.5, loss=SQUARED)
+        dense = kernel.to_dense()
+        eig = np.linalg.eigvalsh(dense)
+        assert eig[-4] > 0.8 * eig[-1] and eig[-5] < 0.05 * eig[-4]
+        want = self.eig_lr(dense, ds.n, cfg)
+
+        def no_square(self):
+            raise AssertionError("a full kernel square was copied out")
+        monkeypatch.setattr(KernelMatrix, "dense", property(no_square))
+        monkeypatch.setattr(KernelMatrix, "to_dense", no_square)
+        assert stable_kgd_lr(kernel, ds.n, cfg) == pytest.approx(want, rel=1e-12)
+
+    def test_non_finite_kernel_diverges(self):
+        sigma = np.eye(300)
+        sigma[3, 3] = np.nan
+        cfg = RiskConfig(lam=0.1, loss=SQUARED)
+        assert np.isnan(stable_kgd_lr(KernelMatrix(1, sigma=sigma), 300, cfg))
+        with pytest.raises(DivergenceDetected):
+            kgd_train(KernelMatrix(1, sigma=sigma), raw_targets_ds(np.ones((300, 1))), cfg)
 
 
 class TestInfinitePredict:
