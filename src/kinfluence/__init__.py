@@ -20,6 +20,7 @@ from .infinite import (
     FunctionState,
     InfiniteInfluenceResult,
     analytic_ntk,
+    fit_outputs,
     infinite_influence,
     infinite_predict,
     kgd_train,

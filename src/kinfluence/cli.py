@@ -69,15 +69,21 @@ def _measure_cold(cfg, json_path) -> None:
 def _report(results_dir) -> None:
     import csv
     import os
-    found = []
+    found = []  # ((seed, percent, space), row)
     for root, _dirs, files in os.walk(results_dir):
         if "metrics.csv" in files and os.path.basename(root).startswith("seed_"):
-            with open(os.path.join(root, "metrics.csv")) as f:
-                found.extend(list(csv.reader(f))[1:])
+            path = os.path.join(root, "metrics.csv")
+            try:  # a UnicodeDecodeError is a ValueError
+                with open(path, encoding="utf-8") as f:
+                    header, *rows = [*csv.reader(f)] or [[]]
+                if header != METRICS_HEADER or any(len(r) != len(header) for r in rows):
+                    raise ValueError("not a metrics table")
+                found.extend(((int(r[0]), float(r[1]), r[2]), r) for r in rows)
+            except ValueError as e:
+                raise ConfigError(f"{path}: {e}") from e
     if not found:
         raise ConfigError(f"no per-seed metrics.csv files under {results_dir}")
-    write_table(sys.stdout, METRICS_HEADER,
-                sorted(found, key=lambda r: (int(r[0]), float(r[1]), r[2])))
+    write_table(sys.stdout, METRICS_HEADER, [r for _, r in sorted(found)])
 
 
 def main(argv=None) -> int:
@@ -101,7 +107,7 @@ def main(argv=None) -> int:
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
-    except (ConfigError, OSError) as e:
+    except (ConfigError, OSError, UnicodeDecodeError) as e:  # a file that is not UTF-8
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
     except KinfluenceError as e:

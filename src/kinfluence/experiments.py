@@ -97,8 +97,6 @@ class ExperimentConfig:
     test_size: int = 50
     seeds: tuple = (0,)
     ntk: AnalyticNtkSpec = AnalyticNtkSpec(3)  # its d_out follows the data
-    ntk_epochs: int = 20000
-    ntk_tol: float = 1e-6
     sweep_lambdas: tuple = (1e-3, 1e-1, 1e1)
     out_dir: str = "results"
 
@@ -152,8 +150,6 @@ class ExperimentConfig:
         if self.scope != "all" and self.scope not in labels:
             raise ConfigError(f"unlearn.scope = {self.scope} is not a class label of the "
                               f"dataset ({', '.join(map(str, labels))})")
-        if self.ntk_epochs < 1 or self.ntk_tol <= 0:
-            raise ConfigError("ntk.epochs must be at least 1 and ntk.tol positive")
         if any(lam <= 0 for lam in self.sweep_lambdas):
             raise ConfigError("every sweep.lambdas value must be positive")
 
@@ -219,8 +215,6 @@ CONFIG_KEYS = (
     _ConfigKey("ntk.hidden_layers"),
     _ConfigKey("ntk.sigma_w2"),
     _ConfigKey("ntk.sigma_b2"),
-    _ConfigKey("ntk.epochs", "ntk_epochs"),
-    _ConfigKey("ntk.tol", "ntk_tol"),
     _ConfigKey("sweep.lambdas", "sweep_lambdas", flag="--lambdas"),
     _ConfigKey("out", "out_dir", flag="--out"),
 )
@@ -247,13 +241,15 @@ def parse_config_text(text: str) -> dict:
 
 def _parse(default, text: str):
     """``text`` read as the type of ``default``: a tuple as a comma list of the
-    type of its first item, a bool as true/1/yes or false/0/no."""
+    type of its first item, a bool as true/1/yes or false/0/no, a float if finite."""
     if isinstance(default, tuple):
         return tuple(_parse(default[0], v) for v in text.split(",") if v.strip())
     if isinstance(default, bool):
         if text.lower() not in ("true", "1", "yes", "false", "0", "no"):
             raise ValueError(f"not a boolean: {text!r}")
         return text.lower() in ("true", "1", "yes")
+    if isinstance(default, float) and not np.isfinite(float(text)):
+        raise ValueError(f"not a finite number: {text!r}")
     return type(default)(text)
 
 
@@ -288,7 +284,7 @@ def config_from_values(values: dict) -> ExperimentConfig:
 
 
 def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:  # cli exits 2 on a UnicodeDecodeError
         values = parse_config_text(f.read())
     values.update({k: v for k, v in (overrides or {}).items() if v is not None})
     return config_from_values(values)
@@ -650,8 +646,7 @@ def run_infinite_experiment(cfg: ExperimentConfig):
     split = split_forget(train_ds, percent, scope=cfg.scope,
                          seed=_split_seed(seed, percent))
     os.makedirs(cfg.out_dir, exist_ok=True)
-    res = infinite_influence(replace(cfg.ntk, d_out=train_ds.d_out), split, test_ds, cfg.risk,
-                             cfg.cg, epochs=cfg.ntk_epochs, tol=cfg.ntk_tol)
+    res = infinite_influence(replace(cfg.ntk, d_out=train_ds.d_out), split, test_ds, cfg.risk, cfg.cg)
     write_kernel_cache(os.path.join(cfg.out_dir, "kernel.bin"), res.kernel)
     write_table(os.path.join(cfg.out_dir, "infinite_outputs.csv"), INFINITE_OUT_HEADER,
                 ((t, k, res.est_output[t, k], res.act_output[t, k])
@@ -659,7 +654,7 @@ def run_infinite_experiment(cfg: ExperimentConfig):
     write_table(os.path.join(cfg.out_dir, "infinite_loss.csv"), INFINITE_LOSS_HEADER,
                 zip(range(test_ds.n), res.est_loss_raw, res.est_loss_reg, res.act_loss))
     write_diagnostics(os.path.join(cfg.out_dir, "diagnostics.jsonl"),
-                      {"percent": percent, **res.diagnostics})
+                      {"seed": seed, "percent": percent, **res.diagnostics})
     return res
 
 

@@ -3,10 +3,9 @@ training.
 
 The kernel follows the layerwise arc-cosine recursion for fully connected
 ReLU stacks; with a fully connected readout it factors as sigma (x) I_{d_out}.
-Training happens directly on the output vector, starting from f = 0: each
-step moves f by -lr (K grad_f risk + lambda f), whose fixed point under
-squared loss is the kernel-ridge interpolant. Influence estimation reuses the
-coefficient machinery verbatim with the analytic kernel and KGD outputs.
+Training happens directly on the output vector f = K c: fit_outputs reaches
+the exact optimum by Newton steps, kgd_train descends with a fixed step.
+Influence estimation reuses the coefficient machinery with the exact fits.
 """
 
 from __future__ import annotations
@@ -18,10 +17,13 @@ import numpy as np
 from .datasets import LabeledDataset, SplitDataset
 from .errors import DimensionMismatch, DivergenceDetected, NotConverged
 from .kernels import KernelMatrix
-from .losses import CROSS_ENTROPY, loss_grad_batch, loss_value_batch
-from .solvers import CgOptions
-from .training import RiskConfig
-from .dual import DualUnlearner, alpha_star_from_outputs, predict_changes_dual
+from .losses import CROSS_ENTROPY, loss_grad_batch, loss_hess_batch, loss_value_batch
+from .solvers import CgOptions, cg_solve, kron_preconditioner
+from .training import FIT_MAX_ITERS, FIT_REL_TOL, RiskConfig
+from .dual import (DualUnlearner, _apply_sqrt, _psd_sqrt_blocks, alpha_star_from_outputs,
+                   predict_changes_dual)
+
+NEWTON_STOP, NEWTON_MAX_STEPS = 1e-13, 50  # fit_outputs: relative stop, step cap
 
 
 @dataclass(frozen=True)
@@ -110,13 +112,13 @@ def analytic_ntk(spec: AnalyticNtkSpec, X1: np.ndarray, X2: np.ndarray | None = 
 
 
 # --------------------------------------------------------------------------
-# Kernel gradient descent in function space
+# Training in function space: exact Newton fit, kernel gradient descent
 # --------------------------------------------------------------------------
 
 @dataclass
 class FunctionState:
     f_train: np.ndarray          # (d_out*N,), point-major
-    epoch: int
+    epoch: int                   # kgd_train's epochs, fit_outputs' Newton steps
     residual: float              # ||K grad_f risk + lambda f||
     loss_history: np.ndarray = field(default=None, repr=False)
 
@@ -206,6 +208,42 @@ def kgd_train(kernel: KernelMatrix, ds: LabeledDataset, cfg: RiskConfig,
     return FunctionState(f, epoch, residual, np.asarray(losses))
 
 
+def fit_outputs(kernel: KernelMatrix, ds: LabeledDataset, cfg: RiskConfig) -> FunctionState:
+    """Exact minimizer f = K c of the regularized risk, by damped Newton on c:
+    with r = grad_f risk + lambda c (K r is the gradient in c), C the blockwise
+    root of the loss Hessians / N and M = lambda I + C K C, the step
+    (C M^-1 C K r - r) / lambda (GPML Alg. 3.1, from the current gradient, so
+    rounding does not accumulate) is halved until ||K r|| falls. CG solves M,
+    exactly preconditioned for scalar blocks on a Kronecker kernel. Stops at
+    ||K r|| <= NEWTON_STOP (1 + ||f||), zero included; NotConverged after
+    NEWTON_MAX_STEPS steps."""
+    d, lam = kernel.d_out, cfg.lam
+    if kernel.shape[0] != ds.n * d or ds.d_out != d:
+        raise DimensionMismatch("kernel does not match the dataset")
+    kernel = kernel.gather()
+
+    def gradient(f, coef):
+        r = loss_grad_batch(cfg.loss, f.reshape(ds.n, d), ds.targets).ravel() / ds.n + lam * coef
+        kr = kernel.matvec(r)
+        return r, kr, float(np.linalg.norm(kr))
+    f, coef = np.zeros(ds.n * d), np.zeros(ds.n * d)
+    for step in range(NEWTON_MAX_STEPS + 1):
+        r, kr, residual = gradient(f, coef)
+        if residual <= NEWTON_STOP * (1.0 + float(np.linalg.norm(f))):
+            return FunctionState(f, step, residual)
+        if step == NEWTON_MAX_STEPS:
+            raise NotConverged(f"Newton fit: residual {residual:.3e} after {step} steps")
+        c = _psd_sqrt_blocks(loss_hess_batch(cfg.loss, f.reshape(ds.n, d), ds.targets) / ds.n)
+        pre = None if c.ndim > 1 else kron_preconditioner(c[:, None] * kernel.kron_factor() * c, lam)
+        y = cg_solve(lambda v: lam * v + _apply_sqrt(c, kernel.matvec(_apply_sqrt(c, v))),
+                     _apply_sqrt(c, kr), CgOptions(FIT_REL_TOL, FIT_MAX_ITERS), pre).x
+        delta = (_apply_sqrt(c, y) - r) / lam
+        k_delta, t = kernel.matvec(delta), 1.0
+        while gradient(f + t * k_delta, coef + t * delta)[2] >= residual and t > 1e-10:
+            t /= 2
+        f, coef = f + t * k_delta, coef + t * delta
+
+
 def infinite_predict(k_test_train: KernelMatrix, alpha: np.ndarray) -> np.ndarray:
     """Converged outputs at test points: K(x_t, X) alpha (training starts at f = 0)."""
     return k_test_train.matvec(alpha).reshape(-1, k_test_train.d_out)
@@ -223,23 +261,21 @@ class InfiniteInfluenceResult:
 
 
 def infinite_influence(spec: AnalyticNtkSpec, split: SplitDataset, test_ds: LabeledDataset,
-                       cfg: RiskConfig, opts: CgOptions = CgOptions(),
-                       epochs: int = 20000, tol: float = 1e-6) -> InfiniteInfluenceResult:
+                       cfg: RiskConfig, opts: CgOptions = CgOptions()) -> InfiniteInfluenceResult:
     """Estimated vs actual changes at test points after removing the forget set.
 
     Estimates: reduced coefficient solve with the analytic kernel and the
-    fully trained outputs. Actuals: a second function-space training run on
-    the retain set, with both models evaluated at the test points through
-    their kernel expansions.
+    exactly fitted outputs. Actuals: an exact refit on the retain set, both
+    models evaluated at the test points through their kernel expansions.
     """
     full = split.full
     kernel = analytic_ntk(spec, full.features)
-    state = kgd_train(kernel, full, cfg, epochs=epochs, tol=tol)
+    state = fit_outputs(kernel, full, cfg)
     alpha = alpha_star_from_outputs(state.f_train, full, cfg)
 
     retain = slice(split.n_forget, split.n)
     k_retain = kernel.submatrix(retain, retain)
-    state_r = kgd_train(k_retain, split.retain, cfg, epochs=epochs, tol=tol)
+    state_r = fit_outputs(k_retain, split.retain, cfg)
     alpha_r = alpha_star_from_outputs(state_r.f_train, split.retain, cfg)
 
     solver = DualUnlearner(kernel, state.f_train, split, cfg, opts)
@@ -260,8 +296,8 @@ def infinite_influence(spec: AnalyticNtkSpec, split: SplitDataset, test_ds: Labe
         est_loss_raw=est_raw, est_loss_reg=est_reg, act_loss=act_loss,
         kernel=kernel,
         diagnostics={
-            "kgd_epochs_full": state.epoch, "kgd_residual_full": state.residual,
-            "kgd_epochs_retain": state_r.epoch, "kgd_residual_retain": state_r.residual,
+            "fit_steps_full": state.epoch, "fit_residual_full": state.residual,
+            "fit_steps_retain": state_r.epoch, "fit_residual_retain": state_r.residual,
             **solver.diagnostics,
         },
     )

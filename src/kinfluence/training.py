@@ -53,8 +53,8 @@ class Optimizer:
     def __post_init__(self):
         if self.kind not in ("gd", "momentum"):
             raise ValueError(f"unknown optimizer {self.kind!r}")
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
+        if self.lr <= 0 or not 0 <= self.beta < 1:
+            raise ValueError("learning rate must be positive and momentum beta in [0, 1)")
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,6 @@ NON_DEFAULT = {
     "cg.rel_tol": "1e-7", "cg.max_iters": "99",
     "bench.cold": "skip", "bench.test_size": "7", "seeds": "1,2",
     "ntk.hidden_layers": "2", "ntk.sigma_w2": "1.5", "ntk.sigma_b2": "0.02",
-    "ntk.epochs": "500", "ntk.tol": "1e-7",
     "sweep.lambdas": "0.00123456789,1", "out": "elsewhere",
 }
 NON_DEFAULT_CE = {**NON_DEFAULT, "dataset.targets": "onehot", "model.widths": "784,33,2",
@@ -114,8 +113,6 @@ seeds = 1,2
 ntk.hidden_layers = 2
 ntk.sigma_w2 = 1.5
 ntk.sigma_b2 = 0.02
-ntk.epochs = 500
-ntk.tol = 1e-07
 sweep.lambdas = 0.00123456789,1.0
 out = elsewhere
 """
@@ -532,13 +529,31 @@ class TestInfiniteExperiment:
     def test_outputs_and_files(self, tmp_path):
         vals = tiny_values(str(tmp_path), **{
             "dataset.targets": "pm1", "dataset.per_class": "30", "dataset.d_in": "5",
-            "risk.lambda": "0.1", "bench.test_size": "10", "ntk.tol": "1e-8",
+            "risk.lambda": "0.1", "bench.test_size": "10",
         })
         cfg = config_from_values(vals)
         res = run_infinite_experiment(cfg)
         assert np.corrcoef(res.est_loss_raw, res.act_loss)[0, 1] > 0.99
         for name in ("infinite_outputs.csv", "infinite_loss.csv"):
             assert os.path.exists(os.path.join(str(tmp_path), name))
+
+    @pytest.mark.parametrize("lam", ["0.1", "1e-4"], ids=["shipped", "lambda_1e-4"])
+    def test_shipped_config_estimates_are_exact(self, tmp_path, lam):
+        # squared loss: the estimate is exact, so with exact fits on the full
+        # and the retain set the two columns agree to rounding, at any lambda
+        shipped = pathlib.Path(__file__).parent.parent / "configs" / "infinite_width.cfg"
+        text = shipped.read_text()
+        assert "risk.lambda = 0.1\n" in text
+        cfgp = tmp_path / "infinite.cfg"
+        cfgp.write_text(text.replace("risk.lambda = 0.1\n", f"risk.lambda = {lam}\n"))
+        out = tmp_path / "out"
+        assert cli.main(["ntk-infinite", "--config", str(cfgp), "--out", str(out)]) == 0
+        with open(out / "infinite_outputs.csv") as f:
+            est, act = np.array([row[2:] for row in csv.reader(f)][1:], dtype=float).T
+        assert np.linalg.norm(est - act) <= 1e-10 * np.linalg.norm(act)
+        (record,) = map(json.loads, (out / "diagnostics.jsonl").read_text().splitlines())
+        assert record["seed"] == 0 and record["percent"] == 50.0
+        assert max(record["fit_residual_full"], record["fit_residual_retain"]) <= 1e-12
 
 
 CLI = [sys.executable, "-m", "kinfluence"]
@@ -612,7 +627,9 @@ class TestCli:
                                             ("unlearn.shards", "3"),
                                             ("dual.dense_threshold", "4096"),
                                             ("ntk.lr", "0.3"),
-                                            ("opt.kind", "momentum")])
+                                            ("opt.kind", "momentum"),
+                                            ("ntk.epochs", "20000"),
+                                            ("ntk.tol", "1e-6")])
     def test_removed_key_exit_code(self, tmp_path, key, value):
         cfgp = write_cfg(tmp_path, **{key: value})
         assert cli.main(["unlearn", "--config", cfgp]) == 2
@@ -654,8 +671,6 @@ class TestCli:
     @pytest.mark.parametrize("command, bad", [
         ("ntk-infinite", {"ntk.hidden_layers": "-1"}),
         ("ntk-infinite", {"ntk.sigma_w2": "0"}),
-        ("ntk-infinite", {"ntk.epochs": "0"}),
-        ("ntk-infinite", {"ntk.tol": "-1"}),
         ("sweep-lambda", {"sweep.lambdas": "0.1,-1"}),
         ("train", {"stop.max_epochs": "0", "train.kind": "gd"}),
         ("unlearn", {"unlearn.scope": "7"}),
@@ -682,14 +697,22 @@ class TestCli:
         ("unlearn", {"cg.max_iters": "0"}),
         ("unlearn --cold --percent 50 --space dual", {}),
         ("unlearn --cold --percent 50 --out cold.json", {"unlearn.space": "both"}),
-    ], ids=["hidden_layers", "sigma_w2", "ntk_epochs", "ntk_tol", "sweep_lambda",
+        ("unlearn", {"risk.lambda": "nan"}),
+        ("unlearn", {"cg.rel_tol": "nan"}),
+        ("train", {"stop.grad_tol": "nan", "train.kind": "gd"}),
+        ("ntk-infinite", {"ntk.sigma_b2": "nan"}),
+        ("sweep-lambda", {"sweep.lambdas": "0.1,nan"}),
+        ("train", {"opt.beta": "2", "train.kind": "momentum"}),
+        ("train", {"opt.beta": "-1", "train.kind": "momentum"}),
+    ], ids=["hidden_layers", "sigma_w2", "sweep_lambda",
             "max_epochs", "scope", "percent_no_forget", "infinite_percent_no_forget",
             "negative_seed", "negative_dataset_seed", "negative_init_seed", "test_size_0",
             "duplicate_seeds", "duplicate_percents", "duplicate_lambdas",
             "lambdas_share_file_name", "percents_share_file_name", "duplicate_classes",
             "unknown_trainer", "direct_raw_network", "direct_cross_entropy", "cold_inline",
             "cold_unknown", "lambda_0", "lr_0", "cg_rel_tol_0", "cg_max_iters_0",
-            "cold_without_out", "cold_both_spaces"])
+            "cold_without_out", "cold_both_spaces", "lambda_nan", "cg_rel_tol_nan",
+            "grad_tol_nan", "sigma_b2_nan", "sweep_lambda_nan", "beta_2", "beta_negative"])
     def test_ruled_out_value_exit_code(self, tmp_path, capsys, monkeypatch, command, bad):
         # each value fails before anything is written (1% of 20 points forgets
         # none); a relative --out would land in tmp_path
@@ -727,7 +750,7 @@ class TestCli:
                                       ["unlearn", "--cold", "--percent", "50", "--space", "dual"]],
                              ids=["train", "ntk_infinite", "cold"])
     def test_one_seed_commands_reject_a_seed_list(self, tmp_path, capsys, argv):
-        cfgp = write_cfg(tmp_path, seeds="0,1", **{"ntk.tol": "1e-8"})
+        cfgp = write_cfg(tmp_path, seeds="0,1")
         out = ["--out", os.path.join(str(tmp_path), "cold.json")] if "--cold" in argv else []
         command = [argv[0], "--config", cfgp, *argv[1:], *out]
         assert cli.main(command) == 2
@@ -981,11 +1004,28 @@ class TestCli:
 
     @pytest.mark.parametrize("percent, code", [("50", 0), ("10,30", 2), ("x", 2)])
     def test_ntk_infinite_percent_flag(self, tmp_path, capsys, percent, code):
-        cfgp = write_cfg(tmp_path, **{"dataset.targets": "pm1", "bench.test_size": "4",
-                                      "ntk.tol": "1e-8"})
+        cfgp = write_cfg(tmp_path, **{"dataset.targets": "pm1", "bench.test_size": "4"})
         assert cli.main(["ntk-infinite", "--config", cfgp, "--percent", percent]) == code
         if code == 2:
             assert "configuration error" in capsys.readouterr().err
+
+    def test_non_utf8_config_exit_code(self, tmp_path, capsys):
+        cfgp = write_cfg(tmp_path)
+        with open(cfgp, "ab") as f:
+            f.write(b"# caf\xe9\n")
+        assert cli.main(["unlearn", "--config", cfgp]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "utf-8" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("row", ["0,50.0,dual\n", "x,50.0,dual,1,2,3,4,5,6,7\n"],
+                             ids=["short_row", "non_numeric_seed"])
+    def test_report_malformed_metrics_exit_code(self, tmp_path, capsys, row):
+        path = tmp_path / "seed_0" / "metrics.csv"
+        path.parent.mkdir()
+        path.write_text(",".join(METRICS_HEADER) + "\n" + row)
+        assert cli.main(["report", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and str(path) in err and "Traceback" not in err
 
     def test_missing_config_exit_code(self, tmp_path):
         proc = subprocess.run(CLI + ["unlearn", "--config", "/does/not/exist.cfg"],
@@ -1074,8 +1114,7 @@ class TestSchemas:
             (tmp_path / command).mkdir()
             cfgp = write_cfg(tmp_path / command, **{
                 "dataset.per_class": "10", "dataset.d_in": "4", "model.widths": "4,8,2",
-                "bench.cold": "skip", "stop.max_epochs": "20", "sweep.lambdas": "0.1,1",
-                "ntk.tol": "1e-8"})
+                "bench.cold": "skip", "stop.max_epochs": "20", "sweep.lambdas": "0.1,1"})
             assert cli.main([command, "--config", cfgp]) == 0
         tables = glob.glob(str(tmp_path / "**" / "*.csv"), recursive=True)
         names = {re.sub(r"sweep_lambda_.*", "sweep", os.path.basename(p)) for p in tables}

@@ -1,22 +1,26 @@
-"""Analytic kernel recursion, function-space training, infinite-width influence."""
+"""Analytic kernel recursion, function-space training (the exact Newton fit and
+kernel gradient descent), infinite-width influence."""
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from kinfluence import infinite
 from kinfluence.datasets import LabeledDataset, make_blobs, split_forget
 from kinfluence.errors import DivergenceDetected, NotConverged
 from kinfluence.infinite import (
     AnalyticNtkSpec,
     analytic_ntk,
+    fit_outputs,
     infinite_influence,
     infinite_predict,
     kgd_train,
     stable_kgd_lr,
 )
 from kinfluence.kernels import KernelMatrix, empirical_ntk
-from kinfluence.losses import CROSS_ENTROPY, SQUARED
+from kinfluence.losses import (CROSS_ENTROPY, SQUARED, loss_grad_batch, loss_hess_batch,
+                               loss_value_batch)
 from kinfluence.models import ModelSpec
 from kinfluence.training import RiskConfig
 
@@ -122,6 +126,80 @@ class TestAnalyticKernel:
             emp = np.mean(samples, axis=0)
             devs.append(np.median(np.abs(emp - target)))
         assert devs[0] > devs[1] > devs[2]
+
+
+def dense_newton(sigma: np.ndarray, ds, cfg: RiskConfig) -> np.ndarray:
+    """Newton on c for f = (sigma (x) I) c with the dense Hessian and full
+    solves, halving the step while the risk grows by more than its rounding;
+    the outputs f."""
+    k = np.kron(sigma, np.eye(ds.d_out))
+    coef = np.zeros(len(k))
+
+    def parts(c):
+        f = (k @ c).reshape(ds.n, ds.d_out)
+        risk = loss_value_batch(cfg.loss, f, ds.targets).mean() + 0.5 * cfg.lam * c @ k @ c
+        return f, risk, loss_grad_batch(cfg.loss, f, ds.targets).ravel() / ds.n + cfg.lam * c
+    for _ in range(100):
+        f, risk, r = parts(coef)
+        if np.linalg.norm(k @ r) <= 1e-15 * (1 + np.linalg.norm(f)):
+            break
+        w = np.zeros_like(k)
+        for i, block in enumerate(loss_hess_batch(cfg.loss, f, ds.targets) / ds.n):
+            w[i * ds.d_out:(i + 1) * ds.d_out, i * ds.d_out:(i + 1) * ds.d_out] = block
+        step, t = -np.linalg.solve(w @ k + cfg.lam * np.eye(len(k)), r), 1.0
+        while parts(coef + t * step)[1] > risk + 1e-14 * abs(risk) and t > 1e-12:
+            t /= 2
+        coef = coef + t * step
+    return k @ coef
+
+
+class TestFitOutputs:
+    @pytest.mark.parametrize("lam", [1e-4, 1e-3, 0.1, 10.0])
+    @pytest.mark.parametrize("classes, encoding", [(2, "pm1"), (10, "onehot")],
+                             ids=["d_out_1", "d_out_10"])
+    def test_squared_loss_matches_closed_form(self, lam, classes, encoding):
+        # c09's kernel-ridge form on N = 400, one step of iterative refinement
+        # taking the oracle's own error well below the bound
+        ds = make_blobs(400 // classes, classes, d_in=10, seed=3, encoding=encoding)
+        kernel = analytic_ntk(AnalyticNtkSpec(hidden_layers=3, d_out=ds.d_out), ds.features)
+        cfg = RiskConfig(lam=lam, loss=SQUARED)
+        state = fit_outputs(kernel, ds, cfg)
+        a = kernel.sigma / ds.n + lam * np.eye(ds.n)
+        b = (kernel.sigma / ds.n) @ ds.targets
+        oracle = np.linalg.solve(a, b)
+        oracle += np.linalg.solve(a, b - a @ oracle)
+        rel = np.linalg.norm(state.f_train - oracle.ravel()) / np.linalg.norm(oracle)
+        assert rel <= 1e-12 and 1 <= state.epoch <= 2, (rel, state.epoch)
+
+    @pytest.mark.parametrize("lam", [1e-4, 1e-3, 0.1])
+    def test_cross_entropy_matches_dense_newton(self, lam):
+        ds = make_blobs(20, 3, d_in=4, seed=14)
+        kernel = analytic_ntk(AnalyticNtkSpec(hidden_layers=2, d_out=3), ds.features)
+        cfg = RiskConfig(lam=lam, loss=CROSS_ENTROPY)
+        state = fit_outputs(kernel, ds, cfg)
+        grad = loss_grad_batch(CROSS_ENTROPY, state.f_train.reshape(ds.n, 3), ds.targets)
+        stationarity = kernel.matvec(grad.ravel() / ds.n) + lam * state.f_train
+        assert state.residual <= 1e-12 and np.linalg.norm(stationarity) <= 1e-12
+        want = dense_newton(kernel.sigma, ds, cfg)
+        assert np.linalg.norm(state.f_train - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_step_cap_raises(self, monkeypatch):
+        ds = make_blobs(10, 3, d_in=4, seed=15)
+        kernel = analytic_ntk(AnalyticNtkSpec(hidden_layers=1, d_out=3), ds.features)
+        cfg = RiskConfig(lam=0.1, loss=CROSS_ENTROPY)
+        assert fit_outputs(kernel, ds, cfg).epoch > 1
+        monkeypatch.setattr(infinite, "NEWTON_MAX_STEPS", 1)
+        with pytest.raises(NotConverged, match="after 1 steps"):
+            fit_outputs(kernel, ds, cfg)
+
+    def test_zero_residual_returns_at_once(self, monkeypatch):
+        # f = 0 is the optimum for zero targets; no step is taken, even with
+        # a step cap of 0
+        monkeypatch.setattr(infinite, "NEWTON_MAX_STEPS", 0)
+        k = KernelMatrix(2, sigma=np.eye(4) + 0.3)
+        state = fit_outputs(k, raw_targets_ds(np.zeros((4, 2))), RiskConfig(lam=0.2))
+        assert state.epoch == 0 and state.residual == 0.0
+        np.testing.assert_array_equal(state.f_train, np.zeros(8))
 
 
 class TestKgd:
@@ -276,15 +354,19 @@ class TestInfiniteInfluence:
 
     def test_estimates_match_actuals_quadratic(self):
         spec, split, test, cfg = self.setup_instance()
-        res = infinite_influence(spec, split, test, cfg, tol=1e-9)
+        res = infinite_influence(spec, split, test, cfg)
         np.testing.assert_allclose(res.est_output, res.act_output, atol=5e-7)
         r = np.corrcoef(res.est_loss_raw, res.act_loss)[0, 1]
         assert r > 0.99
 
-    def test_not_converged_raises(self):
-        spec, split, test, cfg = self.setup_instance(seed=7)
+    def test_not_converged_raises(self, monkeypatch):
+        # a step cap of 1 stops the cross-entropy fit, which takes more steps
+        split = split_forget(make_blobs(10, 2, d_in=4, seed=7), 50.0, scope="all", seed=8)
+        test = make_blobs(2, 2, d_in=4, seed=57)
+        monkeypatch.setattr(infinite, "NEWTON_MAX_STEPS", 1)
         with pytest.raises(NotConverged):
-            infinite_influence(spec, split, test, cfg, epochs=2, tol=1e-10)
+            infinite_influence(AnalyticNtkSpec(hidden_layers=3, d_out=2), split, test,
+                               RiskConfig(lam=0.1, loss=CROSS_ENTROPY))
 
     def test_zero_residual_point_changes_tiny(self):
         # craft the first point's target so its training residual is exactly 0
@@ -324,7 +406,7 @@ class TestInfiniteInfluence:
                     targets=rng.choice([-1.0, 1.0], size=(4, 1)),
                     labels=np.zeros(4, dtype=int), n=4, d_in=3, d_out=1, name="t")
         cfg = RiskConfig(lam=lam, loss=SQUARED)
-        res0 = infinite_influence(spec, split0, test, cfg, tol=1e-11)
+        res0 = infinite_influence(spec, split0, test, cfg)
 
         # compare with removing the highest-residual point instead
         resid = np.abs(f - y)
@@ -332,7 +414,7 @@ class TestInfiniteInfluence:
         order = np.concatenate([[j], [i for i in range(n) if i != j]])
         raw_j = raw.take(order)
         split_j = SplitDataset(raw_j, 1)
-        res_j = infinite_influence(spec, split_j, test, cfg, tol=1e-11)
+        res_j = infinite_influence(spec, split_j, test, cfg)
 
         scale0 = np.abs(res0.act_output).max()
         scale_j = np.abs(res_j.act_output).max()

@@ -8,7 +8,10 @@ drawn over the parameterization, the activation, the risk's center, the
 output width (+-1 and one-hot targets), the hidden widths, the unlearning
 scope and the removal percent. Every network is expanded at its
 initialization, whatever the center, so no drawn change is zero and the
-agreement is relative only.
+agreement is relative only. At infinite width the identity is between the
+estimate and the actual change: with exact fits on the full and the retain
+set, squared-loss test-point output changes agree, drawn over the analytic
+kernel's depth and variances, the output width, the percent and lambda.
 
 Not drawn: cross-entropy, whose theta_hat has no exact fit yet (it needs a
 Newton fit), and the full-data Hessian, since coefficient space solves the
@@ -25,6 +28,7 @@ from hypothesis import strategies as st
 
 from kinfluence.datasets import make_blobs, split_forget
 from kinfluence.dual import DualUnlearner, map_to_params
+from kinfluence.infinite import AnalyticNtkSpec, infinite_influence
 from kinfluence.kernels import empirical_ntk
 from kinfluence.losses import SQUARED
 from kinfluence.models import LinearizedModel, ModelSpec, model_outputs
@@ -85,6 +89,26 @@ def test_primal_and_dual_estimates_agree(parameterization, activation, center,
     assert agree(delta_dual, primal.x)
     assert agree(changes_at_test_points(lin, theta_hat, delta_dual, test_ds, risk),
                  changes_at_test_points(lin, theta_hat, primal.x, test_ds, risk))
+
+
+@settings(max_examples=100, deadline=None)
+@given(hidden_layers=st.integers(0, 3),
+       sigma_w2=st.floats(0.5, 4.0),
+       sigma_b2=st.floats(0.0, 0.5),
+       classes_targets=st.sampled_from([(2, "pm1"), (2, "onehot"), (3, "onehot")]),
+       percent=st.integers(10, 90),
+       lam=st.floats(1e-3, 1.0),
+       seed=st.integers(0, 10 ** 4))
+def test_infinite_width_estimates_equal_actuals(hidden_layers, sigma_w2, sigma_b2,
+                                                classes_targets, percent, lam, seed):
+    # squared loss on the analytic kernel: the estimate is exact, and both fits are
+    n_classes, targets = classes_targets
+    ds = make_blobs(PER_CLASS, n_classes, D_IN, seed=seed, encoding=targets)
+    test_ds = make_blobs(2, n_classes, D_IN, seed=seed + 1, encoding=targets)
+    spec = AnalyticNtkSpec(hidden_layers, sigma_w2, sigma_b2, d_out=ds.d_out)
+    res = infinite_influence(spec, split_forget(ds, percent, seed=seed), test_ds,
+                             RiskConfig(lam=lam, loss=SQUARED))
+    assert agree(res.est_output, res.act_output)
 
 
 FAILING_PROPERTY = """\
