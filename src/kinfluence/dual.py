@@ -53,7 +53,7 @@ def alpha_star_from_outputs(f_vec: np.ndarray, ds, cfg: RiskConfig) -> np.ndarra
     return -g / (cfg.lam * ds.n)
 
 
-def _psd_sqrt_blocks(blocks: np.ndarray) -> np.ndarray:
+def psd_sqrt_blocks(blocks: np.ndarray) -> np.ndarray:
     """Blockwise PSD square root of blockdiag(blocks): per-point scalars, shape
     (N,), when every block is a multiple of I, else symmetric (N, d, d) blocks."""
     scale = blocks[:, 0, 0]
@@ -63,8 +63,8 @@ def _psd_sqrt_blocks(blocks: np.ndarray) -> np.ndarray:
     return np.einsum("nij,nj,nkj->nik", v, np.sqrt(np.clip(w, 0.0, None)), v)
 
 
-def _apply_sqrt(c: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """C v for either form that _psd_sqrt_blocks returns."""
+def apply_sqrt(c: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """C v for either form that psd_sqrt_blocks returns."""
     if c.ndim == 1:
         return (v.reshape(c.shape[0], -1) * c[:, None]).ravel()
     return np.einsum("nij,nj->ni", c, v.reshape(c.shape[:2])).ravel()
@@ -159,7 +159,7 @@ class DualUnlearner:
         n_f = split.n_forget * d
         self.alpha = alpha_star_from_outputs(self.f_vec, split.full, cfg)
         self.delta_f = -self.alpha[:n_f]
-        self.c = _psd_sqrt_blocks(retain_hessian_blocks(self.f_vec, split, cfg))
+        self.c = psd_sqrt_blocks(retain_hessian_blocks(self.f_vec, split, cfg))
         self.a = (split.n_forget / split.n_retain) * self.alpha[n_f:]
         kron = self.kernel.kron
         self.use_dense = ((not kron or self.c.ndim == 1)
@@ -177,7 +177,7 @@ class DualUnlearner:
             k_rr = self.kernel.submatrix(ri, ri).gather()
             kv = (self.kernel.submatrix(ri, fi).gather().matvec(self.alpha[:n_f])
                   - k_rr.matvec(self.a))
-        self.b = _apply_sqrt(self.c, kv)
+        self.b = apply_sqrt(self.c, kv)
         # checked once here: the dense solves do not rescan b or the factor
         if not np.all(np.isfinite(self.b)):
             raise NonFiniteEncountered("reduced right-hand side has non-finite entries")
@@ -203,7 +203,7 @@ class DualUnlearner:
         self._prepared = True
 
     def _apply_m(self, v: np.ndarray) -> np.ndarray:
-        return self.cfg.lam * v + _apply_sqrt(self.c, self.k_rr.matvec(_apply_sqrt(self.c, v)))
+        return self.cfg.lam * v + apply_sqrt(self.c, self.k_rr.matvec(apply_sqrt(self.c, v)))
 
     # -- warm work ----------------------------------------------------------
     def solve(self) -> DualCoefficients:
@@ -219,7 +219,7 @@ class DualUnlearner:
             y = res.x
             self.diagnostics.update({"solver": "cg", "iters": res.iters,
                                      "residual": res.residual, "converged": res.converged})
-        delta = np.concatenate([self.delta_f, self.a + _apply_sqrt(self.c, y)])
+        delta = np.concatenate([self.delta_f, self.a + apply_sqrt(self.c, y)])
         return DualCoefficients(self.alpha, delta)
 
 

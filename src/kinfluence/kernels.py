@@ -296,14 +296,14 @@ def _det_rows_matvec(block: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
         out[c0:c1] = (block[c0:c1] * v).sum(axis=1)
 
 
-def sharded_matvec(matrix, v: np.ndarray, shards, workers: int | None = None):
+def sharded_matvec(matrix: np.ndarray, v: np.ndarray, shards):
     """Row-sharded matvec with a deterministic per-row reduction.
 
     Returns (result, per-shard wall seconds). The result is bitwise identical
-    for every valid row partition; shards are dispatched to worker threads and
-    write disjoint output slices.
+    for every valid row partition; two or more shards run on one worker
+    thread each and write disjoint output slices.
     """
-    a = matrix.to_dense() if isinstance(matrix, KernelMatrix) else np.asarray(matrix)
+    a = np.asarray(matrix)
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (a.shape[1],):
         raise DimensionMismatch(f"vector length {v.shape} != {a.shape[1]}")
@@ -317,13 +317,10 @@ def sharded_matvec(matrix, v: np.ndarray, shards, workers: int | None = None):
         _det_rows_matvec(a[lo:hi], v, out[lo:hi])
         seconds[k] = time.perf_counter() - t0
 
-    if workers is None:
-        workers = len(spans)
-    if workers <= 1 or len(spans) == 1:
-        for k in range(len(spans)):
-            shard(k)
+    if len(spans) == 1:
+        shard(0)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=len(spans)) as pool:
             list(pool.map(shard, range(len(spans))))
     return out, seconds
 

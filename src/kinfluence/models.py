@@ -164,7 +164,7 @@ class LinearizedModel:
 Model = ModelSpec | LinearizedModel
 
 
-def _spec_of(model: Model) -> ModelSpec:
+def spec_of(model: Model) -> ModelSpec:
     return model.spec if isinstance(model, LinearizedModel) else model
 
 

@@ -19,7 +19,7 @@ from .datasets import LabeledDataset
 from .errors import DimensionMismatch, DivergenceDetected, EmptyDataset, NonFiniteEncountered, NotConverged
 from .kernels import KernelMatrix, empirical_kron_factor
 from .losses import LOSS_KINDS, SQUARED, loss_grad_batch, loss_hess_batch, loss_value_batch
-from .models import LinearizedModel, Model, _spec_of, linearize
+from .models import LinearizedModel, Model, linearize, spec_of
 from .solvers import CgOptions, cg_solve, kron_preconditioner
 
 CENTER_REFERENCE = "reference"
@@ -76,7 +76,7 @@ class TrainReport:
 
 def resolve_center(model: Model, cfg: RiskConfig) -> np.ndarray:
     """The vector c in the (lambda/2)||theta - c||^2 term."""
-    spec = _spec_of(model)
+    spec = spec_of(model)
     if cfg.center == CENTER_ORIGIN:
         return np.zeros(spec.num_params)
     return model.theta_ref if isinstance(model, LinearizedModel) else spec.theta_init
@@ -85,7 +85,7 @@ def resolve_center(model: Model, cfg: RiskConfig) -> np.ndarray:
 def _check_ds(ds: LabeledDataset, model: Model) -> None:
     if ds.n < 1:
         raise EmptyDataset("risk needs a nonempty dataset")
-    spec = _spec_of(model)
+    spec = spec_of(model)
     if ds.d_in != spec.d_in or ds.d_out != spec.d_out:
         raise DimensionMismatch(
             f"dataset ({ds.d_in}->{ds.d_out}) incompatible with model ({spec.d_in}->{spec.d_out})"
@@ -139,7 +139,7 @@ def risk_hessian_op(model: Model, theta: np.ndarray, ds: LabeledDataset, cfg: Ri
     _check_ds(ds, model)
     lz, f = linearize(model, theta, ds.features)
     blocks = loss_hess_batch(cfg.loss, f, ds.targets)
-    lam_v = np.empty(_spec_of(model).num_params)  # scratch for lambda v
+    lam_v = np.empty(spec_of(model).num_params)  # scratch for lambda v
 
     def apply_h(v: np.ndarray) -> np.ndarray:
         u = lz.jvp(v).reshape(ds.n, ds.d_out)

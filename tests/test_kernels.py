@@ -419,12 +419,6 @@ class TestShardedMatvec:
         with pytest.raises(PartitionOverlap):
             validate_shards([(0, 5), (4, 10)], 10)
 
-    def test_threaded_matches_serial(self):
-        spans = even_shards(40, 4)
-        a, _ = sharded_matvec(self.a, self.v, spans, workers=1)
-        b, _ = sharded_matvec(self.a, self.v, spans, workers=4)
-        assert np.array_equal(a, b)
-
 
 class TestCache:
     def test_round_trip_dense(self, tmp_path):

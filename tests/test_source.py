@@ -1,7 +1,7 @@
 """Leftovers in the package source: imports a module never uses, private
 top-level functions or classes that nothing in the package references, public
-ones that nothing outside their module names, and scipy imported when a
-module loads."""
+ones that nothing outside their module names, private names imported from
+another module, and scipy imported when a module loads."""
 
 import ast
 import pathlib
@@ -41,6 +41,17 @@ def test_no_unreferenced_private_definitions():
                and node.name.startswith("_") and not node.name.startswith("__")
                and node.name not in refs]
     assert orphans == []
+
+
+def test_no_private_names_imported_across_modules():
+    # a name another module needs is part of its defining module's interface
+    found = [f"{name}:{node.lineno}: {alias.name}" for name, tree in TREES.items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and (node.level > 0 or (node.module or "").split(".")[0] == "kinfluence")
+             for alias in node.names
+             if alias.name.startswith("_") and not alias.name.startswith("__")]
+    assert found == []
 
 
 def test_scipy_imported_only_inside_functions():
